@@ -27,19 +27,24 @@ def read_config(path) -> dict[str, str]:
 
 # keys understood by the simulator / bench config file
 FLOAT_KEYS = ("noise_sigma", "drift_rate", "tau_rise", "tau_fall",
-              "sample_rate_hz", "svm_c", "svm_gamma", "variance_threshold",
-              "mlp_lr")
+              "sample_rate_hz", "svm_c", "variance_threshold", "mlp_lr")
 INT_KEYS = ("window_m", "baseline_degree", "mlp_epochs")
 
 
 def typed_config(entries: dict[str, str]) -> dict[str, object]:
-    """Parse known keys to numbers; unknown keys raise."""
+    """Parse known keys to numbers; unknown keys raise.
+
+    `svm_gamma = auto` selects the data-driven heuristic (None), as the
+    `--gamma auto` flag and the config echo spell it.
+    """
     out: dict[str, object] = {}
     for key, value in entries.items():
         if key in FLOAT_KEYS:
             out[key] = float(value)
         elif key in INT_KEYS:
             out[key] = int(value)
+        elif key == "svm_gamma":
+            out[key] = None if value == "auto" else float(value)
         elif key == "features":
             out[key] = value
         elif key == "mlp_hidden":

@@ -273,12 +273,6 @@ class SvmModel:
     classes: tuple[int, ...]
     machines: tuple[tuple[tuple[int, int], BinarySvm], ...]
 
-    def pair(self, ci: int, cj: int) -> BinarySvm:
-        for (a, b), m in self.machines:
-            if (a, b) == (ci, cj):
-                return m
-        raise KeyError((ci, cj))
-
 
 def svm_train_multiclass(x, y, params: SvmParams = SvmParams()) -> SvmModel:
     x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -168,15 +168,16 @@ def test_criterion_09_pipeline_determinism(tmp_path):
     report_files = ("metrics.csv", "predictions.csv", "scatter.svg",
                     "classification.svg", "features_train.csv",
                     "features_test.csv")
-    rc1 = cli_main(["bench", "--table", "ternary", "--seed", str(SEED),
-                    "--out", str(tmp_path / "run1")])
-    rc2 = cli_main(["bench", "--table", "ternary", "--seed", str(SEED),
-                    "--out", str(tmp_path / "run2")])
-    identical = rc1 == 0 and rc2 == 0 and all(
-        (tmp_path / "run1" / f).read_bytes() == (tmp_path / "run2" / f).read_bytes()
-        for f in report_files)
-    _criterion(9, "two identical-seed bench runs emit byte-identical reports",
-               identical)
+    identical = True
+    for route in ("pca", "kpca"):
+        runs = [tmp_path / f"{route}{i}" for i in (1, 2)]
+        rcs = [cli_main(["bench", "--table", "ternary", "--seed", str(SEED),
+                         "--features", route, "--out", str(out)]) for out in runs]
+        identical &= rcs == [0, 0] and all(
+            (runs[0] / f).read_bytes() == (runs[1] / f).read_bytes()
+            for f in report_files)
+    _criterion(9, "two identical-seed bench runs emit byte-identical reports "
+                  "(PCA and KPCA routes)", identical)
 
 
 def test_criterion_10_preprocessing_algebra():

@@ -33,6 +33,12 @@ class TestConfigFiles:
     def test_hidden_sizes(self):
         assert cfg.typed_config({"mlp_hidden": "8 4"}) == {"mlp_hidden": (8, 4)}
 
+    def test_svm_gamma_auto_or_number(self):
+        assert cfg.typed_config({"svm_gamma": "auto"}) == {"svm_gamma": None}
+        assert cfg.typed_config({"svm_gamma": "0.5"}) == {"svm_gamma": 0.5}
+        with pytest.raises(ValueError):
+            cfg.typed_config({"svm_gamma": "fast"})
+
 
 def separable_features(rng, n_per=20):
     a = rng.normal(0.0, 0.4, (n_per, N_FEATURES))
@@ -121,7 +127,7 @@ class TestCliWorkflows:
 
     def test_bench_smoke_with_config_file(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
-        conf.write_text("noise_sigma = 0.0\nmlp_epochs = 10\n")
+        conf.write_text("noise_sigma = 0.0\nmlp_epochs = 10\nsvm_gamma = auto\n")
         out = tmp_path / "results"
         rc = main(["bench", "--table", "ternary", "--seed", "1",
                    "--out", str(out), "--config", str(conf)])

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enose.eigen import jacobi_eigh, orient_columns
+from enose.eigen import (RESIDUAL_TOL, START_BLOCK, jacobi_eigh, leading_eigh,
+                         orient_columns)
+from enose.features import default_gamma, rbf_kernel
 from oracles import charpoly_eigvalsh
 
 
@@ -52,6 +54,62 @@ class TestJacobi:
         before = a.copy()
         jacobi_eigh(a)
         assert np.array_equal(a, before)
+
+
+def random_psd(kind, n, seed):
+    """PSD test matrices: a geometric spectrum, a flat rank-deficient Wishart
+    spectrum, or a centred RBF Gram matrix as kernel PCA builds it."""
+    rng = np.random.default_rng(seed)
+    if kind == "decaying":
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = np.exp(-rng.uniform(0.1, 0.6) * np.arange(n))
+        return (q * lam) @ q.T
+    if kind == "wishart":
+        b = rng.standard_normal((n, n // 2 + 1))
+        return b @ b.T / n
+    x = rng.normal(0, 1, (n, int(rng.integers(1, 5))))
+    k = rbf_kernel(x, x, default_gamma(x))
+    return k - k.mean(1)[:, None] - k.mean(0)[None, :] + k.mean()
+
+
+class TestLeadingEigh:
+    """Differential test of the top-k solver against the full Jacobi solve."""
+
+    @pytest.mark.parametrize("kind", ["decaying", "wishart", "rbf"])
+    @pytest.mark.parametrize("n", [3, 12, 31, 33, 50, 64, 90, 120])
+    def test_matches_full_jacobi(self, kind, n):
+        a = random_psd(kind, n, seed=n)
+        w, v = leading_eigh(a, 0.95)
+        w_ref, v_ref = jacobi_eigh(a)
+        m, scale = w.size, w_ref[0]
+        assert np.abs(w - w_ref[:m]).max() <= 1e-9 * scale
+        assert w.sum() >= 0.95 * np.trace(a)
+        # iterated pairs (m < n) pass the solver's own residual test
+        resid = np.linalg.norm(a @ v - v * w, axis=0)
+        assert resid.max() <= (RESIDUAL_TOL if m < n else 1e-9) * scale
+        assert np.abs(v.T @ v - np.eye(m)).max() < 1e-10
+        # eigenvectors agree up to sign wherever the eigenvalue is separated
+        gap = np.minimum(np.abs(np.diff(w_ref, prepend=np.inf)),
+                         np.abs(np.diff(w_ref, append=-np.inf)))[:m]
+        for j in np.flatnonzero(gap > 1e-3 * scale):
+            err = min(np.abs(v[:, j] - v_ref[:, j]).max(),
+                      np.abs(v[:, j] + v_ref[:, j]).max())
+            assert err <= 1e-6, (j, err)
+
+    def test_small_input_is_the_dense_solve(self):
+        for n in (1, 5, 2 * START_BLOCK - 1):
+            a = random_psd("wishart", n, seed=n)
+            w, v = leading_eigh(a, 0.95)
+            w_ref, v_ref = jacobi_eigh(a)
+            assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError, match="square"):
+            leading_eigh(np.ones((2, 3)), 0.95)
+        asym = random_psd("decaying", 40, seed=0)
+        asym[0, 1] += 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            leading_eigh(asym, 0.95)
 
 
 class TestOrientColumns:

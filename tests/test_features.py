@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enose import features as ft
+from enose.eigen import jacobi_eigh, orient_columns
 from enose.preprocess import FilterConfig, ProcessedSession, process_session
 from enose.sensors import (BASELINE_S, EXPOSURE_S, GasMixture, SensorSpec,
                            divider_voltage, simulate_session,
@@ -159,7 +160,42 @@ class TestPca:
             ft.pca_fit(np.ones((1, 3)))
 
 
+def dense_kpca(x, variance_threshold=0.95):
+    """kpca_fit as it was before the top-k solver: the full Jacobi spectrum,
+    with variance fractions against the sum of the eigenvalues kept."""
+    gamma = ft.default_gamma(x)
+    k = ft.rbf_kernel(x, x, gamma)
+    row_means, total_mean = k.mean(axis=1), float(k.mean())
+    kc = k - row_means[:, None] - row_means[None, :] + total_mean
+    w, v = jacobi_eigh(kc)
+    v = orient_columns(v)
+    keep = w > ft.EIGENVALUE_FLOOR * max(float(w[0]), 0.0)
+    w, v = w[keep], v[:, keep]
+    cum = np.cumsum(w) / w.sum()
+    retained = min(int(np.searchsorted(cum, variance_threshold - 1e-12) + 1), w.size)
+    return ft.KpcaModel(x_train=x.copy(), gamma=gamma, alphas=v / np.sqrt(w),
+                        eigenvalues=w, train_row_means=row_means,
+                        train_total_mean=total_mean, retained_k=retained)
+
+
 class TestKpca:
+    @pytest.mark.parametrize("n", [3, 10, 20, 33, 45, 70, 100, 120])
+    def test_matches_dense_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        x = rng.normal(0, 1, (n, 1 + n % 4))
+        probe = rng.normal(0, 1, (15, x.shape[1]))
+        model, ref = ft.kpca_fit(x), dense_kpca(x)
+        k = ref.retained_k
+        assert model.retained_k == k
+        assert model.eigenvalues[:k] == pytest.approx(ref.eigenvalues[:k],
+                                                      abs=1e-9 * ref.eigenvalues[0])
+        for pts in (x, probe):
+            got, want = ft.kpca_transform(model, pts), ft.kpca_transform(ref, pts)
+            for j in range(k):
+                err = min(np.abs(got[:, j] - want[:, j]).max(),
+                          np.abs(got[:, j] + want[:, j]).max())
+                assert err <= 1e-6 * np.abs(want[:, j]).max(), (j, err)
+
     def test_tiny_gamma_degenerates(self):
         rng = np.random.default_rng(2)
         x = rng.normal(0, 1, (10, 2))
