@@ -21,8 +21,8 @@ import numpy as np
 # iteration, and every KPCA model built on it, is deterministic.
 START_SEED = 20240601
 START_BLOCK = 16
-# Steps per block size before the block is doubled: pairs near the end of a
-# block converge slowly, and a larger block converges them in fewer steps.
+# Steps before the iteration gives up and the whole matrix goes to
+# `jacobi_eigh`; each step costs a small fraction of that dense solve.
 MAX_ITER = 60
 # A Ritz pair (w_j, v_j) has converged when ||a v_j - w_j v_j|| <= RESIDUAL_TOL * w_0.
 RESIDUAL_TOL = 1e-11
@@ -120,31 +120,32 @@ def leading_eigh(a, fraction: float):
 
     Returns (w, v) like `jacobi_eigh`, but only for the leading pairs:
     each satisfies ||a v_j - w_j v_j|| <= RESIDUAL_TOL * w_0, and together
-    their eigenvalues add up to at least fraction * trace(a).  Blocks of
-    START_BLOCK, 2 * START_BLOCK, ... vectors are iterated in turn, each
-    for at most MAX_ITER steps.  Once a block would exceed half of n, the
-    iteration saves little over a dense solve, so all n pairs come from
-    `jacobi_eigh(a)`; that is also the whole path for n < 2 * START_BLOCK.
+    their eigenvalues add up to at least fraction * trace(a).  A block of
+    START_BLOCK vectors is iterated for at most MAX_ITER steps.  If the
+    converged pairs do not reach the fraction by then, or the whole block
+    has converged short of it, all n pairs come from `jacobi_eigh(a)`.
+    That dense solve is also the whole path for fraction >= 1, where
+    every pair is needed, and for n < 2 * START_BLOCK, where the block
+    saves little.
     """
     a = _checked_symmetric(a)
     n = a.shape[0]
+    if fraction >= 1.0 or n < 2 * START_BLOCK:
+        return jacobi_eigh(a)
     target = fraction * float(np.trace(a))
     rng = np.random.default_rng(START_SEED)
-    v = np.empty((n, 0))
-    b = START_BLOCK
-    while 2 * b <= n:
-        q, _ = np.linalg.qr(np.hstack([v, rng.standard_normal((n, b - v.shape[1]))]))
-        for _ in range(MAX_ITER):
-            aq = a @ q
-            h = q.T @ aq
-            w, s = jacobi_eigh(0.5 * (h + h.T))
-            v, av = q @ s, aq @ s
-            converged = np.linalg.norm(av - v * w, axis=0) <= RESIDUAL_TOL * w[0]
-            m = b if converged.all() else int(np.argmin(converged))
-            if m and w[:m].sum() >= target:
-                return w[:m], v[:, :m]
-            q, _ = np.linalg.qr(av)
-        b *= 2
+    q, _ = np.linalg.qr(rng.standard_normal((n, START_BLOCK)))
+    for _ in range(MAX_ITER):
+        aq = a @ q
+        w, s = jacobi_eigh(q.T @ aq)
+        v, av = q @ s, aq @ s
+        converged = np.linalg.norm(av - v * w, axis=0) <= RESIDUAL_TOL * w[0]
+        m = START_BLOCK if converged.all() else int(np.argmin(converged))
+        if m and w[:m].sum() >= target:
+            return w[:m], v[:, :m]
+        if m == START_BLOCK:
+            break  # every pair has converged; more steps cannot add any
+        q, _ = np.linalg.qr(av)
     return jacobi_eigh(a)
 
 

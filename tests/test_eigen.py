@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enose.eigen import (RESIDUAL_TOL, START_BLOCK, jacobi_eigh, leading_eigh,
-                         orient_columns)
+from enose import eigen
+from enose.eigen import (MAX_ITER, RESIDUAL_TOL, START_BLOCK, jacobi_eigh,
+                         leading_eigh, orient_columns)
 from enose.features import default_gamma, rbf_kernel
 from oracles import charpoly_eigvalsh
 
@@ -102,6 +103,41 @@ class TestLeadingEigh:
             w, v = leading_eigh(a, 0.95)
             w_ref, v_ref = jacobi_eigh(a)
             assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+    @staticmethod
+    def count_dense_solves(monkeypatch):
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a)[0])
+            return jacobi_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(eigen, "jacobi_eigh", counted)
+        return calls
+
+    def test_full_fraction_is_one_dense_solve(self, monkeypatch):
+        a = random_psd("decaying", 64, seed=1)
+        calls = self.count_dense_solves(monkeypatch)
+        w, v = leading_eigh(a, 1.0)
+        assert calls == [64]
+        w_ref, v_ref = jacobi_eigh(a)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+    def test_converged_block_short_of_fraction_stops_early(self, monkeypatch):
+        # the 16 leading pairs are well separated and converge in a few
+        # steps, but carry only ~91% of the trace
+        rng = np.random.default_rng(3)
+        n = 64
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = np.concatenate([np.linspace(20.0, 5.0, START_BLOCK),
+                              rng.uniform(0.3, 0.5, n - START_BLOCK)])
+        a = (q * lam) @ q.T
+        assert lam[:START_BLOCK].sum() < 0.95 * lam.sum()
+        calls = self.count_dense_solves(monkeypatch)
+        w, v = leading_eigh(a, 0.95)
+        assert calls[-1] == n and len(calls) < MAX_ITER // 2
+        w_ref, v_ref = jacobi_eigh(a)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="square"):
