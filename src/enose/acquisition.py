@@ -4,11 +4,12 @@ Wire format: newline-delimited ASCII, one frame per line,
 
     t_ms,raw1,raw2,raw3,raw4
 
-with decimal-integer fields and raw counts in the 12-bit range.  A blank
-raw field marks a dropped sample (imputed from its neighbours); anything
-else that does not fit the schema is malformed.  Session files use the
-same lines under a fixed header, with metadata in a `<name>.meta`
-sidecar of flat `key=value` lines.
+with fields of ASCII decimal digits (surrounding whitespace allowed) and
+raw counts in the 12-bit range.  A blank raw field marks a dropped sample
+(imputed from its neighbours); anything else that does not fit the
+schema is malformed.  Session files use the same lines under a fixed
+header, with metadata in a `<name>.meta` sidecar of flat `key=value`
+lines.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sensors import ADC_LEVELS, ADC_MAX, ADC_VREF, GasMixture, SensorFrame
+from .sensors import ADC_LEVELS, ADC_MAX, ADC_VREF, GASES, GasMixture
 
 SESSION_HEADER = "t_ms,raw1,raw2,raw3,raw4"
 MALFORMED_FRACTION_LIMIT = 0.10
@@ -41,35 +42,48 @@ def adc_to_voltage(raw: int) -> float:
     return raw * ADC_VREF / ADC_LEVELS
 
 
-@dataclass(frozen=True)
-class Session:
-    """An ingested recording: ordered frames plus labeling metadata."""
+def _readonly_int64(values, name: str) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"{name} must hold integers, got {arr.dtype}")
+    arr = arr.astype(np.int64)  # a private copy, so freezing it is safe
+    arr.flags.writeable = False
+    return arr
 
-    frames: tuple[SensorFrame, ...]
+
+@dataclass(frozen=True, eq=False)
+class Session:
+    """An ingested recording: n timestamped 4-channel readings plus labels.
+
+    `t_ms` (n) and `counts` (n x 4 raw ADC counts) are read-only int64
+    copies of what the caller passed.
+    """
+
+    t_ms: np.ndarray
+    counts: np.ndarray
     label: int = 0
     mixture: GasMixture | None = None
     sample_rate_hz: float = 10.0
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
-        if not self.frames:
-            raise ValueError("session has no frames")
+        t = _readonly_int64(self.t_ms, "t_ms")
+        counts = _readonly_int64(self.counts, "counts")
+        object.__setattr__(self, "t_ms", t)
+        object.__setattr__(self, "counts", counts)
+        if t.ndim != 1 or t.size == 0:
+            raise ValueError("session needs a non-empty 1-D t_ms")
+        if counts.shape != (t.size, 4):
+            raise ValueError(f"counts must have shape ({t.size}, 4), got {counts.shape}")
         if self.label not in (0, 1, 2, 3):
             raise ValueError(f"label must be 0..3, got {self.label}")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be > 0")
-        t = [f.t_ms for f in self.frames]
-        if any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError("frame timestamps must be strictly increasing")
-
-    @property
-    def t_ms(self) -> np.ndarray:
-        return np.array([f.t_ms for f in self.frames], dtype=np.int64)
-
-    @property
-    def counts(self) -> np.ndarray:
-        """n x 4 matrix of raw ADC counts."""
-        return np.array([f.raw for f in self.frames], dtype=np.int64)
+        if t[0] < 0:
+            raise ValueError("t_ms must be >= 0")
+        if np.any(t[1:] <= t[:-1]):
+            raise ValueError("timestamps must be strictly increasing")
+        if counts.min() < 0 or counts.max() > ADC_MAX:
+            raise ValueError(f"raw counts must lie in [0, {ADC_MAX}]")
 
     def voltages(self) -> np.ndarray:
         """n x 4 matrix of channel voltages via the ADC conversion rule."""
@@ -111,31 +125,28 @@ def impute_missing(values) -> np.ndarray:
     return out
 
 
+def _is_decimal(field: str) -> bool:
+    """Non-empty ASCII digits only: no sign, underscore or non-ASCII digit."""
+    return field.isascii() and field.isdigit()
+
+
 def _parse_line(line: str) -> tuple[int, list[float]] | None:
     """One data line -> (t_ms, 4 raw values, NaN for blank) or None if malformed."""
-    fields = line.split(",")
-    if len(fields) != 5:
-        return None
-    try:
-        t_ms = int(fields[0])
-    except ValueError:
-        return None
-    if t_ms < 0:
+    fields = [f.strip() for f in line.split(",")]
+    if len(fields) != 5 or not _is_decimal(fields[0]):
         return None
     raws: list[float] = []
     for f in fields[1:]:
-        f = f.strip()
         if f == "":
             raws.append(math.nan)
             continue
-        try:
-            r = int(f)
-        except ValueError:
+        if not _is_decimal(f):
             return None
-        if not 0 <= r <= ADC_MAX:
+        r = int(f)
+        if r > ADC_MAX:
             return None
         raws.append(float(r))
-    return t_ms, raws
+    return int(fields[0]), raws
 
 
 def parse_stream(lines, label: int = 0, mixture: GasMixture | None = None,
@@ -170,8 +181,12 @@ def parse_stream(lines, label: int = 0, mixture: GasMixture | None = None,
     if not rows:
         raise StreamError("stream contains no frames", n_malformed, n_lines)
 
-    t = [r[0] for r in rows]
-    if any(b <= a for a, b in zip(t, t[1:])):
+    try:
+        t = np.array([r[0] for r in rows], dtype=np.int64)
+    except OverflowError:
+        raise StreamError("stream rejected: timestamp beyond the int64 range",
+                          n_malformed, n_lines) from None
+    if np.any(t[1:] <= t[:-1]):
         raise StreamError("stream rejected: timestamps not strictly increasing",
                           n_malformed, n_lines)
 
@@ -184,63 +199,68 @@ def parse_stream(lines, label: int = 0, mixture: GasMixture | None = None,
                                   n_malformed, n_lines)
             raw[:, ch] = np.clip(np.round(impute_missing(col)), 0, ADC_MAX)
 
-    frames = tuple(
-        SensorFrame(t_ms=t[i], raw=tuple(int(v) for v in raw[i]))
-        for i in range(len(rows))
-    )
-    return Session(frames=frames, label=label, mixture=mixture,
-                   sample_rate_hz=sample_rate_hz)
+    # every value is a non-negative whole number, so truncation is exact
+    return Session(t_ms=t, counts=raw.astype(np.int64), label=label,
+                   mixture=mixture, sample_rate_hz=sample_rate_hz)
 
 
-def frame_lines(frames) -> list[str]:
-    return [f"{f.t_ms},{f.raw[0]},{f.raw[1]},{f.raw[2]},{f.raw[3]}" for f in frames]
+def frame_lines(t_ms, counts) -> list[str]:
+    """Wire-format lines `t_ms,raw1,raw2,raw3,raw4` for the given arrays."""
+    rows = np.column_stack((t_ms, counts)).tolist()
+    return [f"{t},{a},{b},{c},{d}" for t, a, b, c, d in rows]
 
 
 def meta_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".meta")
 
 
-def write_session(session: Session, csv_path) -> None:
-    """Write the session CSV plus its `<name>.meta` sidecar."""
-    csv_path = Path(csv_path)
-    body = "\n".join([SESSION_HEADER, *frame_lines(session.frames)]) + "\n"
-    csv_path.write_text(body)
+def write_meta(record, csv_path) -> None:
+    """Write the `<name>.meta` sidecar of a session or processed CSV.
 
-    mix = session.mixture or GasMixture()
-    meta = "\n".join([
-        f"label={session.label}",
+    `record` is anything with `label`, `mixture` and `sample_rate_hz`.
+    """
+    mix = record.mixture or GasMixture()
+    meta_path(csv_path).write_text("\n".join([
+        f"label={record.label}",
         f"acetone_ppm={mix.acetone_ppm!r}",
         f"ethanol_ppm={mix.ethanol_ppm!r}",
         f"methanol_ppm={mix.methanol_ppm!r}",
-        f"sample_rate_hz={session.sample_rate_hz!r}",
-    ]) + "\n"
-    meta_path(csv_path).write_text(meta)
+        f"sample_rate_hz={record.sample_rate_hz!r}",
+    ]) + "\n")
 
 
-def read_meta(path) -> dict[str, str]:
+def read_meta(csv_path) -> dict:
+    """`label`, `mixture` and `sample_rate_hz` from the CSV's sidecar.
+
+    Without a sidecar the defaults apply: label 0, no mixture, 10 Hz.
+    """
+    mp = meta_path(csv_path)
+    if not mp.exists():
+        return {"label": 0, "mixture": None, "sample_rate_hz": 10.0}
     entries: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
+    for line in mp.read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
         entries[key.strip()] = value.strip()
-    return entries
+    return {
+        "label": int(entries.get("label", "0")),
+        "mixture": GasMixture(*(float(entries.get(f"{gas}_ppm", "0"))
+                                for gas in GASES)),
+        "sample_rate_hz": float(entries.get("sample_rate_hz", "10.0")),
+    }
+
+
+def write_session(session: Session, csv_path) -> None:
+    """Write the session CSV plus its `<name>.meta` sidecar."""
+    body = "\n".join([SESSION_HEADER, *frame_lines(session.t_ms, session.counts)]) + "\n"
+    Path(csv_path).write_text(body)
+    write_meta(session, csv_path)
 
 
 def read_session(csv_path) -> Session:
     """Read a session CSV; the .meta sidecar is applied when present."""
-    csv_path = Path(csv_path)
-    label, mixture, rate = 0, None, 10.0
-    mp = meta_path(csv_path)
-    if mp.exists():
-        meta = read_meta(mp)
-        label = int(meta.get("label", "0"))
-        rate = float(meta.get("sample_rate_hz", "10.0"))
-        mixture = GasMixture(
-            float(meta.get("acetone_ppm", "0")),
-            float(meta.get("ethanol_ppm", "0")),
-            float(meta.get("methanol_ppm", "0")),
-        )
-    with csv_path.open() as fh:
-        return parse_stream(fh, label=label, mixture=mixture, sample_rate_hz=rate)
+    meta = read_meta(csv_path)
+    with Path(csv_path).open() as fh:
+        return parse_stream(fh, **meta)

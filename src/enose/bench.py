@@ -195,17 +195,28 @@ def sensor_array_for(config: PipelineConfig):
 
 
 def build_sessions(table: ExperimentTable, config: PipelineConfig,
-                   seed: int) -> list[Session]:
+                   seed: int, per_row: int | None = None) -> list[Session]:
+    """Simulate labeled sessions for every mixture row of the table.
+
+    The table's n_total sessions are split over its rows (`row_counts`)
+    unless `per_row` gives every row that many.  Labels follow the
+    dominant-gas rule; session (row, rep) is seeded by `session_seed`.
+    """
+    if per_row is None:
+        counts = row_counts(table.n_total, len(table.rows))
+    elif per_row < 1:
+        raise ValueError("per_row must be >= 1")
+    else:
+        counts = [per_row] * len(table.rows)
     specs = sensor_array_for(config)
-    counts = row_counts(table.n_total, len(table.rows))
     sessions: list[Session] = []
     for row_idx, (mix, count) in enumerate(zip(table.rows, counts)):
         proto = standard_protocol(mix, config.sample_rate_hz)
         label = dominant_gas_label(mix)
         for rep in range(count):
-            frames = simulate_session(specs, proto,
-                                      session_seed(seed, row_idx, rep))
-            sessions.append(Session(frames=frames, label=label, mixture=mix,
+            t_ms, raw = simulate_session(specs, proto,
+                                         session_seed(seed, row_idx, rep))
+            sessions.append(Session(t_ms, raw, label=label, mixture=mix,
                                     sample_rate_hz=config.sample_rate_hz))
     return sessions
 
@@ -213,7 +224,7 @@ def build_sessions(table: ExperimentTable, config: PipelineConfig,
 def reingest(sessions: list[Session]) -> list[Session]:
     """Round-trip every session through the wire format parser."""
     return [
-        parse_stream(frame_lines(s.frames), label=s.label, mixture=s.mixture,
+        parse_stream(frame_lines(s.t_ms, s.counts), label=s.label, mixture=s.mixture,
                      sample_rate_hz=s.sample_rate_hz)
         for s in sessions
     ]

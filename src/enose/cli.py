@@ -63,12 +63,7 @@ def cmd_simulate(args) -> int:
     cfg = _pipeline_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.per_row is not None:
-        sessions = sensors.generate_dataset(table, args.per_row, args.seed,
-                                            specs=bench.sensor_array_for(cfg),
-                                            sample_rate_hz=cfg.sample_rate_hz)
-    else:
-        sessions = bench.build_sessions(table, cfg, args.seed)
+    sessions = bench.build_sessions(table, cfg, args.seed, per_row=args.per_row)
     for i, session in enumerate(sessions):
         acquisition.write_session(session, out / f"session_{i:04d}.csv")
     print(f"wrote {len(sessions)} sessions to {out}")
@@ -84,7 +79,7 @@ def cmd_ingest(args) -> int:
     session = acquisition.parse_stream(lines, label=args.label, mixture=mixture,
                                        sample_rate_hz=args.rate)
     acquisition.write_session(session, args.out)
-    print(f"ingested {len(session.frames)} frames -> {args.out}")
+    print(f"ingested {len(session.t_ms)} frames -> {args.out}")
     return 0
 
 

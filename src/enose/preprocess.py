@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquisition import SESSION_HEADER, Session, meta_path, read_meta
+from .acquisition import SESSION_HEADER, Session, read_meta, write_meta
 from .sensors import GasMixture
 
 EDGE_FRACTION = 0.10
@@ -25,15 +25,12 @@ EDGE_FRACTION = 0.10
 class FilterConfig:
     window_m: int = 5
     baseline_degree: int = 2
-    edge_policy: str = "shrink"
 
     def __post_init__(self):
         if self.window_m < 1 or self.window_m % 2 == 0:
             raise ValueError("window_m must be an odd integer >= 1")
         if not 0 <= self.baseline_degree <= 5:
             raise ValueError("baseline_degree must be in 0..5")
-        if self.edge_policy != "shrink":
-            raise ValueError("only the shrink-window edge policy is supported")
 
 
 def moving_average(series, window_m: int) -> np.ndarray:
@@ -173,22 +170,14 @@ def write_processed(proc: ProcessedSession, csv_path) -> None:
     lines = [
         f"# window_m = {proc.config.window_m}",
         f"# baseline_degree = {proc.config.baseline_degree}",
-        f"# edge_policy = {proc.config.edge_policy}",
+        "# edge_policy = shrink",
         SESSION_HEADER,
     ]
     for i in range(proc.n):
         vals = ",".join(repr(float(v)) for v in proc.channels[i])
         lines.append(f"{int(proc.t_ms[i])},{vals}")
     csv_path.write_text("\n".join(lines) + "\n")
-
-    mix = proc.mixture or GasMixture()
-    meta_path(csv_path).write_text("\n".join([
-        f"label={proc.label}",
-        f"acetone_ppm={mix.acetone_ppm!r}",
-        f"ethanol_ppm={mix.ethanol_ppm!r}",
-        f"methanol_ppm={mix.methanol_ppm!r}",
-        f"sample_rate_hz={proc.sample_rate_hz!r}",
-    ]) + "\n")
+    write_meta(proc, csv_path)
 
 
 def read_processed(csv_path) -> ProcessedSession:
@@ -218,18 +207,7 @@ def read_processed(csv_path) -> ProcessedSession:
         window_m=int(config_kv.get("window_m", "5")),
         baseline_degree=int(config_kv.get("baseline_degree", "2")),
     )
-    label, mixture, rate = 0, None, 10.0
-    mp = meta_path(csv_path)
-    if mp.exists():
-        meta = read_meta(mp)
-        label = int(meta.get("label", "0"))
-        rate = float(meta.get("sample_rate_hz", "10.0"))
-        mixture = GasMixture(
-            float(meta.get("acetone_ppm", "0")),
-            float(meta.get("ethanol_ppm", "0")),
-            float(meta.get("methanol_ppm", "0")),
-        )
     return ProcessedSession(
         t_ms=np.array(t_list, dtype=np.int64),
         channels=np.array(rows, dtype=float),
-        label=label, mixture=mixture, sample_rate_hz=rate, config=config)
+        config=config, **read_meta(csv_path))

@@ -142,22 +142,6 @@ class ExposureProtocol:
         return math.ceil(self.total_duration_s * self.sample_rate_hz)
 
 
-@dataclass(frozen=True)
-class SensorFrame:
-    """One timestamped 4-channel raw ADC reading."""
-
-    t_ms: int
-    raw: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        if self.t_ms < 0:
-            raise ValueError("t_ms must be >= 0")
-        if len(self.raw) != 4:
-            raise ValueError("frame carries exactly 4 channels")
-        if any(not 0 <= r <= ADC_MAX for r in self.raw):
-            raise ValueError(f"raw counts must lie in [0, {ADC_MAX}]")
-
-
 def standard_protocol(mix: GasMixture, sample_rate_hz: float = SAMPLE_RATE_HZ) -> ExposureProtocol:
     """Air baseline -> 30 s gas exposure -> air recovery."""
     return ExposureProtocol(
@@ -209,8 +193,12 @@ def simulate_session(
     specs: tuple[SensorSpec, ...],
     proto: ExposureProtocol,
     seed: int,
-) -> list[SensorFrame]:
-    """Simulate one acquisition session; identical inputs give identical frames."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate one acquisition session as (t_ms[n], counts[n, 4]).
+
+    Identical inputs give identical arrays.  Sample k is stamped
+    round(k * 1000 / sample_rate_hz) ms.
+    """
     if len(specs) != 4:
         raise ValueError("the array has exactly 4 channels")
     n = proto.n_samples
@@ -227,39 +215,15 @@ def simulate_session(
         r = np.maximum(r, 1e-9)
         counts[:, ch] = quantize(divider_voltage(spec, r))
 
-    t_ms = [int(round(k * 1000.0 / proto.sample_rate_hz)) for k in range(n)]
-    return [SensorFrame(t_ms=t_ms[k], raw=tuple(int(c) for c in counts[k])) for k in range(n)]
+    # rint rounds half to even, as Python's round does
+    t_ms = np.rint(np.arange(n) * 1000.0 / proto.sample_rate_hz).astype(np.int64)
+    return t_ms, counts
 
 
 def session_seed(seed: int, row: int, rep: int) -> int:
     """Deterministic per-session child seed, independent of generation order."""
     ss = np.random.SeedSequence((seed, row, rep))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def generate_dataset(table, per_row_samples: int, seed: int,
-                     specs: tuple[SensorSpec, ...] | None = None,
-                     sample_rate_hz: float = SAMPLE_RATE_HZ) -> list:
-    """Simulate `per_row_samples` labeled sessions for every mixture row.
-
-    `table` only needs a `rows` attribute holding GasMixture entries;
-    labels follow the dominant-gas rule (acetone=1, ethanol=2, methanol=3).
-    """
-    from .acquisition import Session  # deferred: acquisition imports our types
-
-    if per_row_samples < 1:
-        raise ValueError("per_row_samples must be >= 1")
-    if specs is None:
-        specs = default_sensor_array()
-    sessions = []
-    for row_idx, mix in enumerate(table.rows):
-        proto = standard_protocol(mix, sample_rate_hz)
-        label = dominant_gas_label(mix)
-        for rep in range(per_row_samples):
-            frames = simulate_session(specs, proto, session_seed(seed, row_idx, rep))
-            sessions.append(Session(frames=frames, label=label, mixture=mix,
-                                    sample_rate_hz=sample_rate_hz))
-    return sessions
 
 
 # --- calibration ---------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enose import acquisition as acq
-from enose.sensors import GasMixture, SensorFrame
+from enose.sensors import GasMixture
 
 
 class TestAdcToVoltage:
@@ -43,13 +43,14 @@ def frame_line(t, raws):
 class TestParseStream:
     def test_direct_field_mapping(self):
         session = acq.parse_stream(["0,100,200,300,400"])
-        assert session.frames[0] == SensorFrame(t_ms=0, raw=(100, 200, 300, 400))
+        assert session.t_ms.tolist() == [0]
+        assert session.counts.tolist() == [[100, 200, 300, 400]]
 
     def test_out_of_range_is_malformed(self):
         good = [frame_line(10 + i * 10, (1, 2, 3, 4)) for i in range(20)]
         session = acq.parse_stream(["0,100,200,300,4096", *good])
-        assert len(session.frames) == 20
-        assert session.frames[0].t_ms == 10
+        assert len(session.t_ms) == 20
+        assert session.t_ms[0] == 10
 
     def test_rejects_above_ten_percent_malformed(self):
         lines = [frame_line(i * 10, (1, 2, 3, 4)) for i in range(85)]
@@ -63,7 +64,7 @@ class TestParseStream:
         lines = [frame_line(i * 10, (1, 2, 3, 4)) for i in range(90)]
         lines += ["nope"] * 10
         session = acq.parse_stream(lines)
-        assert len(session.frames) == 90
+        assert len(session.t_ms) == 90
 
     def test_rejects_non_monotone_timestamps(self):
         with pytest.raises(acq.StreamError, match="increasing"):
@@ -72,7 +73,7 @@ class TestParseStream:
     def test_skips_blank_lines_and_header(self):
         session = acq.parse_stream(
             ["", acq.SESSION_HEADER, "0,1,2,3,4", "", "100,5,6,7,8"])
-        assert len(session.frames) == 2
+        assert len(session.t_ms) == 2
 
     def test_rejects_empty_stream(self):
         with pytest.raises(acq.StreamError):
@@ -80,11 +81,37 @@ class TestParseStream:
 
     def test_blank_field_is_imputed_not_malformed(self):
         session = acq.parse_stream(["0,10,2,3,4", "10,,2,3,4", "20,30,2,3,4"])
-        assert [f.raw[0] for f in session.frames] == [10, 20, 30]
+        assert session.counts[:, 0].tolist() == [10, 20, 30]
 
     def test_all_missing_channel_rejected(self):
         with pytest.raises(acq.StreamError, match="channel 1"):
             acq.parse_stream(["0,,2,3,4", "10,,2,3,4"])
+
+    def test_fields_may_carry_surrounding_whitespace(self):
+        session = acq.parse_stream([" 0 , 1,2 ,3,\t4", "10,5,6,7,8"])
+        assert session.t_ms.tolist() == [0, 10]
+        assert session.counts[0].tolist() == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("field", ["1_0", "+5", "-0", "\u0663"])
+    @pytest.mark.parametrize("column", [0, 1, 4])
+    def test_non_decimal_integer_field_is_malformed(self, field, column):
+        good = [frame_line(100 + i * 10, (1, 2, 3, 4)) for i in range(20)]
+        fields = ["0", "7", "7", "7", "7"]
+        fields[column] = field
+        with pytest.raises(acq.StreamError) as err:
+            acq.parse_stream([",".join(fields)] * 3 + good)
+        assert err.value.n_malformed == 3
+        session = acq.parse_stream([",".join(fields), *good])
+        assert session.t_ms.tolist() == [100 + i * 10 for i in range(20)]
+
+    def test_timestamp_beyond_int64_rejected(self):
+        with pytest.raises(acq.StreamError, match="int64"):
+            acq.parse_stream(["0,1,2,3,4", f"{2**63},1,2,3,4"])
+
+    def test_python_int_literals_do_not_parse(self):
+        # int() alone would read these as t_ms [0, 100] and 10, 5, 3
+        with pytest.raises(acq.StreamError, match="2 of 2 lines malformed"):
+            acq.parse_stream(["0,1_0,2,3,4", "1_00,+5,\u0663,3,4"])
 
 
 class TestImputeMissing:
@@ -114,61 +141,97 @@ class TestImputeMissing:
         assert np.array_equal(out[keep], arr[keep])
 
 
-frames_st = st.lists(
+sessions_st = st.lists(
     st.tuples(st.integers(1, 50),
               st.tuples(*[st.integers(0, 4095)] * 4)),
     min_size=1, max_size=30,
-).map(lambda steps: tuple(
-    SensorFrame(t_ms=t, raw=raw)
-    for t, raw in zip(np.cumsum([s[0] for s in steps]) - steps[0][0],
-                      [s[1] for s in steps])
-))
+).map(lambda steps: acq.Session(
+    t_ms=np.cumsum([s[0] for s in steps]) - steps[0][0],
+    counts=[s[1] for s in steps],
+    label=1, mixture=GasMixture(10, 0, 0), sample_rate_hz=10.0))
 
 
 class TestRoundTrip:
-    @given(frames_st)
+    @given(sessions_st)
     @settings(max_examples=100)
-    def test_parse_serialize_parse_identity(self, frames):
-        session = acq.Session(frames=frames, label=1,
-                              mixture=GasMixture(10, 0, 0), sample_rate_hz=10.0)
-        again = acq.parse_stream(acq.frame_lines(session.frames), label=1,
+    def test_parse_serialize_parse_identity(self, session):
+        again = acq.parse_stream(acq.frame_lines(session.t_ms, session.counts), label=1,
                                  mixture=session.mixture, sample_rate_hz=10.0)
-        assert again.frames == session.frames
+        assert np.array_equal(again.t_ms, session.t_ms)
+        assert np.array_equal(again.counts, session.counts)
 
     def test_file_round_trip_with_meta(self, tmp_path):
-        frames = tuple(SensorFrame(t_ms=i * 100, raw=(i, i + 1, i + 2, i + 3))
-                       for i in range(5))
-        session = acq.Session(frames=frames, label=2,
-                              mixture=GasMixture(1.5, 99.0, 0.25),
+        i = np.arange(5)
+        session = acq.Session(i * 100, np.column_stack([i, i + 1, i + 2, i + 3]),
+                              label=2, mixture=GasMixture(1.5, 99.0, 0.25),
                               sample_rate_hz=10.0)
         path = tmp_path / "session.csv"
         acq.write_session(session, path)
         assert (tmp_path / "session.meta").exists()
         again = acq.read_session(path)
-        assert again.frames == session.frames
+        assert np.array_equal(again.t_ms, session.t_ms)
+        assert np.array_equal(again.counts, session.counts)
         assert again.label == 2
         assert again.mixture == session.mixture
         assert again.sample_rate_hz == 10.0
+
+    def test_missing_meta_gives_defaults(self, tmp_path):
+        path = tmp_path / "bare.csv"
+        path.write_text(acq.SESSION_HEADER + "\n0,1,2,3,4\n")
+        session = acq.read_session(path)
+        assert (session.label, session.mixture, session.sample_rate_hz) == (0, None, 10.0)
+
+
+def one_frame(raw=(1, 1, 1, 1), t_ms=0):
+    return [t_ms], [raw]
 
 
 class TestSessionInvariants:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            acq.Session(frames=())
+            acq.Session(t_ms=[], counts=np.empty((0, 4), dtype=np.int64))
 
     def test_non_monotone_rejected(self):
-        frames = (SensorFrame(t_ms=5, raw=(1, 1, 1, 1)),
-                  SensorFrame(t_ms=5, raw=(2, 2, 2, 2)))
-        with pytest.raises(ValueError):
-            acq.Session(frames=frames)
+        with pytest.raises(ValueError, match="increasing"):
+            acq.Session(t_ms=[5, 5], counts=[(1, 1, 1, 1), (2, 2, 2, 2)])
 
     def test_bad_label_rejected(self):
-        frames = (SensorFrame(t_ms=0, raw=(1, 1, 1, 1)),)
+        with pytest.raises(ValueError, match="label"):
+            acq.Session(*one_frame(), label=4)
+
+    def test_bad_rate_rejected(self):
+        with pytest.raises(ValueError, match="sample_rate_hz"):
+            acq.Session(*one_frame(), sample_rate_hz=0.0)
+
+    def test_counts_outside_12_bits_rejected(self):
+        with pytest.raises(ValueError, match="4095"):
+            acq.Session(*one_frame(raw=(0, 0, 0, 4096)))
+        with pytest.raises(ValueError, match="4095"):
+            acq.Session(*one_frame(raw=(0, -1, 0, 0)))
+
+    def test_negative_timestamp_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            acq.Session(*one_frame(t_ms=-1))
+
+    def test_counts_shape_must_match(self):
+        with pytest.raises(ValueError, match="shape"):
+            acq.Session(t_ms=[0, 10], counts=[(1, 1, 1, 1)])
+        with pytest.raises(ValueError, match="shape"):
+            acq.Session(t_ms=[0], counts=[(1, 1, 1)])
+
+    def test_non_integer_arrays_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            acq.Session(t_ms=[0.5], counts=[(1, 1, 1, 1)])
+
+    def test_arrays_are_read_only_copies(self):
+        t_ms, counts = np.array([0, 10]), np.ones((2, 4), dtype=np.int64)
+        session = acq.Session(t_ms, counts)
+        t_ms[0], counts[0, 0] = 99, 99
+        assert session.t_ms[0] == 0 and session.counts[0, 0] == 1
         with pytest.raises(ValueError):
-            acq.Session(frames=frames, label=4)
+            session.counts[0, 0] = 2
 
     def test_voltages_match_scalar_rule(self):
-        frames = (SensorFrame(t_ms=0, raw=(0, 2048, 4095, 7)),)
-        session = acq.Session(frames=frames)
+        session = acq.Session(*one_frame(raw=(0, 2048, 4095, 7)))
         v = session.voltages()[0]
         assert v.tolist() == [acq.adc_to_voltage(r) for r in (0, 2048, 4095, 7)]

@@ -7,7 +7,7 @@ from enose import bench
 from enose.bench import (ExperimentTable, PipelineConfig, StageError,
                          row_counts, stratified_split)
 from enose.report import emit_report
-from enose.sensors import GasMixture
+from enose.sensors import GasMixture, standard_protocol
 
 FAST = PipelineConfig(noise_sigma=0.0, mlp_epochs=40)
 
@@ -144,9 +144,41 @@ class TestRegressionExperiment:
         assert np.isfinite(rep.rmse_ppm)
 
 
+class TestBuildSessions:
+    def test_per_row_counts_and_labels(self):
+        sessions = bench.build_sessions(TINY, FAST, seed=5, per_row=3)
+        assert len(sessions) == 6
+        assert [s.label for s in sessions] == [1, 1, 1, 2, 2, 2]
+        n = standard_protocol(GasMixture()).n_samples
+        assert all(s.t_ms.shape == (n,) and s.counts.shape == (n, 4) for s in sessions)
+
+    def test_default_counts_follow_the_table_split(self):
+        sessions = bench.build_sessions(TINY, FAST, seed=5)
+        assert [s.label for s in sessions] == [1] * 12 + [2] * 12
+
+    def test_rejects_zero_per_row(self):
+        with pytest.raises(ValueError, match="per_row"):
+            bench.build_sessions(TINY, FAST, seed=0, per_row=0)
+
+    def test_sessions_differ_across_reps_with_noise(self):
+        one_row = ExperimentTable(id="one", rows=(GasMixture(100, 0, 0),),
+                                  n_train=1, n_test=1)
+        a, b = bench.build_sessions(one_row, PipelineConfig(), seed=5, per_row=2)
+        assert not np.array_equal(a.counts, b.counts)
+
+    def test_per_row_prefix_matches_the_table_split(self):
+        # session (row, rep) has its own seed, so the two counts agree on shared reps
+        split = bench.build_sessions(TINY, PipelineConfig(), seed=5)
+        per_row = bench.build_sessions(TINY, PipelineConfig(), seed=5, per_row=2)
+        for a, b in zip(per_row, [split[0], split[1], split[12], split[13]]):
+            assert np.array_equal(a.counts, b.counts) and a.label == b.label
+
+
 class TestReingest:
     def test_wire_round_trip_preserves_sessions(self):
         sessions = bench.build_sessions(TINY, FAST, seed=2)
         again = bench.reingest(sessions)
-        assert all(a.frames == b.frames for a, b in zip(sessions, again))
+        assert len(again) == len(sessions)
+        assert all(np.array_equal(a.t_ms, b.t_ms) and np.array_equal(a.counts, b.counts)
+                   for a, b in zip(sessions, again))
         assert all(a.label == b.label for a, b in zip(sessions, again))

@@ -67,9 +67,9 @@ class TestExtractFeatures:
                        sens_exp=(0.6, 0.6, 0.6), noise_sigma=0.0, drift_rate=0.0)
             for i, r in enumerate((120.0, 45.0, 30.0, 60.0)))
         mix = GasMixture(100, 0, 0)
-        frames = simulate_session(specs, standard_protocol(mix), seed=0)
+        t_ms, counts = simulate_session(specs, standard_protocol(mix), seed=0)
         from enose.acquisition import Session
-        session = Session(frames=frames, label=1, mixture=mix, sample_rate_hz=RATE)
+        session = Session(t_ms, counts, label=1, mixture=mix, sample_rate_hz=RATE)
         fv = ft.extract_features(process_session(session, FilterConfig()))
         for ch, spec in enumerate(specs):
             s = steady_sensitivity(spec, mix)

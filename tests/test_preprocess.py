@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from enose import preprocess as pp
 from enose.acquisition import Session
-from enose.sensors import GasMixture, SensorFrame
+from enose.sensors import GasMixture
 from oracles import brute_moving_average, normal_eq_polyfit
 
 series_st = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=30).map(np.array)
@@ -139,16 +139,13 @@ class TestFilterConfig:
             pp.FilterConfig(window_m=4)
         with pytest.raises(ValueError):
             pp.FilterConfig(baseline_degree=6)
-        with pytest.raises(ValueError):
-            pp.FilterConfig(edge_policy="pad")
 
 
 def make_session(n=700, rate=10.0):
     rng = np.random.default_rng(1)
     raw = rng.integers(500, 3500, size=(n, 4))
-    frames = tuple(SensorFrame(t_ms=int(i * 1000 / rate), raw=tuple(map(int, raw[i])))
-                   for i in range(n))
-    return Session(frames=frames, label=1, mixture=GasMixture(50, 0, 0),
+    t_ms = (np.arange(n) * 1000 / rate).astype(np.int64)
+    return Session(t_ms, raw, label=1, mixture=GasMixture(50, 0, 0),
                    sample_rate_hz=rate)
 
 
@@ -176,9 +173,8 @@ class TestProcessedSessionIo:
         t = np.arange(n) / rate
         drift = 1000 + 2.0 * t
         raw = np.clip(np.round(drift), 0, 4095).astype(int)
-        frames = tuple(SensorFrame(t_ms=int(i * 100), raw=(int(raw[i]),) * 4)
-                       for i in range(n))
-        session = Session(frames=frames, sample_rate_hz=rate)
+        session = Session(np.arange(n) * 100, np.repeat(raw[:, None], 4, axis=1),
+                          sample_rate_hz=rate)
         proc = pp.process_session(session, pp.FilterConfig())
         lsb = 3.3 / 4096
         assert np.abs(proc.channels).max() < 5 * lsb
