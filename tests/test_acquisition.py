@@ -108,11 +108,6 @@ class TestParseStream:
         with pytest.raises(acq.StreamError, match="int64"):
             acq.parse_stream(["0,1,2,3,4", f"{2**63},1,2,3,4"])
 
-    def test_python_int_literals_do_not_parse(self):
-        # int() alone would read these as t_ms [0, 100] and 10, 5, 3
-        with pytest.raises(acq.StreamError, match="2 of 2 lines malformed"):
-            acq.parse_stream(["0,1_0,2,3,4", "1_00,+5,\u0663,3,4"])
-
 
 class TestImputeMissing:
     def test_midpoint_mean(self):
