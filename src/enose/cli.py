@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import sys
 import time
@@ -180,7 +181,9 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `enose` argument parser, built once per process."""
     parser = argparse.ArgumentParser(prog="enose",
                                      description="gas sensor array toolkit")
     parser.add_argument("-v", "--verbose", action="store_true",

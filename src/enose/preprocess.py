@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquisition import SESSION_HEADER, Session, read_meta, write_meta
+from .acquisition import SESSION_HEADER, Session, write_meta
 from .sensors import GasMixture
 
 EDGE_FRACTION = 0.10
@@ -173,41 +173,7 @@ def write_processed(proc: ProcessedSession, csv_path) -> None:
         "# edge_policy = shrink",
         SESSION_HEADER,
     ]
-    for i in range(proc.n):
-        vals = ",".join(repr(float(v)) for v in proc.channels[i])
-        lines.append(f"{int(proc.t_ms[i])},{vals}")
+    for t, row in zip(proc.t_ms.tolist(), proc.channels.tolist()):
+        lines.append(f"{t},{','.join(map(repr, row))}")
     csv_path.write_text("\n".join(lines) + "\n")
     write_meta(proc, csv_path)
-
-
-def read_processed(csv_path) -> ProcessedSession:
-    csv_path = Path(csv_path)
-    config_kv: dict[str, str] = {}
-    t_list: list[int] = []
-    rows: list[list[float]] = []
-    for line in csv_path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line.lstrip("#").partition("=")
-            config_kv[key.strip()] = value.strip()
-            continue
-        if line == SESSION_HEADER:
-            continue
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise ValueError(f"bad processed row: {line!r}")
-        t_list.append(int(fields[0]))
-        rows.append([float(v) for v in fields[1:]])
-    if not rows:
-        raise ValueError(f"{csv_path} contains no data rows")
-
-    config = FilterConfig(
-        window_m=int(config_kv.get("window_m", "5")),
-        baseline_degree=int(config_kv.get("baseline_degree", "2")),
-    )
-    return ProcessedSession(
-        t_ms=np.array(t_list, dtype=np.int64),
-        channels=np.array(rows, dtype=float),
-        config=config, **read_meta(csv_path))

@@ -4,7 +4,8 @@ Each oracle deliberately takes a different computational route from the
 code under test: closed-form characteristic polynomials instead of
 iterative rotations, explicit normal equations instead of lstsq,
 projected gradient ascent instead of SMO, brute-force window means
-instead of cumulative sums.
+instead of cumulative sums, one `str.split` per frame line instead of a
+tokenizer over the whole stream.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from enose.acquisition import (MALFORMED_FRACTION_LIMIT, SESSION_HEADER, StreamError,
+                               impute_missing)
+from enose.sensors import ADC_MAX
 
 
 def charpoly_eigvalsh(a) -> np.ndarray:
@@ -144,3 +149,75 @@ def grid_min_power_law(conc, excess, n_a: int = 120, n_b: int = 120):
             if sse < best[0]:
                 best = (sse, a, b)
     return best[1], best[2], best[0]
+
+
+def is_decimal(field: str) -> bool:
+    """Non-empty ASCII digits only: no sign, underscore or non-ASCII digit."""
+    return field.isascii() and field.isdigit()
+
+
+def parse_frame_line(line: str) -> tuple[int, list[float]] | None:
+    """One data line -> (t_ms, 4 raw values, NaN for blank) or None if malformed."""
+    fields = [f.strip() for f in line.split(",")]
+    if len(fields) != 5 or not is_decimal(fields[0]):
+        return None
+    raws: list[float] = []
+    for f in fields[1:]:
+        if f == "":
+            raws.append(math.nan)
+            continue
+        if not is_decimal(f):
+            return None
+        r = int(f)
+        if r > ADC_MAX:
+            return None
+        raws.append(float(r))
+    return int(fields[0]), raws
+
+
+def parse_stream_per_line(lines) -> tuple[np.ndarray, np.ndarray]:
+    """(t_ms, counts) of a frame stream, parsed one line at a time.
+
+    The reference for `acquisition.parse_stream`: the same skip rules,
+    checks, messages and StreamError counts, in the same order.
+    """
+    rows: list[tuple[int, list[float]]] = []
+    n_malformed = 0
+    n_lines = 0
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#") or line == SESSION_HEADER:
+            continue
+        n_lines += 1
+        parsed = parse_frame_line(line)
+        if parsed is None:
+            n_malformed += 1
+        else:
+            rows.append(parsed)
+
+    if n_lines == 0:
+        raise StreamError("stream contains no frames", n_malformed, n_lines)
+    if n_malformed / n_lines > MALFORMED_FRACTION_LIMIT:
+        raise StreamError(
+            f"stream rejected: {n_malformed} of {n_lines} lines malformed "
+            f"(limit {MALFORMED_FRACTION_LIMIT:.0%})",
+            n_malformed, n_lines)
+    if not rows:
+        raise StreamError("stream contains no frames", n_malformed, n_lines)
+    try:
+        t = np.array([r[0] for r in rows], dtype=np.int64)
+    except OverflowError:
+        raise StreamError("stream rejected: timestamp beyond the int64 range",
+                          n_malformed, n_lines) from None
+    if np.any(t[1:] <= t[:-1]):
+        raise StreamError("stream rejected: timestamps not strictly increasing",
+                          n_malformed, n_lines)
+    raw = np.array([r[1] for r in rows], dtype=float)
+    for ch in range(4):
+        col = raw[:, ch]
+        if np.isnan(col).any():
+            if np.isnan(col).all():
+                raise StreamError(f"channel {ch + 1} has no present values",
+                                  n_malformed, n_lines)
+            raw[:, ch] = np.clip(np.round(impute_missing(col)), 0, ADC_MAX)
+    return t, raw.astype(np.int64)

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from enose import acquisition as acq
 from enose.sensors import GasMixture
+from oracles import parse_stream_per_line
 
 
 class TestAdcToVoltage:
@@ -107,6 +108,119 @@ class TestParseStream:
     def test_timestamp_beyond_int64_rejected(self):
         with pytest.raises(acq.StreamError, match="int64"):
             acq.parse_stream(["0,1,2,3,4", f"{2**63},1,2,3,4"])
+
+
+def outcome(parse, lines):
+    """What a parser makes of a stream: its arrays, or why it rejected it."""
+    try:
+        t_ms, counts = parse(lines)
+    except acq.StreamError as err:
+        return "rejected", str(err), err.n_malformed, err.n_lines
+    return "parsed", t_ms.tolist(), counts.tolist()
+
+
+def parse_to_arrays(lines):
+    session = acq.parse_stream(lines)
+    return session.t_ms, session.counts
+
+
+# Whitespace str.strip() removes: ASCII (including \x1c-\x1f) and not.
+PADS = ["", " ", "\t", "\r", "\v", "\f", "\x1c", "\x1f", "\xa0", "\u3000", "\u2028",
+        "\x85", " \t\xa0"]
+ODD_FIELDS = ["", "  ", "\u0663", "+5", "1_0", "\x00", "7\x008", "-0", "1 2", "x", "\u00b2",
+              "\ud800", "4096", "04096", "00004095", "0" * 25 + "7", "9" * 20,
+              "1" + "0" * 19, str(2**63 - 1), str(2**63), "\u30001",
+              "\u0135", "\u01201"]   # their low bytes are "5" and " "
+
+
+@st.composite
+def dirty_streams(draw):
+    """Frame streams with a drawn share of dirty lines, on both sides of 10%."""
+    n = draw(st.integers(1, 30))
+    dirty_pct = draw(st.sampled_from([0, 3, 10, 25, 60, 100]))
+    blank_channel = draw(st.sampled_from([None, None, 1, 4]))
+    repeat_at = draw(st.sampled_from([None, None, None, 0, 1, 5]))   # a repeated t_ms
+    t = draw(st.sampled_from([0, 0, 3, 1000, 2**63 - 40, 2**63 - 1]))
+    lines = []
+    for i in range(n):
+        t += 0 if i == repeat_at else draw(st.sampled_from([1, 2, 7]))
+        fields = [str(t)] + [str(draw(st.integers(0, 4095))) for _ in range(4)]
+        if blank_channel is not None and draw(st.booleans()):
+            fields[blank_channel] = ""
+        if draw(st.integers(0, 99)) < dirty_pct:
+            kind = draw(st.integers(0, 7))
+            col = draw(st.integers(0, 4))
+            if kind == 0:
+                fields[col] = draw(st.sampled_from(ODD_FIELDS))
+            elif kind == 1:
+                fields[col] = (draw(st.sampled_from(PADS)) + fields[col]
+                               + draw(st.sampled_from(PADS)))
+            elif kind == 2:
+                fields[col] = "0" * draw(st.integers(1, 22)) + fields[col]
+            elif kind == 3:
+                del fields[col]                       # four fields
+            elif kind == 4:
+                fields.insert(col, draw(st.sampled_from(["", "0", "12"])))  # six
+            elif kind == 5:
+                fields[col] += "\n"                   # element with its own newline
+            elif kind == 6:
+                lines.append(draw(st.sampled_from(
+                    ["", "   ", "# comment, 1,2,3,4", acq.SESSION_HEADER,
+                     f" {acq.SESSION_HEADER}\t", "\u3000#x"])))
+            else:
+                fields[-1] += "\n" + ",".join(fields)  # two frames in one element
+        lines.append(draw(st.sampled_from(PADS)) + ",".join(fields)
+                     + draw(st.sampled_from(PADS)))
+    return lines
+
+
+LISTED_STREAMS = [
+    ["0,1,2,3,4", "10, 5 ,\t6,7\x1c,\x1f8"],
+    ["0\u3000,\xa01,2\u2028,3,4", "10,1,2,3,4"],
+    ["0,1,2,3,4", "10,1_0,2,3,4"],
+    ["0,1,2,3,4", "10,\u0135,2,3,4", "20,1\u012c2,3,4", "30,\u01201,2,3,4"],
+    ["0,1,2,3,4", "10,1,2,3,04096", "20,00004095,0,0,0"],
+    ["0,1,2,3,4", f"{2**63 - 1},1,2,3,4"],
+    ["0,1,2,3,4", f"{2**63},1,2,3,4"],
+    ["0,1,2,3,4", "0000000000000000000000000009,1,2,3,4"],
+    ["0,1,2\n,3,4", "10,1,2,3,4\n20,1,2,3,4"],
+    ["# header next", acq.SESSION_HEADER, "", "0,,2,3,4", "10,5,,7,8", "20,1,2,3,"],
+    [f"{i * 10},1,2,3,4" for i in range(9)] + ["90,1,2,3"],
+    [f"{i * 10},1,2,3,4" for i in range(8)] + ["80,1,2,3", "90,1,2,3,4,5"],
+    ["0,1,2,3,4", "0,1,2,3,4"],
+    ["0,,2,3,4", "10,,2,3,4"],
+]
+
+
+class TestCodecAgainstPerLineReference:
+    @pytest.mark.parametrize("lines", LISTED_STREAMS)
+    def test_listed_streams(self, lines):
+        assert outcome(parse_to_arrays, lines) == outcome(parse_stream_per_line, lines)
+
+    @given(dirty_streams())
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_dirty_streams(self, lines):
+        assert outcome(parse_to_arrays, lines) == outcome(parse_stream_per_line, lines)
+
+    def test_wide_spaces_are_every_non_ascii_space(self):
+        assert set(acq._WIDE_SPACES) == {
+            c for c in map(chr, range(0x80, 0x110000)) if c.isspace()}
+
+    @given(st.lists(st.tuples(*[st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 99),
+                                          st.sampled_from([0, 9, 10, 10**18, 2**63 - 1]))
+                                ] * 5), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_frame_lines_match_fstrings(self, rows):
+        values = np.array(rows, dtype=np.int64).reshape(-1, 5)
+        expected = [f"{t},{a},{b},{c},{d}" for t, a, b, c, d in rows]
+        assert acq.frame_lines(values[:, 0], values[:, 1:]) == expected
+
+    def test_frame_lines_reject_negative_or_float_values(self):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            acq.frame_lines([-1], [[1, 2, 3, 4]])
+        with pytest.raises(ValueError, match="non-negative integers"):
+            acq.frame_lines([0.5], [[1, 2, 3, 4]])
 
 
 class TestImputeMissing:

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from enose import config as cfg
+from enose.bench import PipelineConfig
 from enose.cli import main
-from enose.features import N_FEATURES, write_features_csv
+from enose.features import (N_FEATURES, pca_fit, pca_transform, read_features_csv,
+                            write_features_csv)
+from enose.preprocess import fit_standardizer
 from enose.report import read_metrics_csv
+from enose.svm import SvmParams, svm_predict, svm_train_multiclass
 
 
 class TestConfigFiles:
@@ -138,6 +142,51 @@ class TestCliWorkflows:
                      "scatter.svg", "classification.svg", "predictions.csv"):
             assert (out / name).exists()
         assert "accuracy=1.0000" in capsys.readouterr().out
+
+
+def predicted_column(path, skip: int) -> list[int]:
+    """Column 2 (the predicted label) of a report CSV after `skip` lines."""
+    return [int(line.split(",")[2]) for line in path.read_text().splitlines()[skip:]]
+
+
+class TestCliRoundTrip:
+    """bench -> features CSVs -> train-svm -> classify, at the bench's settings.
+
+    The features CSVs hold the 12 raw features; bench trains its SVM on
+    their standardized PCA scores, and the CLI has no such step.  So the
+    CLI labels are checked against the same SVM trained in process on the
+    raw features, and bench's own labels against standardize, PCA and SVM
+    rerun on what the CSVs hold.
+    """
+
+    def test_bench_features_through_train_svm_and_classify(self, tmp_path):
+        out = tmp_path / "bench"
+        assert main(["bench", "--table", "ternary", "--seed", "42",
+                     "--out", str(out)]) == 0
+        x_train, y_train, _ = read_features_csv(out / "features_train.csv")
+        x_test, y_test, _ = read_features_csv(out / "features_test.csv")
+        config = PipelineConfig()
+        params = SvmParams(c_penalty=config.svm_c, kernel=config.svm_kernel,
+                           gamma=config.svm_gamma)
+
+        model = tmp_path / "bench.svm"
+        report = tmp_path / "classified.csv"
+        assert main(["train-svm", "--in", str(out / "features_train.csv"),
+                     "--c", repr(config.svm_c), "--kernel", config.svm_kernel,
+                     "--gamma", "auto" if config.svm_gamma is None else repr(config.svm_gamma),
+                     "--model", str(model)]) == 0
+        assert main(["classify", "--model", str(model),
+                     "--in", str(out / "features_test.csv"),
+                     "--report", str(report)]) == 0
+        in_process = svm_predict(svm_train_multiclass(x_train, y_train, params), x_test)
+        assert predicted_column(report, 2) == in_process.tolist()
+
+        std = fit_standardizer(x_train)
+        pca = pca_fit(std.transform(x_train), config.variance_threshold)
+        reduced = svm_train_multiclass(pca_transform(pca, std.transform(x_train)),
+                                       y_train, params)
+        bench_labels = svm_predict(reduced, pca_transform(pca, std.transform(x_test)))
+        assert predicted_column(out / "predictions.csv", 1) == bench_labels.tolist()
 
 
 class TestCliErrors:

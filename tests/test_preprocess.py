@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enose import preprocess as pp
-from enose.acquisition import Session
+from enose.acquisition import SESSION_HEADER, Session, read_meta
 from enose.sensors import GasMixture
 from oracles import brute_moving_average, normal_eq_polyfit
 
@@ -156,16 +156,15 @@ class TestProcessedSessionIo:
                                                            baseline_degree=1))
         path = tmp_path / "processed.csv"
         pp.write_processed(proc, path)
-        text = path.read_text()
-        assert text.startswith("# window_m = 3")
+        lines = path.read_text().splitlines()
+        assert lines[:4] == ["# window_m = 3", "# baseline_degree = 1",
+                             "# edge_policy = shrink", SESSION_HEADER]
 
-        again = pp.read_processed(path)
-        assert np.array_equal(again.t_ms, proc.t_ms)
-        assert np.array_equal(again.channels, proc.channels)  # repr round trip
-        assert again.label == 1
-        assert again.mixture == proc.mixture
-        assert again.config.window_m == 3
-        assert again.config.baseline_degree == 1
+        rows = np.loadtxt(path, delimiter=",", comments="#", skiprows=4)
+        assert np.array_equal(rows[:, 0], proc.t_ms)
+        assert np.array_equal(rows[:, 1:], proc.channels)  # repr round trip
+        meta = read_meta(path)
+        assert meta == {"label": 1, "mixture": proc.mixture, "sample_rate_hz": 10.0}
 
     def test_processing_removes_linear_drift(self):
         # synthetic drifting flat signal: residual should hug zero
