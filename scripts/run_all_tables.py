@@ -41,9 +41,8 @@ def main():
         print(f"{table_id:<18} {cls.accuracy:9.4f} {reg.rmse_ppm:9.3f} "
               f"{reg.mae_ppm:9.3f} {r2:>7} {wall:7.1f}")
         if args.out:
-            emit_report(cls, "csv", f"{args.out}/{table_id}")
-            emit_report(cls, "svg", f"{args.out}/{table_id}")
-            emit_report(reg, "csv", f"{args.out}/{table_id}/regression")
+            emit_report(cls, f"{args.out}/{table_id}")
+            emit_report(reg, f"{args.out}/{table_id}/regression")
 
 
 if __name__ == "__main__":

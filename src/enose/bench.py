@@ -132,8 +132,18 @@ def get_table(table_id: str) -> ExperimentTable:
     return TABLES[key]
 
 
+# How `echo` spells a setting whose value is None; `updated` reads it back.
+_NONE_SPELLING = {"svm_gamma": "auto", "tau_rise": "default", "tau_fall": "default"}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every setting of a run.
+
+    Its fields, with `filter` flattened, are the config-file keys and the
+    report's echo, so an echo block is a valid config file.
+    """
+
     features: str = "pca"            # "pca" or "kpca"
     variance_threshold: float = 0.95
     svm_c: float = 10.0
@@ -153,25 +163,49 @@ class PipelineConfig:
         if self.features not in ("pca", "kpca"):
             raise ValueError("features must be 'pca' or 'kpca'")
 
+    def settings(self) -> dict[str, object]:
+        """Setting key -> value in field order, with `filter` flattened."""
+        out: dict[str, object] = {}
+        for f in dataclasses.fields(self):
+            if f.name == "filter":
+                out.update(dataclasses.asdict(self.filter))
+            else:
+                out[f.name] = getattr(self, f.name)
+        return out
+
     def echo(self) -> tuple[tuple[str, str], ...]:
-        pairs = [
-            ("features", self.features),
-            ("variance_threshold", repr(self.variance_threshold)),
-            ("svm_c", repr(self.svm_c)),
-            ("svm_kernel", self.svm_kernel),
-            ("svm_gamma", "auto" if self.svm_gamma is None else repr(self.svm_gamma)),
-            ("window_m", str(self.filter.window_m)),
-            ("baseline_degree", str(self.filter.baseline_degree)),
-            ("noise_sigma", repr(self.noise_sigma)),
-            ("drift_rate", repr(self.drift_rate)),
-            ("tau_rise", "default" if self.tau_rise is None else repr(self.tau_rise)),
-            ("tau_fall", "default" if self.tau_fall is None else repr(self.tau_fall)),
-            ("sample_rate_hz", repr(self.sample_rate_hz)),
-            ("mlp_hidden", " ".join(str(h) for h in self.mlp_hidden)),
-            ("mlp_lr", repr(self.mlp_lr)),
-            ("mlp_epochs", str(self.mlp_epochs)),
-        ]
-        return tuple(pairs)
+        """(key, text) per setting, spelled as a config file spells it."""
+        return tuple((key, _spell(key, value))
+                     for key, value in self.settings().items())
+
+    def updated(self, entries: dict[str, str]) -> PipelineConfig:
+        """A copy with config-file entries applied, each text parsed by the
+        type of its setting's default; unknown keys raise."""
+        defaults = PipelineConfig().settings()
+        values = self.settings()
+        for key, text in entries.items():
+            if key not in defaults:
+                raise ValueError(f"unknown config key {key!r}")
+            values[key] = _parse(key, text, defaults[key])
+        filter_config = FilterConfig(**{k: values.pop(k)
+                                        for k in dataclasses.asdict(self.filter)})
+        return PipelineConfig(**values, filter=filter_config)
+
+
+def _spell(key: str, value) -> str:
+    if value is None:
+        return _NONE_SPELLING[key]
+    if isinstance(value, tuple):
+        return " ".join(str(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+def _parse(key: str, text: str, default):
+    if text == _NONE_SPELLING.get(key):
+        return None
+    if isinstance(default, tuple):
+        return tuple(int(v) for v in text.split())
+    return float(text) if default is None else type(default)(text)
 
 
 def row_counts(total: int, n_rows: int) -> list[int]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import io
 import logging
 import sys
 import time
@@ -39,24 +40,12 @@ TABLE_CHOICES = ("binary-ethanol", "binary-methanol", "ternary")
 
 def _pipeline_config(args) -> PipelineConfig:
     """Defaults <- config file <- command line flags."""
-    kv: dict[str, object] = {}
-    if getattr(args, "config", None):
-        kv = configmod.typed_config(configmod.read_config(args.config))
     cfg = PipelineConfig()
-    filter_kw = {}
-    direct = {}
-    for key, value in kv.items():
-        if key in ("window_m", "baseline_degree"):
-            filter_kw[key] = value
-        else:
-            direct[key] = value
-    if filter_kw:
-        direct["filter"] = dataclasses.replace(cfg.filter, **filter_kw)
-    if getattr(args, "features", None):
-        direct["features"] = args.features
-    if getattr(args, "noise", None) is not None:
-        direct["noise_sigma"] = args.noise
-    return dataclasses.replace(cfg, **direct)
+    if getattr(args, "config", None):
+        cfg = cfg.updated(configmod.read_config(args.config))
+    flags = {"features": getattr(args, "features", None),
+             "noise_sigma": getattr(args, "noise", None)}
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def cmd_simulate(args) -> int:
@@ -73,12 +62,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_ingest(args) -> int:
     if args.infile == "-":
-        lines = sys.stdin.read().splitlines()
+        # universal newlines, as `read_session` reads a file
+        source = io.StringIO(sys.stdin.read(), newline=None)
     else:
-        lines = Path(args.infile).read_text().splitlines()
+        source = Path(args.infile).open()
     mixture = sensors.GasMixture(args.acetone, args.ethanol, args.methanol)
-    session = acquisition.parse_stream(lines, label=args.label, mixture=mixture,
-                                       sample_rate_hz=args.rate)
+    with source as lines:
+        session = acquisition.parse_stream(lines, label=args.label, mixture=mixture,
+                                           sample_rate_hz=args.rate)
     acquisition.write_session(session, args.out)
     print(f"ingested {len(session.t_ms)} frames -> {args.out}")
     return 0
@@ -168,14 +159,13 @@ def cmd_bench(args) -> int:
 
     if args.regression:
         rep = bench.run_regression_experiment(table, cfg, args.seed, prepared=prepared)
-        reportmod.emit_report(rep, "csv", out)
+        reportmod.emit_report(rep, out)
         r2 = "undefined" if rep.r2 is None else f"{rep.r2:.4f}"
         print(f"{table.id}: rmse={rep.rmse_ppm:.3f} ppm  mae={rep.mae_ppm:.3f} ppm  "
               f"r2={r2}  ({time.perf_counter() - t0:.1f}s)")
     else:
         rep = bench.run_experiment(table, cfg, args.seed, prepared=prepared)
-        reportmod.emit_report(rep, "csv", out)
-        reportmod.emit_report(rep, "svg", out)
+        reportmod.emit_report(rep, out)
         print(f"{table.id}: accuracy={rep.accuracy:.4f} on {rep.y_true.size} "
               f"test samples  ({time.perf_counter() - t0:.1f}s)")
     return 0

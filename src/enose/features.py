@@ -10,6 +10,7 @@ Gram matrix, which the top-k subspace-iteration solver finds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,9 +21,6 @@ from .preprocess import ProcessedSession
 from .sensors import BASELINE_S, EXPOSURE_S, GasMixture
 
 N_FEATURES = 12
-FEATURE_NAMES = tuple(
-    f"{kind}_{ch}" for ch in range(4) for kind in ("steady", "slope", "area")
-)
 FEATURES_HEADER = ",".join(
     [f"f{i + 1}" for i in range(N_FEATURES)]
     + ["label", "acetone_ppm", "ethanol_ppm", "methanol_ppm"]
@@ -224,14 +222,20 @@ def write_features_csv(path, x, y, conc) -> None:
 
 def read_features_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#") or line == FEATURES_HEADER:
             continue
         fields = line.split(",")
         if len(fields) != N_FEATURES + 4:
             raise ValueError(f"bad features row: {line!r}")
-        rows.append([float(v) for v in fields])
+        row = [float(v) for v in fields]
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"line {lineno}: non-finite value in features row")
+        if not row[N_FEATURES].is_integer():
+            raise ValueError(
+                f"line {lineno}: label {fields[N_FEATURES]} is not a whole number")
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path} contains no feature rows")
     m = np.array(rows, dtype=float)

@@ -258,4 +258,9 @@ def load_model(path):
     kind = header[2]
     if kind not in _READERS:
         raise ValueError(f"unknown model kind {kind!r}")
-    return _READERS[kind](reader)
+    model = _READERS[kind](reader)
+    for lineno in range(reader.pos, len(lines)):
+        if lines[lineno].strip():
+            raise ValueError(
+                f"line {lineno + 1}: unexpected content after the {kind} model")
+    return model

@@ -10,7 +10,7 @@ the response transient itself is not fitted away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -167,12 +167,8 @@ def process_session(session: Session, config: FilterConfig = FilterConfig()) -> 
 def write_processed(proc: ProcessedSession, csv_path) -> None:
     """Processed CSV: same schema as the session CSV plus config comments."""
     csv_path = Path(csv_path)
-    lines = [
-        f"# window_m = {proc.config.window_m}",
-        f"# baseline_degree = {proc.config.baseline_degree}",
-        "# edge_policy = shrink",
-        SESSION_HEADER,
-    ]
+    lines = [f"# {key} = {value}" for key, value in asdict(proc.config).items()]
+    lines += ["# edge_policy = shrink", SESSION_HEADER]
     for t, row in zip(proc.t_ms.tolist(), proc.channels.tolist()):
         lines.append(f"{t},{','.join(map(repr, row))}")
     csv_path.write_text("\n".join(lines) + "\n")

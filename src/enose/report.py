@@ -216,30 +216,22 @@ def classification_svg(report: RunReport) -> str:
     return _svg_doc(f"{report.table_id}: predicted class by test sample", body)
 
 
-def emit_report(report, fmt: str, out_dir) -> list[Path]:
-    """Write report files; fmt is \"csv\" or \"svg\". Returns written paths."""
+def emit_report(report, out_dir) -> list[Path]:
+    """Write every artifact of the report's kind; returns the written paths.
+
+    Both kinds write metrics.csv and predictions.csv.  A classification
+    report adds scatter.svg and classification.svg, a regression report
+    loss_trace.csv.
+    """
     out = _check_out_dir(out_dir)
-    written: list[Path] = []
-    if fmt == "csv":
-        mp = out / "metrics.csv"
-        write_metrics_csv(report, mp)
-        written.append(mp)
-        pp = out / "predictions.csv"
-        write_predictions_csv(report, pp)
-        written.append(pp)
-        if isinstance(report, RegressionReport):
-            lp = out / "loss_trace.csv"
-            write_loss_trace_csv(report, lp)
-            written.append(lp)
-    elif fmt == "svg":
-        if not isinstance(report, RunReport):
-            raise ValueError("svg output is defined for classification reports")
-        sp = out / "scatter.svg"
-        sp.write_text(scatter_svg(report))
-        written.append(sp)
-        cp = out / "classification.svg"
-        cp.write_text(classification_svg(report))
-        written.append(cp)
+    written = [out / "metrics.csv", out / "predictions.csv"]
+    write_metrics_csv(report, written[0])
+    write_predictions_csv(report, written[1])
+    if isinstance(report, RunReport):
+        written += [out / "scatter.svg", out / "classification.svg"]
+        written[2].write_text(scatter_svg(report))
+        written[3].write_text(classification_svg(report))
     else:
-        raise ValueError(f"unknown report format {fmt!r}")
+        written.append(out / "loss_trace.csv")
+        write_loss_trace_csv(report, written[2])
     return written

@@ -165,19 +165,26 @@ def test_criterion_08_mlp_gradient_check():
 
 
 def test_criterion_09_pipeline_determinism(tmp_path):
-    report_files = ("metrics.csv", "predictions.csv", "scatter.svg",
-                    "classification.svg", "features_train.csv",
-                    "features_test.csv")
+    both = ("metrics.csv", "predictions.csv", "features_train.csv", "features_test.csv")
+    classification = both + ("scatter.svg", "classification.svg")
+    small = tmp_path / "small.cfg"
+    small.write_text("mlp_epochs = 5\n")   # keeps the regression route fast
+    routes = {
+        "pca": (["--table", "ternary", "--features", "pca"], classification),
+        "kpca": (["--table", "ternary", "--features", "kpca"], classification),
+        "mlp": (["--table", "binary-ethanol", "--regression", "--config", str(small)],
+                both + ("loss_trace.csv",)),
+    }
     identical = True
-    for route in ("pca", "kpca"):
+    for route, (argv, report_files) in routes.items():
         runs = [tmp_path / f"{route}{i}" for i in (1, 2)]
-        rcs = [cli_main(["bench", "--table", "ternary", "--seed", str(SEED),
-                         "--features", route, "--out", str(out)]) for out in runs]
+        rcs = [cli_main(["bench", *argv, "--seed", str(SEED), "--out", str(out)])
+               for out in runs]
         identical &= rcs == [0, 0] and all(
             (runs[0] / f).read_bytes() == (runs[1] / f).read_bytes()
             for f in report_files)
     _criterion(9, "two identical-seed bench runs emit byte-identical reports "
-                  "(PCA and KPCA routes)", identical)
+                  "(PCA, KPCA and MLP regression routes)", identical)
 
 
 def test_criterion_10_preprocessing_algebra():

@@ -104,10 +104,8 @@ class TestRunExperiment:
     def test_deterministic_reports_byte_identical(self, tmp_path):
         a = bench.run_experiment(TINY, FAST, seed=3)
         b = bench.run_experiment(TINY, FAST, seed=3)
-        emit_report(a, "csv", tmp_path / "a")
-        emit_report(b, "csv", tmp_path / "b")
-        emit_report(a, "svg", tmp_path / "a")
-        emit_report(b, "svg", tmp_path / "b")
+        emit_report(a, tmp_path / "a")
+        emit_report(b, tmp_path / "b")
         for name in ("metrics.csv", "predictions.csv", "scatter.svg",
                      "classification.svg"):
             assert (tmp_path / "a" / name).read_bytes() == \

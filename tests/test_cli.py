@@ -1,14 +1,40 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enose import config as cfg
+from enose.acquisition import read_session, write_session
 from enose.bench import PipelineConfig
 from enose.cli import main
 from enose.features import (N_FEATURES, pca_fit, pca_transform, read_features_csv,
                             write_features_csv)
-from enose.preprocess import fit_standardizer
+from enose.preprocess import FilterConfig, fit_standardizer
 from enose.report import read_metrics_csv
 from enose.svm import SvmParams, svm_predict, svm_train_multiclass
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+pipeline_configs = st.builds(
+    PipelineConfig,
+    features=st.sampled_from(["pca", "kpca"]),
+    variance_threshold=finite,
+    svm_c=finite,
+    svm_kernel=st.sampled_from(["linear", "rbf"]),
+    svm_gamma=st.none() | finite,
+    filter=st.builds(FilterConfig, window_m=st.integers(0, 50).map(lambda k: 2 * k + 1),
+                     baseline_degree=st.integers(0, 5)),
+    noise_sigma=finite,
+    drift_rate=finite,
+    tau_rise=st.none() | finite,
+    tau_fall=st.none() | finite,
+    sample_rate_hz=finite,
+    mlp_hidden=st.lists(st.integers(1, 1024), min_size=1, max_size=3).map(tuple),
+    mlp_lr=finite,
+    mlp_epochs=st.integers(1, 10**6),
+)
 
 
 class TestConfigFiles:
@@ -23,8 +49,8 @@ class TestConfigFiles:
         entries = cfg.parse_config_text(text)
         assert entries == {"noise_sigma": "0.01", "window_m": "7",
                            "features": "kpca"}
-        typed = cfg.typed_config(entries)
-        assert typed == {"noise_sigma": 0.01, "window_m": 7, "features": "kpca"}
+        assert PipelineConfig().updated(entries) == PipelineConfig(
+            noise_sigma=0.01, filter=FilterConfig(window_m=7), features="kpca")
 
     def test_bad_lines_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
@@ -32,16 +58,24 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="empty key"):
             cfg.parse_config_text("= 3")
         with pytest.raises(ValueError, match="unknown config key"):
-            cfg.typed_config({"volume": "11"})
+            PipelineConfig().updated({"volume": "11"})
 
     def test_hidden_sizes(self):
-        assert cfg.typed_config({"mlp_hidden": "8 4"}) == {"mlp_hidden": (8, 4)}
+        assert PipelineConfig().updated({"mlp_hidden": "8 4"}).mlp_hidden == (8, 4)
 
     def test_svm_gamma_auto_or_number(self):
-        assert cfg.typed_config({"svm_gamma": "auto"}) == {"svm_gamma": None}
-        assert cfg.typed_config({"svm_gamma": "0.5"}) == {"svm_gamma": 0.5}
+        tuned = PipelineConfig(svm_gamma=0.5)
+        assert tuned.updated({"svm_gamma": "auto"}).svm_gamma is None
+        assert PipelineConfig().updated({"svm_gamma": "0.5"}).svm_gamma == 0.5
         with pytest.raises(ValueError):
-            cfg.typed_config({"svm_gamma": "fast"})
+            PipelineConfig().updated({"svm_gamma": "fast"})
+
+    @settings(max_examples=200, deadline=None)
+    @given(pipeline_configs)
+    def test_echo_is_a_config_file_for_the_same_config(self, config):
+        assert PipelineConfig().updated(dict(config.echo())) == config
+        text = "".join(f"{key} = {value}\n" for key, value in config.echo())
+        assert cfg.parse_config_text(text) == dict(config.echo())
 
 
 def separable_features(rng, n_per=20):
@@ -88,6 +122,21 @@ class TestCliWorkflows:
         assert rc == 0
         text = processed_csv.read_text()
         assert text.startswith("# window_m = 3")
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_ingest_splits_lines_as_read_session_does(self, tmp_path, monkeypatch,
+                                                      source):
+        # \x1c is whitespace inside a field, not a line break
+        raw = tmp_path / "frames.txt"
+        raw.write_text("0,1,2,3,4\n10,1,2\x1c,3,4\r\n20,1,2,3,4\r30,1,2,3,4\n")
+        write_session(read_session(raw), tmp_path / "expected.csv")
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.StringIO(raw.read_bytes().decode()))
+        infile = str(raw) if source == "file" else "-"
+        assert main(["ingest", "--in", infile,
+                     "--out", str(tmp_path / "session.csv")]) == 0
+        assert (tmp_path / "session.csv").read_bytes() == \
+            (tmp_path / "expected.csv").read_bytes()
 
     def test_svm_train_classify_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -142,6 +191,21 @@ class TestCliWorkflows:
                      "scatter.svg", "classification.svg", "predictions.csv"):
             assert (out / name).exists()
         assert "accuracy=1.0000" in capsys.readouterr().out
+
+    def test_echo_block_as_config_file_reproduces_the_run(self, tmp_path):
+        small = tmp_path / "small.cfg"
+        small.write_text("mlp_epochs = 5\n")
+        argv = ["bench", "--table", "binary-ethanol", "--seed", "42", "--regression"]
+        assert main(argv + ["--config", str(small), "--out", str(tmp_path / "a")]) == 0
+        metrics = (tmp_path / "a" / "metrics.csv").read_bytes()
+        not_settings = ("table", "seed", "n_train", "n_test", "note")
+        echo = [line[2:] for line in metrics.decode().splitlines()
+                if " = " in line and line[2:].partition(" = ")[0] not in not_settings]
+        assert len(echo) == len(PipelineConfig().echo())
+        echoed = tmp_path / "echo.cfg"
+        echoed.write_text("\n".join(echo) + "\n")
+        assert main(argv + ["--config", str(echoed), "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "b" / "metrics.csv").read_bytes() == metrics
 
 
 def predicted_column(path, skip: int) -> list[int]:
@@ -202,6 +266,37 @@ class TestCliErrors:
         rc = main(["ingest", "--in", str(bad), "--out", str(tmp_path / "x.csv")])
         assert rc != 0
         assert "malformed" in capsys.readouterr().err
+
+    def test_trailing_model_content_rejected(self, tmp_path, capsys):
+        x, y, conc = separable_features(np.random.default_rng(1))
+        feat = tmp_path / "features.csv"
+        write_features_csv(feat, x, y, conc)
+        model = tmp_path / "out.svm"
+        assert main(["train-svm", "--in", str(feat), "--model", str(model)]) == 0
+        model.write_text(model.read_text() + "garbage here\n")
+        rc = main(["classify", "--model", str(model), "--in", str(feat),
+                   "--report", str(tmp_path / "report.csv")])
+        assert rc == 2
+        assert "[stage=classify]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, value, message", [
+        (N_FEATURES, "1.7", "not a whole number"),
+        (0, "nan", "non-finite"),
+    ])
+    def test_bad_features_rows_rejected(self, tmp_path, capsys, column, value, message):
+        x, y, conc = separable_features(np.random.default_rng(1))
+        feat = tmp_path / "features.csv"
+        write_features_csv(feat, x, y, conc)
+        lines = feat.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[column] = value
+        lines[3] = ",".join(fields)
+        feat.write_text("\n".join(lines) + "\n")
+        rc = main(["train-svm", "--in", str(feat),
+                   "--model", str(tmp_path / "out.svm")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "[stage=train-svm] line 4: " in err and message in err
 
     def test_unknown_table(self, capsys):
         with pytest.raises(SystemExit):

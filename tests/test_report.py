@@ -46,9 +46,10 @@ class TestMetrics:
 class TestCsvEmission:
     def test_metrics_round_trip(self, tmp_path):
         rep = toy_report()
-        files = rp.emit_report(rep, "csv", tmp_path)
+        files = rp.emit_report(rep, tmp_path)
         names = {f.name for f in files}
-        assert names == {"metrics.csv", "predictions.csv"}
+        assert names == {"metrics.csv", "predictions.csv", "scatter.svg",
+                         "classification.svg"}
         metrics = rp.read_metrics_csv(tmp_path / "metrics.csv")
         assert metrics["accuracy"] == rep.accuracy
         for c in rep.classes:
@@ -58,7 +59,7 @@ class TestCsvEmission:
 
     def test_wall_time_not_serialized(self, tmp_path):
         rep = toy_report()
-        rp.emit_report(rep, "csv", tmp_path)
+        rp.emit_report(rep, tmp_path)
         for path in tmp_path.iterdir():
             text = path.read_text()
             assert "1.23" not in text
@@ -66,11 +67,7 @@ class TestCsvEmission:
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            rp.emit_report(toy_report(), "csv", "")
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            rp.emit_report(toy_report(), "pdf", tmp_path)
+            rp.emit_report(toy_report(), "")
 
     def test_regression_report_undefined_r2(self, tmp_path):
         rep = rp.RegressionReport(
@@ -78,7 +75,7 @@ class TestCsvEmission:
             y_true=np.array([5.0, 5.0]), y_pred=np.array([5.1, 4.9]),
             loss_trace=np.array([0.1, 0.05]),
             config_echo=(), notes=())
-        files = rp.emit_report(rep, "csv", tmp_path)
+        files = rp.emit_report(rep, tmp_path)
         assert {f.name for f in files} == {"metrics.csv", "predictions.csv",
                                            "loss_trace.csv"}
         metrics = rp.read_metrics_csv(tmp_path / "metrics.csv")
@@ -92,7 +89,7 @@ class TestCsvEmission:
 class TestSvgEmission:
     def test_well_formed_with_one_marker_per_test_sample(self, tmp_path):
         rep = toy_report(n=12)
-        files = rp.emit_report(rep, "svg", tmp_path)
+        files = [f for f in rp.emit_report(rep, tmp_path) if f.suffix == ".svg"]
         assert {f.name for f in files} == {"scatter.svg", "classification.svg"}
         for path in files:
             root = ET.fromstring(path.read_text())
@@ -102,14 +99,14 @@ class TestSvgEmission:
 
     def test_misclassified_markers_are_ringed(self, tmp_path):
         rep = toy_report(n=12)
-        rp.emit_report(rep, "svg", tmp_path)
+        rp.emit_report(rep, tmp_path)
         text = (tmp_path / "classification.svg").read_text()
         assert text.count('stroke-width="1.5"') == int((rep.y_true != rep.y_pred).sum())
 
     def test_deterministic_bytes(self, tmp_path):
         rep = toy_report()
-        rp.emit_report(rep, "svg", tmp_path / "a")
-        rp.emit_report(rep, "svg", tmp_path / "b")
+        rp.emit_report(rep, tmp_path / "a")
+        rp.emit_report(rep, tmp_path / "b")
         for name in ("scatter.svg", "classification.svg"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
