@@ -141,7 +141,9 @@ class PipelineConfig:
     """Every setting of a run.
 
     Its fields, with `filter` flattened, are the config-file keys and the
-    report's echo, so an echo block is a valid config file.
+    report's echo, so an echo block is a valid config file.  Construction
+    runs the checks of `SvmParams` and `MlpConfig`, so a bad model setting
+    fails before any stage runs.
     """
 
     features: str = "pca"            # "pca" or "kpca"
@@ -162,6 +164,20 @@ class PipelineConfig:
     def __post_init__(self):
         if self.features not in ("pca", "kpca"):
             raise ValueError("features must be 'pca' or 'kpca'")
+        if not self.mlp_hidden:
+            raise ValueError("mlp_hidden needs at least one layer size")
+        # build the model settings once for their checks; the real
+        # input_dim and seed are known only when a model is trained
+        self.svm_params()
+        self.mlp_config(input_dim=1, seed=0)
+
+    def svm_params(self) -> SvmParams:
+        return SvmParams(c_penalty=self.svm_c, kernel=self.svm_kernel,
+                         gamma=self.svm_gamma)
+
+    def mlp_config(self, input_dim: int, seed: int) -> MlpConfig:
+        return MlpConfig(input_dim=input_dim, hidden_layers=self.mlp_hidden,
+                         lr=self.mlp_lr, epochs=self.mlp_epochs, seed=seed)
 
     def settings(self) -> dict[str, object]:
         """Setting key -> value in field order, with `filter` flattened."""
@@ -186,7 +202,10 @@ class PipelineConfig:
         for key, text in entries.items():
             if key not in defaults:
                 raise ValueError(f"unknown config key {key!r}")
-            values[key] = _parse(key, text, defaults[key])
+            try:
+                values[key] = _parse(key, text, defaults[key])
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from exc
         filter_config = FilterConfig(**{k: values.pop(k)
                                         for k in dataclasses.asdict(self.filter)})
         return PipelineConfig(**values, filter=filter_config)
@@ -361,9 +380,8 @@ def run_experiment(table_id: str | ExperimentTable,
     y, train_idx, test_idx = fs.y, fs.train_idx, fs.test_idx
     z_train, z_test = fs.z_train, fs.z_test
 
-    params = SvmParams(c_penalty=config.svm_c, kernel=config.svm_kernel,
-                       gamma=config.svm_gamma)
-    model = _stage("train", svm_train_multiclass, z_train, y[train_idx], params)
+    model = _stage("train", svm_train_multiclass, z_train, y[train_idx],
+                   config.svm_params())
     y_pred = _stage("score", svm_predict, model, z_test)
 
     y_test = y[test_idx]
@@ -395,10 +413,8 @@ def run_regression_experiment(table_id: str | ExperimentTable,
     z_train, z_test = fs.z_train, fs.z_test
 
     acetone = fs.conc[:, 0]
-    mlp_config = MlpConfig(input_dim=z_train.shape[1],
-                           hidden_layers=config.mlp_hidden,
-                           lr=config.mlp_lr, epochs=config.mlp_epochs, seed=seed)
-    model = _stage("train", mlp_train, z_train, acetone[train_idx], mlp_config)
+    model = _stage("train", mlp_train, z_train, acetone[train_idx],
+                   config.mlp_config(z_train.shape[1], seed))
     preds = _stage("score", mlp_forward, model, z_test)
     metrics = evaluate_regression(model, z_test, acetone[test_idx])
 

@@ -6,6 +6,14 @@ seeded per-epoch shuffle, so a given (data, config, seed) triple always
 produces the bit-identical model.  Inputs are z-scored and the target is
 min-max scaled to [0, 1] before training; predictions are mapped back to
 ppm on the way out.
+
+`mlp_train` runs its per-sample steps inline under one `np.errstate`,
+since numpy's per-call overhead, not arithmetic, bounds a one-row step.
+Its weights, biases and loss trace are bit for bit those of one
+`loss_and_grads` call per step, the batch form the central-difference
+gradient check covers: every sum over more than one product stays the
+same matmul, and the other steps act on single products, exact in any
+order.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ class MlpConfig:
     def __post_init__(self):
         if self.input_dim < 1 or any(h < 1 for h in self.hidden_layers):
             raise ValueError("layer sizes must be >= 1")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError("lr must be > 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
@@ -48,12 +56,15 @@ class MlpModel:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function without overflow: exp is only taken of -|z|.
+
+    `minimum(z, -z)` rather than `-abs(z)` keeps the sign of a nan input,
+    so every output bit, nan included, equals that of the two-branch form
+    1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) otherwise.
+    """
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def init_layers(config: MlpConfig):
@@ -81,12 +92,13 @@ def _forward(weights, biases, x: np.ndarray):
 
 
 def loss_and_grads(weights, biases, x: np.ndarray, y: np.ndarray):
-    """Mean squared-error loss 0.5*(yhat-y)^2 over a batch, with gradients."""
+    """Mean squared-error loss 0.5*(yhat-y)^2 over a batch, with gradients.
+
+    On a one-row batch this is the step `mlp_train` inlines.
+    """
     x = np.atleast_2d(x)
     y = np.asarray(y, dtype=float).reshape(-1, 1)
     n = x.shape[0]
-    # overflow on a diverging run produces inf, which the training loop
-    # turns into an abort with diagnostics
     with np.errstate(over="ignore", invalid="ignore"):
         acts = _forward(weights, biases, x)
         yhat = acts[-1]
@@ -128,29 +140,44 @@ def mlp_train(x, targets_ppm, config: MlpConfig) -> MlpModel:
     weights, biases = init_layers(config)
     rng = np.random.default_rng(config.seed)
     n = xs.shape[0]
+    lr = config.lr
+    rows = [xs[i:i + 1] for i in range(n)]
+    targets = ys.tolist()
     trace = []
     prev = None
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for i in order:
-            loss, gw, gb = loss_and_grads(weights, biases, xs[i:i + 1], ys[i:i + 1])
-            total += loss
-            for layer in range(len(weights)):
-                weights[layer] -= config.lr * gw[layer]
-                biases[layer] -= config.lr * gb[layer]
-        epoch_loss = total / n
-        if not np.isfinite(epoch_loss):
-            raise RuntimeError(
-                f"training diverged: non-finite loss at epoch {epoch} "
-                f"(lr={config.lr}, hidden={config.hidden_layers})")
-        trace.append(epoch_loss)
-        # plateau: epoch-mean loss no longer moving (stochastic jitter on a
-        # noisy task keeps |change| above the floor, so this fires on
-        # convergence rather than on a single worsening epoch)
-        if prev is not None and abs(prev - epoch_loss) < LOSS_IMPROVEMENT_FLOOR:
-            break
-        prev = epoch_loss
+    # overflow on a diverging run produces inf, which the epoch check
+    # turns into an abort with diagnostics
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            total = 0.0
+            for i in rng.permutation(n).tolist():
+                acts = _forward(weights, biases, rows[i])
+                delta = acts[-1] - targets[i]
+                d = delta.item()
+                # d * d is numpy's square; d ** 2 goes through pow(), which
+                # rounds differently for about 1 in 1000 values
+                total += 0.5 * (d * d)
+                for layer in reversed(range(len(weights))):
+                    w, a = weights[layer], acts[layer]
+                    grad_w = a.T @ delta
+                    # delta[0] differs from the batch sum delta.sum(axis=0)
+                    # only in the sign of a zero, and a bias is never -0.0
+                    biases[layer] -= lr * delta[0]
+                    if layer > 0:
+                        delta = (delta @ w.T) * a * (1.0 - a)
+                    w -= lr * grad_w
+            epoch_loss = total / n
+            if not np.isfinite(epoch_loss):
+                raise RuntimeError(
+                    f"training diverged: non-finite loss at epoch {epoch} "
+                    f"(lr={config.lr}, hidden={config.hidden_layers})")
+            trace.append(epoch_loss)
+            # plateau: epoch-mean loss no longer moving (stochastic jitter on
+            # a noisy task keeps |change| above the floor, so this fires on
+            # convergence rather than on a single worsening epoch)
+            if prev is not None and abs(prev - epoch_loss) < LOSS_IMPROVEMENT_FLOOR:
+                break
+            prev = epoch_loss
 
     return MlpModel(
         weights=tuple(w.copy() for w in weights),

@@ -36,11 +36,11 @@ class SvmParams:
     max_passes: int = 200_000     # cap on two-variable updates
 
     def __post_init__(self):
-        if self.c_penalty <= 0:
+        if not self.c_penalty > 0:
             raise ValueError("c_penalty must be > 0")
         if self.kernel not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.gamma is not None and self.gamma <= 0:
+        if self.gamma is not None and not self.gamma > 0:
             raise ValueError("gamma must be > 0")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")

@@ -5,7 +5,8 @@ code under test: closed-form characteristic polynomials instead of
 iterative rotations, explicit normal equations instead of lstsq,
 projected gradient ascent instead of SMO, brute-force window means
 instead of cumulative sums, one `str.split` per frame line instead of a
-tokenizer over the whole stream.
+tokenizer over the whole stream, one `loss_and_grads` call per SGD step
+instead of the inlined training loop.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ import numpy as np
 
 from enose.acquisition import (MALFORMED_FRACTION_LIMIT, SESSION_HEADER, StreamError,
                                impute_missing)
+from enose.mlp import (LOSS_IMPROVEMENT_FLOOR, MlpConfig, MlpModel, init_layers,
+                       loss_and_grads)
+from enose.preprocess import fit_standardizer
 from enose.sensors import ADC_MAX
 
 
@@ -221,3 +225,57 @@ def parse_stream_per_line(lines) -> tuple[np.ndarray, np.ndarray]:
                                   n_malformed, n_lines)
             raw[:, ch] = np.clip(np.round(impute_missing(col)), 0, ADC_MAX)
     return t, raw.astype(np.int64)
+
+
+def masked_sigmoid(z) -> np.ndarray:
+    """Logistic function, each sign of z through its own boolean mask."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def mlp_train_per_call(x, targets_ppm, config: MlpConfig) -> MlpModel:
+    """`mlp.mlp_train` as one `loss_and_grads` call per SGD step.
+
+    The reference for the inlined loop: the same standardization, target
+    scaling, initialisation, shuffle, updates, divergence message and
+    plateau stop, with the gradients from the function the
+    central-difference check covers.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    t = np.asarray(targets_ppm, dtype=float)
+    std = fit_standardizer(x)
+    xs = std.transform(x)
+    t_min = float(t.min())
+    t_scale = float(t.max() - t.min()) or 1.0
+    ys = (t - t_min) / t_scale
+
+    weights, biases = init_layers(config)
+    rng = np.random.default_rng(config.seed)
+    n = xs.shape[0]
+    trace = []
+    prev = None
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for i in order:
+            loss, gw, gb = loss_and_grads(weights, biases, xs[i:i + 1], ys[i:i + 1])
+            total += loss
+            for layer in range(len(weights)):
+                weights[layer] -= config.lr * gw[layer]
+                biases[layer] -= config.lr * gb[layer]
+        epoch_loss = total / n
+        if not np.isfinite(epoch_loss):
+            raise RuntimeError(
+                f"training diverged: non-finite loss at epoch {epoch} "
+                f"(lr={config.lr}, hidden={config.hidden_layers})")
+        trace.append(epoch_loss)
+        if prev is not None and abs(prev - epoch_loss) < LOSS_IMPROVEMENT_FLOOR:
+            break
+        prev = epoch_loss
+    return MlpModel(weights=tuple(weights), biases=tuple(biases), standardizer=std,
+                    target_min=t_min, target_scale=t_scale,
+                    loss_trace=np.array(trace), config=config)

@@ -13,17 +13,18 @@ from enose.features import (N_FEATURES, pca_fit, pca_transform, read_features_cs
                             write_features_csv)
 from enose.preprocess import FilterConfig, fit_standardizer
 from enose.report import read_metrics_csv
-from enose.svm import SvmParams, svm_predict, svm_train_multiclass
+from enose.svm import svm_predict, svm_train_multiclass
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 pipeline_configs = st.builds(
     PipelineConfig,
     features=st.sampled_from(["pca", "kpca"]),
     variance_threshold=finite,
-    svm_c=finite,
+    svm_c=positive,
     svm_kernel=st.sampled_from(["linear", "rbf"]),
-    svm_gamma=st.none() | finite,
+    svm_gamma=st.none() | positive,
     filter=st.builds(FilterConfig, window_m=st.integers(0, 50).map(lambda k: 2 * k + 1),
                      baseline_degree=st.integers(0, 5)),
     noise_sigma=finite,
@@ -32,7 +33,7 @@ pipeline_configs = st.builds(
     tau_fall=st.none() | finite,
     sample_rate_hz=finite,
     mlp_hidden=st.lists(st.integers(1, 1024), min_size=1, max_size=3).map(tuple),
-    mlp_lr=finite,
+    mlp_lr=positive,
     mlp_epochs=st.integers(1, 10**6),
 )
 
@@ -67,8 +68,25 @@ class TestConfigFiles:
         tuned = PipelineConfig(svm_gamma=0.5)
         assert tuned.updated({"svm_gamma": "auto"}).svm_gamma is None
         assert PipelineConfig().updated({"svm_gamma": "0.5"}).svm_gamma == 0.5
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="config key 'svm_gamma': could not convert"):
             PipelineConfig().updated({"svm_gamma": "fast"})
+
+    @pytest.mark.parametrize("key, text, message", [
+        ("svm_c", "0", "c_penalty must be > 0"),
+        ("svm_c", "-1", "c_penalty must be > 0"),
+        ("svm_c", "nan", "c_penalty must be > 0"),
+        ("svm_kernel", "poly", "unknown kernel 'poly'"),
+        ("svm_gamma", "0", "gamma must be > 0"),
+        ("svm_gamma", "-0.5", "gamma must be > 0"),
+        ("mlp_hidden", "", "at least one layer size"),
+        ("mlp_hidden", "8 0", "layer sizes must be >= 1"),
+        ("mlp_lr", "0", "lr must be > 0"),
+        ("mlp_lr", "nan", "lr must be > 0"),
+        ("mlp_epochs", "0", "epochs must be >= 1"),
+    ])
+    def test_model_settings_checked_when_built(self, key, text, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig().updated({key: text})
 
     @settings(max_examples=200, deadline=None)
     @given(pipeline_configs)
@@ -230,8 +248,7 @@ class TestCliRoundTrip:
         x_train, y_train, _ = read_features_csv(out / "features_train.csv")
         x_test, y_test, _ = read_features_csv(out / "features_test.csv")
         config = PipelineConfig()
-        params = SvmParams(c_penalty=config.svm_c, kernel=config.svm_kernel,
-                           gamma=config.svm_gamma)
+        params = config.svm_params()
 
         model = tmp_path / "bench.svm"
         report = tmp_path / "classified.csv"
@@ -297,6 +314,40 @@ class TestCliErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert "[stage=train-svm] line 4: " in err and message in err
+
+    def test_config_parse_error_names_the_key(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("svm_gamma = fast\n")
+        rc = main(["simulate", "--table", "ternary", "--per-row", "1",
+                   "--out", str(tmp_path / "sessions"), "--config", str(conf)])
+        assert rc == 2
+        assert ("[stage=simulate] config key 'svm_gamma': could not convert "
+                "string to float: 'fast'") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("svm_kernel = poly", "unknown kernel 'poly'"),
+        ("mlp_hidden = 0", "layer sizes must be >= 1"),
+    ])
+    def test_bad_model_setting_stops_bench_before_generate(self, tmp_path, capsys,
+                                                           line, message):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        out = tmp_path / "results"
+        rc = main(["bench", "--table", "ternary", "--out", str(out),
+                   "--config", str(conf)])
+        assert rc == 2
+        assert f"[stage=bench] {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_rejects_bad_svm_c(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("svm_c = -1\n")
+        out = tmp_path / "sessions"
+        rc = main(["simulate", "--table", "ternary", "--per-row", "1",
+                   "--out", str(out), "--config", str(conf)])
+        assert rc == 2
+        assert "[stage=simulate] c_penalty must be > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_table(self, capsys):
         with pytest.raises(SystemExit):

@@ -6,6 +6,8 @@ import pytest
 from enose import mlp
 from enose.preprocess import Standardizer
 
+from oracles import masked_sigmoid, mlp_train_per_call
+
 
 def identity_standardizer(d):
     return Standardizer(mean=np.zeros(d), std=np.ones(d),
@@ -113,6 +115,65 @@ class TestTraining:
                           mlp.MlpConfig(input_dim=2))
         with pytest.raises(ValueError):
             mlp.MlpConfig(input_dim=3, lr=0.0)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def assert_same_model(model, reference):
+    assert len(model.weights) == len(reference.weights)
+    for got, want in zip(model.weights + model.biases, reference.weights + reference.biases):
+        assert same_bits(got, want)
+    assert same_bits(model.loss_trace, reference.loss_trace)
+
+
+class TestAgainstPerCallLoop:
+    """The inlined SGD loop gives the bits of one `loss_and_grads` per step."""
+
+    @pytest.mark.parametrize("hidden", [(16,), (8, 4), (32,)])
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_same_weights_biases_and_trace(self, dim, hidden):
+        seed = 7 * dim + len(hidden)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0, 1, (24, dim))
+        t = x @ rng.normal(0, 1, dim) * 20.0 + rng.normal(0, 1, 24)
+        cfg = mlp.MlpConfig(input_dim=dim, hidden_layers=hidden, lr=0.05,
+                            epochs=8, seed=seed)
+        assert_same_model(mlp.mlp_train(x, t, cfg), mlp_train_per_call(x, t, cfg))
+
+    def test_same_plateau_stop(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(0, 1, (10, 2))
+        t = np.full(10, 42.0)
+        cfg = mlp.MlpConfig(input_dim=2, hidden_layers=(3, 2), lr=0.8,
+                            epochs=3000, seed=0)
+        model = mlp.mlp_train(x, t, cfg)
+        assert len(model.loss_trace) < cfg.epochs
+        assert_same_model(model, mlp_train_per_call(x, t, cfg))
+
+    @pytest.mark.parametrize("lr, constant", [(30.0, False), (1e12, False), (1.0, True)])
+    def test_same_divergence(self, lr, constant):
+        rng = np.random.default_rng(2)
+        x = rng.normal(0, 1, (10, 2))
+        t = np.full(10, 42.0) if constant else rng.uniform(0, 1, 10)
+        cfg = mlp.MlpConfig(input_dim=2, lr=lr, epochs=100, seed=0)
+        with pytest.raises(RuntimeError, match="non-finite") as lean:
+            mlp.mlp_train(x, t, cfg)
+        with pytest.raises(RuntimeError) as per_call:
+            mlp_train_per_call(x, t, cfg)
+        assert str(lean.value) == str(per_call.value)
+
+    def test_sigmoid_matches_masked_form(self):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                            745.0, -745.0, 746.0, -746.0, 36.7, -36.7, 5e-324, -5e-324])
+        rng = np.random.default_rng(0)
+        z = np.concatenate([special, rng.normal(0, 1, 500), rng.normal(0, 300, 500)])
+        for batch in (z, rng.permutation(z).reshape(-1, 6), z[:, None]):
+            assert same_bits(mlp.sigmoid(batch), masked_sigmoid(batch))
+        for value in special:
+            one = np.array([[value]])
+            assert same_bits(mlp.sigmoid(one), masked_sigmoid(one))
 
 
 class TestGradients:
