@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -143,7 +144,8 @@ class PipelineConfig:
     Its fields, with `filter` flattened, are the config-file keys and the
     report's echo, so an echo block is a valid config file.  Construction
     runs the checks of `SvmParams` and `MlpConfig`, so a bad model setting
-    fails before any stage runs.
+    fails before any stage runs, and checks the other settings' ranges
+    with comparisons that a nan fails.
     """
 
     features: str = "pca"            # "pca" or "kpca"
@@ -164,6 +166,18 @@ class PipelineConfig:
     def __post_init__(self):
         if self.features not in ("pca", "kpca"):
             raise ValueError("features must be 'pca' or 'kpca'")
+        if not 0 < self.variance_threshold <= 1:
+            raise ValueError("variance_threshold must be in (0, 1]")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
+        if not math.isfinite(self.drift_rate):
+            raise ValueError("drift_rate must be finite")
+        if not 0 < self.sample_rate_hz <= 1000:
+            raise ValueError("sample_rate_hz must be in (0, 1000]")
+        for key in ("tau_rise", "tau_fall"):
+            tau = getattr(self, key)
+            if tau is not None and not tau > 0:
+                raise ValueError(f"{key} must be > 0")
         if not self.mlp_hidden:
             raise ValueError("mlp_hidden needs at least one layer size")
         # build the model settings once for their checks; the real

@@ -108,12 +108,6 @@ def pca_transform(model: PcaModel, x, k: int | None = None) -> np.ndarray:
     return (x - model.mean) @ model.components[:k].T
 
 
-def pca_inverse_transform(model: PcaModel, scores) -> np.ndarray:
-    scores = np.atleast_2d(np.asarray(scores, dtype=float))
-    k = scores.shape[1]
-    return scores @ model.components[:k] + model.mean
-
-
 # --- kernel PCA -----------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -9,11 +9,16 @@ ppm on the way out.
 
 `mlp_train` runs its per-sample steps inline under one `np.errstate`,
 since numpy's per-call overhead, not arithmetic, bounds a one-row step.
-Its weights, biases and loss trace are bit for bit those of one
-`loss_and_grads` call per step, the batch form the central-difference
-gradient check covers: every sum over more than one product stays the
-same matmul, and the other steps act on single products, exact in any
-order.
+Each layer keeps one (fan_in + 1, fan_out) block, its weights over its
+bias row, and each layer input sits in a buffer with a trailing 1.0, so
+one outer product, scaled by the rate and subtracted in place, updates
+weights and bias together (exact, since lr * (1.0 * delta) == lr * delta).
+Every buffer is allocated once per fit.  The weights, biases and loss
+trace are bit for bit those of one `loss_and_grads` call per step, the
+batch form the central-difference gradient check covers: every sum over
+more than one product (each forward `a @ W`, each hidden-to-hidden
+`delta @ W.T`) stays the same matmul on the same shapes, and every other
+step is an in-place elementwise ufunc, applied in the batch form's order.
 """
 
 from __future__ import annotations
@@ -55,16 +60,21 @@ class MlpModel:
     config: MlpConfig
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function without overflow: exp is only taken of -|z|.
 
     `minimum(z, -z)` rather than `-abs(z)` keeps the sign of a nan input,
     so every output bit, nan included, equals that of the two-branch form
-    1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) otherwise.
+    1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) otherwise.  `out` may
+    be `z` itself: the sign mask is taken before anything is written.
     """
-    e = np.exp(np.minimum(z, -z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    pos = z >= 0
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    d = np.add(1.0, e)
+    np.putmask(e, pos, 1.0)   # numerator: 1 where z >= 0, else e
+    return np.divide(e, d, out=e if out is None else out)
 
 
 def init_layers(config: MlpConfig):
@@ -94,7 +104,10 @@ def _forward(weights, biases, x: np.ndarray):
 def loss_and_grads(weights, biases, x: np.ndarray, y: np.ndarray):
     """Mean squared-error loss 0.5*(yhat-y)^2 over a batch, with gradients.
 
-    On a one-row batch this is the step `mlp_train` inlines.
+    On a one-row batch this is the step `mlp_train` inlines, there with
+    preallocated buffers: the weight gradient and the bias gradient come
+    from one outer product of the trailing-1.0 layer input with the delta,
+    applied to the layer's weight-and-bias block in place.
     """
     x = np.atleast_2d(x)
     y = np.asarray(y, dtype=float).reshape(-1, 1)
@@ -137,12 +150,31 @@ def mlp_train(x, targets_ppm, config: MlpConfig) -> MlpModel:
     t_scale = float(t.max() - t.min()) or 1.0
     ys = (t - t_min) / t_scale
 
-    weights, biases = init_layers(config)
-    rng = np.random.default_rng(config.seed)
+    # one (fan_in + 1, fan_out) block per layer, the weights over the bias
+    # row, so that one outer product with a trailing-1.0 input updates both
+    blocks = [np.vstack((w, b)) for w, b in zip(*init_layers(config))]
+    grads = [np.empty_like(blk) for blk in blocks]
+    weights = [blk[:-1] for blk in blocks]
+    weights_t = [w.T for w in weights]
+    biases = [blk[-1:] for blk in blocks]
+    # each layer's input with its trailing 1.0, as a row view for the
+    # forward matmul and as a column view for the update: the training
+    # rows, then the hidden activations, which the logistic writes in place
     n = xs.shape[0]
-    lr = config.lr
-    rows = [xs[i:i + 1] for i in range(n)]
+    xs_aug = np.ones((n, config.input_dim + 1))
+    xs_aug[:, :-1] = xs
+    x_rows = [xs_aug[i:i + 1, :-1] for i in range(n)]
+    x_cols = [xs_aug[i:i + 1].T for i in range(n)]
+    hidden = [np.ones((1, h + 1)) for h in config.hidden_layers]
+    acts = [h[:, :-1] for h in hidden]
+    cols = [None, *(h.T for h in hidden)]   # cols[0] is set per step
+    deltas = [np.empty((1, h)) for h in config.hidden_layers]
+    slopes = [np.empty((1, h)) for h in config.hidden_layers]
+    z_out = np.empty((1, 1))
+    n_hidden = len(hidden)
+    lr = np.array(config.lr)   # a 0-d array skips a per-call scalar conversion
     targets = ys.tolist()
+    rng = np.random.default_rng(config.seed)
     trace = []
     prev = None
     # overflow on a diverging run produces inf, which the epoch check
@@ -151,21 +183,36 @@ def mlp_train(x, targets_ppm, config: MlpConfig) -> MlpModel:
         for epoch in range(config.epochs):
             total = 0.0
             for i in rng.permutation(n).tolist():
-                acts = _forward(weights, biases, rows[i])
-                delta = acts[-1] - targets[i]
-                d = delta.item()
+                a = x_rows[i]
+                cols[0] = x_cols[i]
+                for k in range(n_hidden):
+                    z = acts[k]
+                    np.matmul(a, weights[k], out=z)
+                    z += biases[k]
+                    a = sigmoid(z, out=z)
+                np.matmul(a, weights[-1], out=z_out)
+                d = (z_out.item() + biases[-1].item()) - targets[i]
                 # d * d is numpy's square; d ** 2 goes through pow(), which
                 # rounds differently for about 1 in 1000 values
                 total += 0.5 * (d * d)
-                for layer in reversed(range(len(weights))):
-                    w, a = weights[layer], acts[layer]
-                    grad_w = a.T @ delta
-                    # delta[0] differs from the batch sum delta.sum(axis=0)
-                    # only in the sign of a zero, and a bias is never -0.0
-                    biases[layer] -= lr * delta[0]
-                    if layer > 0:
-                        delta = (delta @ w.T) * a * (1.0 - a)
-                    w -= lr * grad_w
+                # a layer's delta is passed down before its block is updated
+                g = grads[-1]
+                np.multiply(cols[-1], d, out=g)
+                if n_hidden:
+                    delta = np.multiply(weights_t[-1], d, out=deltas[-1])
+                g *= lr
+                blocks[-1] -= g
+                for k in reversed(range(n_hidden)):
+                    a, s = acts[k], slopes[k]
+                    delta *= a
+                    np.subtract(1.0, a, out=s)
+                    delta *= s
+                    g = grads[k]
+                    np.multiply(cols[k], delta, out=g)
+                    if k:
+                        delta = np.matmul(delta, weights_t[k], out=deltas[k - 1])
+                    g *= lr
+                    blocks[k] -= g
             epoch_loss = total / n
             if not np.isfinite(epoch_loss):
                 raise RuntimeError(
@@ -181,7 +228,7 @@ def mlp_train(x, targets_ppm, config: MlpConfig) -> MlpModel:
 
     return MlpModel(
         weights=tuple(w.copy() for w in weights),
-        biases=tuple(b.copy() for b in biases),
+        biases=tuple(b[0].copy() for b in biases),
         standardizer=std,
         target_min=t_min,
         target_scale=t_scale,

@@ -101,7 +101,7 @@ class Standardizer:
     """Per-feature z-scoring with population (divide-by-N) deviations.
 
     Features with zero variance are flagged constant and passed through
-    unchanged by both transform and inverse_transform.
+    unchanged.
     """
 
     mean: np.ndarray
@@ -113,13 +113,6 @@ class Standardizer:
         out = x.copy()
         live = ~self.constant
         out[:, live] = (x[:, live] - self.mean[live]) / self.std[live]
-        return out
-
-    def inverse_transform(self, z) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        out = z.copy()
-        live = ~self.constant
-        out[:, live] = z[:, live] * self.std[live] + self.mean[live]
         return out
 
 

@@ -109,18 +109,6 @@ def write_metrics_csv(report, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_metrics_csv(path) -> dict[str, float | None]:
-    """Metric name -> value; `undefined` reads back as None."""
-    metrics: dict[str, float | None] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line == "metric,value":
-            continue
-        key, _, value = line.partition(",")
-        metrics[key] = None if value == "undefined" else float(value)
-    return metrics
-
-
 def write_predictions_csv(report, path) -> None:
     if isinstance(report, RunReport):
         lines = ["index,true,pred,score1,score2"]

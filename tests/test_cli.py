@@ -12,26 +12,28 @@ from enose.cli import main
 from enose.features import (N_FEATURES, pca_fit, pca_transform, read_features_csv,
                             write_features_csv)
 from enose.preprocess import FilterConfig, fit_standardizer
-from enose.report import read_metrics_csv
 from enose.svm import svm_predict, svm_train_multiclass
+
+from test_report import read_metrics_csv
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
 pipeline_configs = st.builds(
     PipelineConfig,
     features=st.sampled_from(["pca", "kpca"]),
-    variance_threshold=finite,
+    variance_threshold=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
     svm_c=positive,
     svm_kernel=st.sampled_from(["linear", "rbf"]),
     svm_gamma=st.none() | positive,
     filter=st.builds(FilterConfig, window_m=st.integers(0, 50).map(lambda k: 2 * k + 1),
                      baseline_degree=st.integers(0, 5)),
-    noise_sigma=finite,
+    noise_sigma=non_negative,
     drift_rate=finite,
-    tau_rise=st.none() | finite,
-    tau_fall=st.none() | finite,
-    sample_rate_hz=finite,
+    tau_rise=st.none() | positive,
+    tau_fall=st.none() | positive,
+    sample_rate_hz=st.floats(min_value=0.0, max_value=1000.0, exclude_min=True),
     mlp_hidden=st.lists(st.integers(1, 1024), min_size=1, max_size=3).map(tuple),
     mlp_lr=positive,
     mlp_epochs=st.integers(1, 10**6),
@@ -87,6 +89,33 @@ class TestConfigFiles:
     def test_model_settings_checked_when_built(self, key, text, message):
         with pytest.raises(ValueError, match=message):
             PipelineConfig().updated({key: text})
+
+    @pytest.mark.parametrize("key, text, message", [
+        ("variance_threshold", "0", r"variance_threshold must be in \(0, 1\]"),
+        ("variance_threshold", "2", r"variance_threshold must be in \(0, 1\]"),
+        ("variance_threshold", "nan", r"variance_threshold must be in \(0, 1\]"),
+        ("noise_sigma", "-0.01", "noise_sigma must be finite and >= 0"),
+        ("noise_sigma", "nan", "noise_sigma must be finite and >= 0"),
+        ("noise_sigma", "inf", "noise_sigma must be finite and >= 0"),
+        ("drift_rate", "nan", "drift_rate must be finite"),
+        ("drift_rate", "-inf", "drift_rate must be finite"),
+        ("sample_rate_hz", "0", r"sample_rate_hz must be in \(0, 1000\]"),
+        ("sample_rate_hz", "1000.5", r"sample_rate_hz must be in \(0, 1000\]"),
+        ("sample_rate_hz", "nan", r"sample_rate_hz must be in \(0, 1000\]"),
+        ("tau_rise", "0", "tau_rise must be > 0"),
+        ("tau_rise", "nan", "tau_rise must be > 0"),
+        ("tau_fall", "-3", "tau_fall must be > 0"),
+        ("tau_fall", "nan", "tau_fall must be > 0"),
+    ])
+    def test_run_settings_checked_when_built(self, key, text, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig().updated({key: text})
+
+    def test_run_settings_at_their_bounds_accepted(self):
+        config = PipelineConfig().updated({
+            "variance_threshold": "1", "noise_sigma": "0", "drift_rate": "-0.5",
+            "sample_rate_hz": "1000", "tau_rise": "1e-3", "tau_fall": "default"})
+        assert (config.variance_threshold, config.sample_rate_hz) == (1.0, 1000.0)
 
     @settings(max_examples=200, deadline=None)
     @given(pipeline_configs)
@@ -337,6 +366,37 @@ class TestCliErrors:
                    "--config", str(conf)])
         assert rc == 2
         assert f"[stage=bench] {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("noise_sigma = nan", "noise_sigma must be finite and >= 0"),
+        ("variance_threshold = 2", r"variance_threshold must be in (0, 1]"),
+        ("sample_rate_hz = -5", r"sample_rate_hz must be in (0, 1000]"),
+    ])
+    def test_bad_run_setting_stops_bench_before_generate(self, tmp_path, capsys,
+                                                         line, message):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        out = tmp_path / "results"
+        rc = main(["bench", "--table", "ternary", "--out", str(out),
+                   "--config", str(conf)])
+        assert rc == 2
+        assert f"[stage=bench] {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, line, message", [
+        (["--noise", "-0.1"], "", "noise_sigma must be finite and >= 0"),
+        ([], "tau_fall = 0", "tau_fall must be > 0"),
+        ([], "drift_rate = inf", "drift_rate must be finite"),
+    ])
+    def test_simulate_rejects_bad_run_setting(self, tmp_path, capsys, args, line, message):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        out = tmp_path / "sessions"
+        rc = main(["simulate", "--table", "ternary", "--per-row", "1",
+                   "--out", str(out), "--config", str(conf), *args])
+        assert rc == 2
+        assert f"[stage=simulate] {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_simulate_rejects_bad_svm_c(self, tmp_path, capsys):

@@ -129,9 +129,10 @@ def assert_same_model(model, reference):
 
 
 class TestAgainstPerCallLoop:
-    """The inlined SGD loop gives the bits of one `loss_and_grads` per step."""
+    """The buffer-reusing SGD step gives the bits of one `loss_and_grads` per
+    step, for no hidden layer, one, and several."""
 
-    @pytest.mark.parametrize("hidden", [(16,), (8, 4), (32,)])
+    @pytest.mark.parametrize("hidden", [(16,), (8, 4), (32,), (), (1,), (4, 3, 2)])
     @pytest.mark.parametrize("dim", range(1, 13))
     def test_same_weights_biases_and_trace(self, dim, hidden):
         seed = 7 * dim + len(hidden)
@@ -152,12 +153,15 @@ class TestAgainstPerCallLoop:
         assert len(model.loss_trace) < cfg.epochs
         assert_same_model(model, mlp_train_per_call(x, t, cfg))
 
-    @pytest.mark.parametrize("lr, constant", [(30.0, False), (1e12, False), (1.0, True)])
-    def test_same_divergence(self, lr, constant):
+    # ids spelled out so that the (16,) cases keep their names
+    @pytest.mark.parametrize("lr, constant, hidden", [
+        (30.0, False, (16,)), (1e12, False, (16,)), (1.0, True, (16,)), (30.0, False, (4, 3, 2)),
+    ], ids=["30.0-False", "1000000000000.0-False", "1.0-True", "30.0-False-4x3x2"])
+    def test_same_divergence(self, lr, constant, hidden):
         rng = np.random.default_rng(2)
         x = rng.normal(0, 1, (10, 2))
         t = np.full(10, 42.0) if constant else rng.uniform(0, 1, 10)
-        cfg = mlp.MlpConfig(input_dim=2, lr=lr, epochs=100, seed=0)
+        cfg = mlp.MlpConfig(input_dim=2, hidden_layers=hidden, lr=lr, epochs=100, seed=0)
         with pytest.raises(RuntimeError, match="non-finite") as lean:
             mlp.mlp_train(x, t, cfg)
         with pytest.raises(RuntimeError) as per_call:

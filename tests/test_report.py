@@ -1,9 +1,22 @@
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from enose import report as rp
+
+
+def read_metrics_csv(path) -> dict[str, float | None]:
+    """Metric name -> value from a metrics.csv; `undefined` reads back as None."""
+    metrics: dict[str, float | None] = {}
+    for line in Path(path).read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#") or line == "metric,value":
+            continue
+        key, _, value = line.partition(",")
+        metrics[key] = None if value == "undefined" else float(value)
+    return metrics
 
 
 def toy_report(n=12):
@@ -50,7 +63,7 @@ class TestCsvEmission:
         names = {f.name for f in files}
         assert names == {"metrics.csv", "predictions.csv", "scatter.svg",
                          "classification.svg"}
-        metrics = rp.read_metrics_csv(tmp_path / "metrics.csv")
+        metrics = read_metrics_csv(tmp_path / "metrics.csv")
         assert metrics["accuracy"] == rep.accuracy
         for c in rep.classes:
             assert metrics[f"precision_{c}"] == rep.precision[c]
@@ -78,7 +91,7 @@ class TestCsvEmission:
         files = rp.emit_report(rep, tmp_path)
         assert {f.name for f in files} == {"metrics.csv", "predictions.csv",
                                            "loss_trace.csv"}
-        metrics = rp.read_metrics_csv(tmp_path / "metrics.csv")
+        metrics = read_metrics_csv(tmp_path / "metrics.csv")
         assert metrics["r2"] is None
         assert metrics["rmse_ppm"] == 0.5
         trace = (tmp_path / "loss_trace.csv").read_text().splitlines()
