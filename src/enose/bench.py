@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import Session, frame_lines, parse_stream
-from .features import (extract_features, kpca_fit, kpca_transform,
-                       pca_fit, pca_transform, stack_features)
+from .features import (KpcaModel, PcaModel, extract_features, kpca_fit,
+                       kpca_transform, pca_fit, pca_transform, stack_features)
 from .mlp import MlpConfig, evaluate_regression, mlp_forward, mlp_train
-from .preprocess import FilterConfig, fit_standardizer, process_session
+from .preprocess import FilterConfig, Standardizer, fit_standardizer, process_session
 from .report import (RegressionReport, RunReport, classification_metrics)
 from .sensors import (DEFAULT_DRIFT_RATE, DEFAULT_NOISE_SIGMA, GasMixture,
                       SAMPLE_RATE_HZ, default_sensor_array, dominant_gas_label,
@@ -342,6 +342,28 @@ def _stage(name: str, fn, *args, **kwargs):
 
 
 @dataclass(frozen=True)
+class FittedFront:
+    """The fitted front half of the detector: z-scoring, then PCA or KPCA."""
+
+    standardizer: Standardizer
+    reducer: PcaModel | KpcaModel
+
+    def scores(self, x) -> np.ndarray:
+        """Reduced scores of raw feature rows."""
+        project = pca_transform if isinstance(self.reducer, PcaModel) else kpca_transform
+        return project(self.reducer, self.standardizer.transform(x))
+
+
+def fit_front(x_train, config: PipelineConfig) -> FittedFront:
+    """Fit the standardizer, then the config's reducer on its output."""
+    std = _stage("standardize", fit_standardizer, x_train)
+    fit = pca_fit if config.features == "pca" else kpca_fit
+    reducer = _stage("reduce", fit, std.transform(x_train),
+                     variance_threshold=config.variance_threshold)
+    return FittedFront(standardizer=std, reducer=reducer)
+
+
+@dataclass(frozen=True)
 class FeatureSplit:
     """Front half of an experiment: features, split and reduced matrices."""
 
@@ -367,20 +389,10 @@ def prepare_features(table: ExperimentTable, config: PipelineConfig,
 
     train_idx, test_idx = _stage("split", stratified_split, y,
                                  table.n_train, table.n_test, seed)
-    std = _stage("standardize", fit_standardizer, x[train_idx])
-    xs_train = std.transform(x[train_idx])
-    xs_test = std.transform(x[test_idx])
-
-    def reduce():
-        if config.features == "pca":
-            model = pca_fit(xs_train, config.variance_threshold)
-            return pca_transform(model, xs_train), pca_transform(model, xs_test)
-        model = kpca_fit(xs_train, variance_threshold=config.variance_threshold)
-        return kpca_transform(model, xs_train), kpca_transform(model, xs_test)
-
-    z_train, z_test = _stage("reduce", reduce)
+    front = fit_front(x[train_idx], config)
     return FeatureSplit(x=x, y=y, conc=conc, train_idx=train_idx,
-                        test_idx=test_idx, z_train=z_train, z_test=z_test)
+                        test_idx=test_idx, z_train=front.scores(x[train_idx]),
+                        z_test=front.scores(x[test_idx]))
 
 
 def run_experiment(table_id: str | ExperimentTable,
@@ -430,7 +442,7 @@ def run_regression_experiment(table_id: str | ExperimentTable,
     model = _stage("train", mlp_train, z_train, acetone[train_idx],
                    config.mlp_config(z_train.shape[1], seed))
     preds = _stage("score", mlp_forward, model, z_test)
-    metrics = evaluate_regression(model, z_test, acetone[test_idx])
+    metrics = evaluate_regression(preds, acetone[test_idx])
 
     return RegressionReport(
         table_id=table.id, seed=seed,

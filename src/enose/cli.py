@@ -3,11 +3,15 @@
     enose simulate    --table binary-ethanol --seed 42 --out sessions/
     enose ingest      --in frames.txt --out session.csv
     enose preprocess  --in session.csv --out processed.csv
-    enose train-svm   --in features.csv --c 10 --kernel rbf --gamma auto --model out.svm
+    enose train-svm   --in features.csv --model out.svm [--config run.conf]
     enose classify    --model out.svm --in features.csv --report report.csv
-    enose train-mlp   --in features.csv --model out.mlp
+    enose train-mlp   --in features.csv --model out.mlp [--config run.conf] [--seed 42]
     enose predict     --model out.mlp --in features.csv --report pred.csv
     enose bench       --table ternary --seed 7 --out results/ [--features kpca]
+
+`train-svm`/`train-mlp` fit bench's chain (standardize, PCA or KPCA, then
+the model) on a features CSV with the settings of `--config`, and save it
+as one model file that `classify`/`predict` apply.
 
 Every failure exits nonzero with a `[stage=...]` tagged message.
 """
@@ -30,8 +34,8 @@ from . import preprocess as prep
 from . import report as reportmod
 from . import sensors
 from .bench import PipelineConfig, StageError
-from .mlp import MlpConfig, evaluate_regression, mlp_forward, mlp_train
-from .svm import SvmParams, svm_predict, svm_train_multiclass
+from .mlp import MlpModel, evaluate_regression, mlp_forward, mlp_train
+from .svm import SvmModel, svm_predict, svm_train_multiclass
 
 log = logging.getLogger("enose")
 
@@ -84,20 +88,33 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
+# Model type -> (its section name in a model file, the command that applies it).
+_APPLIED_BY = {SvmModel: ("svm", "classify"), MlpModel: ("mlp", "predict")}
+
+
+def _load_chain(path, command: str):
+    """The (front, model) chain of a model file that `command` can apply."""
+    front, model = modelio.load_model(path)
+    kind, applied_by = _APPLIED_BY[type(model)]
+    if applied_by != command:
+        raise ValueError(f"{path} holds an {kind} model; use `enose {applied_by}`")
+    return front, model
+
+
 def cmd_train_svm(args) -> int:
+    cfg = _pipeline_config(args)
     x, y, _ = features.read_features_csv(args.infile)
-    gamma = None if args.gamma == "auto" else float(args.gamma)
-    params = SvmParams(c_penalty=args.c, kernel=args.kernel, gamma=gamma)
-    model = svm_train_multiclass(x, y, params)
-    modelio.save_model(model, args.model)
+    front = bench.fit_front(x, cfg)
+    model = svm_train_multiclass(front.scores(x), y, cfg.svm_params())
+    modelio.save_model(front, model, args.model)
     print(f"trained {len(model.machines)} class pairs -> {args.model}")
     return 0
 
 
 def cmd_classify(args) -> int:
-    model = modelio.load_model(args.model)
+    front, model = _load_chain(args.model, "classify")
     x, y, _ = features.read_features_csv(args.infile)
-    pred = svm_predict(model, x)
+    pred = svm_predict(model, front.scores(x))
     lines = []
     if np.any(y != 0):
         accuracy = float(np.mean(pred == y))
@@ -110,22 +127,22 @@ def cmd_classify(args) -> int:
 
 
 def cmd_train_mlp(args) -> int:
+    cfg = _pipeline_config(args)
     x, _, conc = features.read_features_csv(args.infile)
-    hidden = tuple(int(h) for h in args.hidden.split(",") if h)
-    cfg = MlpConfig(input_dim=x.shape[1], hidden_layers=hidden, lr=args.lr,
-                    epochs=args.epochs, seed=args.seed)
-    model = mlp_train(x, conc[:, 0], cfg)
-    modelio.save_model(model, args.model)
+    front = bench.fit_front(x, cfg)
+    z = front.scores(x)
+    model = mlp_train(z, conc[:, 0], cfg.mlp_config(z.shape[1], args.seed))
+    modelio.save_model(front, model, args.model)
     print(f"trained MLP ({len(model.loss_trace)} epochs, "
           f"final loss {model.loss_trace[-1]:.3e}) -> {args.model}")
     return 0
 
 
 def cmd_predict(args) -> int:
-    model = modelio.load_model(args.model)
+    front, model = _load_chain(args.model, "predict")
     x, _, conc = features.read_features_csv(args.infile)
-    preds = mlp_forward(model, x)
-    metrics = evaluate_regression(model, x, conc[:, 0])
+    preds = mlp_forward(model, front.scores(x))
+    metrics = evaluate_regression(preds, conc[:, 0])
     r2 = "undefined" if metrics["r2"] is None else repr(metrics["r2"])
     lines = [
         f"# rmse_ppm = {metrics['rmse_ppm']!r}",
@@ -207,30 +224,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=2)
     p.set_defaults(fn=cmd_preprocess)
 
-    p = sub.add_parser("train-svm", help="train a one-vs-one SVM on a features CSV")
+    p = sub.add_parser("train-svm", help="fit bench's PCA/KPCA + SVM chain on a features CSV")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--c", type=float, default=10.0)
-    p.add_argument("--kernel", choices=("linear", "rbf"), default="rbf")
-    p.add_argument("--gamma", default="auto")
     p.add_argument("--model", required=True)
+    p.add_argument("--config", default=None, help="flat key = value config file")
     p.set_defaults(fn=cmd_train_svm)
 
-    p = sub.add_parser("classify", help="label a features CSV with a trained SVM")
+    p = sub.add_parser("classify", help="label a features CSV with a trained SVM chain")
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--report", required=True)
     p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("train-mlp", help="train a concentration regressor")
+    p = sub.add_parser("train-mlp", help="fit bench's PCA/KPCA + MLP chain on a features CSV")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--hidden", default="16", help="comma-separated layer sizes")
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=150)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", required=True)
+    p.add_argument("--config", default=None, help="flat key = value config file")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_train_mlp)
 
-    p = sub.add_parser("predict", help="predict acetone ppm with a trained MLP")
+    p = sub.add_parser("predict", help="predict acetone ppm with a trained MLP chain")
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--report", required=True)

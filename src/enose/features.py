@@ -79,6 +79,10 @@ class PcaModel:
     eigenvalues: np.ndarray
     retained_k: int
 
+    def __post_init__(self):
+        # one layout for fitted and loaded models, as for KpcaModel.alphas
+        object.__setattr__(self, "components", np.asfortranarray(self.components))
+
 
 def pca_fit(x, variance_threshold: float = 0.95) -> PcaModel:
     """Eigendecomposition of the population covariance of mean-centred data."""
@@ -119,6 +123,12 @@ class KpcaModel:
     train_row_means: np.ndarray
     train_total_mean: float
     retained_k: int
+
+    def __post_init__(self):
+        # BLAS sums `ktc @ alphas` in an order that depends on the layout of
+        # alphas; one layout for fitted and loaded models keeps a saved and
+        # reloaded model's projections bit for bit those of the fitted one
+        object.__setattr__(self, "alphas", np.asfortranarray(self.alphas))
 
 
 def pairwise_sq_dists(a, b) -> np.ndarray:

@@ -247,13 +247,12 @@ def mlp_forward(model: MlpModel, x) -> np.ndarray:
     return out * model.target_scale + model.target_min
 
 
-def evaluate_regression(model: MlpModel, x, targets_ppm) -> dict:
+def evaluate_regression(preds_ppm, targets_ppm) -> dict:
     """rmse/mae in ppm plus r2 against the test-set target variance."""
     t = np.asarray(targets_ppm, dtype=float)
     if t.size == 0:
         raise ValueError("empty test set")
-    preds = mlp_forward(model, x)
-    err = preds - t
+    err = np.asarray(preds_ppm, dtype=float) - t
     rmse = float(np.sqrt(np.mean(err**2)))
     mae = float(np.mean(np.abs(err)))
     sst = float(np.sum((t - t.mean()) ** 2))

@@ -1,14 +1,17 @@
-"""Versioned flat-text serialization for fitted models.
+"""Versioned flat-text serialization for a fitted detector chain.
 
-Every file starts with the header line
+A model file holds one chain: the fitted front half of `bench` (feature
+standardizer, then PCA or KPCA) and the model trained on its scores (a
+one-vs-one SVM or an MLP).  It starts with the header line
 
-    enose-model v1 <kind>
+    enose-model v2
 
-where kind is one of standardizer, pca, kpca, svm, mlp.  The body is
-line oriented: `key value...` scalars, and matrices as a `matrix <name>
-<rows> <cols>` line followed by one space-separated row per line.
+followed by three sections, in order, each opened by a `section <name>`
+line: `standardizer`, then `pca` or `kpca`, then `svm` or `mlp`.  The
+body is line oriented: `key value...` scalars, and matrices as a `matrix
+<name> <rows> <cols>` line followed by one space-separated row per line.
 Floats are written with repr() so a save/load round trip reproduces the
-model bit for bit.
+chain bit for bit.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .bench import FittedFront
 from .features import KpcaModel, PcaModel
 from .mlp import MlpConfig, MlpModel
 from .preprocess import Standardizer
 from .svm import BinarySvm, SvmModel
 
-FORMAT_VERSION = "v1"
+FORMAT_VERSION = "v2"
 
 
 def _vec(values) -> str:
@@ -221,46 +225,53 @@ def _read_mlp(r: _Reader) -> MlpModel:
                     target_scale=target_scale, loss_trace=loss_trace, config=cfg)
 
 
-_WRITERS = {
-    Standardizer: ("standardizer", _standardizer_lines),
-    PcaModel: ("pca", _pca_lines),
-    KpcaModel: ("kpca", _kpca_lines),
-    SvmModel: ("svm", _svm_lines),
-    MlpModel: ("mlp", _mlp_lines),
-}
-
-_READERS = {
-    "standardizer": _read_standardizer,
-    "pca": _read_pca,
-    "kpca": _read_kpca,
-    "svm": _read_svm,
-    "mlp": _read_mlp,
-}
+# Section name -> (fitted type, line writer, reader), per slot of the chain.
+_STANDARDIZER = {"standardizer": (Standardizer, _standardizer_lines, _read_standardizer)}
+_REDUCERS = {"pca": (PcaModel, _pca_lines, _read_pca),
+             "kpca": (KpcaModel, _kpca_lines, _read_kpca)}
+_MODELS = {"svm": (SvmModel, _svm_lines, _read_svm),
+           "mlp": (MlpModel, _mlp_lines, _read_mlp)}
 
 
-def save_model(model, path) -> None:
-    for cls, (kind, writer) in _WRITERS.items():
-        if isinstance(model, cls):
-            lines = [f"enose-model {FORMAT_VERSION} {kind}", *writer(model)]
-            Path(path).write_text("\n".join(lines) + "\n")
-            return
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+def _section_lines(part, sections) -> list[str]:
+    for name, (cls, writer, _) in sections.items():
+        if isinstance(part, cls):
+            return [f"section {name}", *writer(part)]
+    raise TypeError(f"cannot serialize {type(part).__name__} "
+                    f"as a {' or '.join(sections)} section")
 
 
-def load_model(path):
+def _read_section(r: _Reader, sections):
+    name = r.field("section")
+    if name not in sections:
+        raise ValueError(f"expected a {' or '.join(sections)} section, found {name!r}")
+    return sections[name][2](r)
+
+
+def save_model(front: FittedFront, model: SvmModel | MlpModel, path) -> None:
+    """Write the chain `front` -> `model` as one model file."""
+    lines = [f"enose-model {FORMAT_VERSION}",
+             *_section_lines(front.standardizer, _STANDARDIZER),
+             *_section_lines(front.reducer, _REDUCERS),
+             *_section_lines(model, _MODELS)]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def load_model(path) -> tuple[FittedFront, SvmModel | MlpModel]:
+    """Read a model file back into (front, model)."""
     lines = Path(path).read_text().splitlines()
     reader = _Reader(lines)
     header = reader.next().split()
-    if len(header) != 3 or header[0] != "enose-model":
+    if len(header) < 2 or header[0] != "enose-model":
         raise ValueError(f"{path} is not a model file")
     if header[1] != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {header[1]}")
-    kind = header[2]
-    if kind not in _READERS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    model = _READERS[kind](reader)
+    if len(header) != 2:
+        raise ValueError(f"{path} is not a model file")
+    front = FittedFront(standardizer=_read_section(reader, _STANDARDIZER),
+                        reducer=_read_section(reader, _REDUCERS))
+    model = _read_section(reader, _MODELS)
     for lineno in range(reader.pos, len(lines)):
         if lines[lineno].strip():
-            raise ValueError(
-                f"line {lineno + 1}: unexpected content after the {kind} model")
-    return model
+            raise ValueError(f"line {lineno + 1}: unexpected content after the model")
+    return front, model

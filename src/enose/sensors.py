@@ -246,10 +246,6 @@ TIO2_TARGETS = {
 }
 
 
-def power_law_sse(a: float, b: float, conc, excess) -> float:
-    return sum((a * c**b - e) ** 2 for c, e in zip(conc, excess))
-
-
 def fit_power_law(conc, excess, b_grid_size: int = 400) -> tuple[float, float]:
     """Least-squares fit of excess = a * c**b with b in (0, 1].
 

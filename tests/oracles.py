@@ -141,6 +141,11 @@ def projected_gradient_dual(k, y, c, iters: int = 30000):
     return alpha, obj
 
 
+def power_law_sse(a: float, b: float, conc, excess) -> float:
+    """sum((a*c**b - excess)^2), summed in Python one point at a time."""
+    return sum((a * c**b - e) ** 2 for c, e in zip(conc, excess))
+
+
 def grid_min_power_law(conc, excess, n_a: int = 120, n_b: int = 120):
     """Coarse grid search of sum((a*c**b - excess)^2); returns (a, b, sse)."""
     conc = np.asarray(conc, dtype=float)

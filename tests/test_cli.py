@@ -9,10 +9,8 @@ from enose import config as cfg
 from enose.acquisition import read_session, write_session
 from enose.bench import PipelineConfig
 from enose.cli import main
-from enose.features import (N_FEATURES, pca_fit, pca_transform, read_features_csv,
-                            write_features_csv)
-from enose.preprocess import FilterConfig, fit_standardizer
-from enose.svm import svm_predict, svm_train_multiclass
+from enose.features import N_FEATURES, write_features_csv
+from enose.preprocess import FilterConfig
 
 from test_report import read_metrics_csv
 
@@ -192,8 +190,7 @@ class TestCliWorkflows:
         write_features_csv(feat, x, y, conc)
 
         model = tmp_path / "out.svm"
-        rc = main(["train-svm", "--in", str(feat), "--c", "10", "--kernel",
-                   "rbf", "--gamma", "auto", "--model", str(model)])
+        rc = main(["train-svm", "--in", str(feat), "--model", str(model)])
         assert rc == 0
 
         report = tmp_path / "report.csv"
@@ -211,10 +208,11 @@ class TestCliWorkflows:
         feat = tmp_path / "features.csv"
         write_features_csv(feat, x, y, conc)
 
+        conf = tmp_path / "mlp.conf"
+        conf.write_text("mlp_hidden = 8\nmlp_lr = 0.1\nmlp_epochs = 60\n")
         model = tmp_path / "out.mlp"
-        rc = main(["train-mlp", "--in", str(feat), "--hidden", "8",
-                   "--lr", "0.1", "--epochs", "60", "--seed", "0",
-                   "--model", str(model)])
+        rc = main(["train-mlp", "--in", str(feat), "--config", str(conf),
+                   "--seed", "0", "--model", str(model)])
         assert rc == 0
 
         report = tmp_path / "pred.csv"
@@ -255,48 +253,105 @@ class TestCliWorkflows:
         assert (tmp_path / "b" / "metrics.csv").read_bytes() == metrics
 
 
-def predicted_column(path, skip: int) -> list[int]:
-    """Column 2 (the predicted label) of a report CSV after `skip` lines."""
-    return [int(line.split(",")[2]) for line in path.read_text().splitlines()[skip:]]
+def pred_column(path) -> list[str]:
+    """Column 2 (the predicted label or ppm) of a report CSV, as text, below
+    its comment lines and header."""
+    rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return [row.split(",")[2] for row in rows[1:]]
+
+
+def bench_then_cli(tmp_path, table: str, config_text: str, regression: bool):
+    """Run bench, then train-* on its features_train.csv and classify/predict
+    on its features_test.csv, with the same config file and seed.  Returns
+    the predicted column of the CLI's report and of bench's predictions.csv."""
+    conf = tmp_path / "run.conf"
+    conf.write_text(config_text)
+    out = tmp_path / "bench"
+    task = ["--regression"] if regression else []
+    assert main(["bench", "--table", table, "--seed", "42", "--out", str(out),
+                 "--config", str(conf), *task]) == 0
+    model, report = tmp_path / "chain.model", tmp_path / "report.csv"
+    if regression:
+        train, apply, seed = "train-mlp", "predict", ["--seed", "42"]
+    else:
+        train, apply, seed = "train-svm", "classify", []
+    assert main([train, "--in", str(out / "features_train.csv"), "--model", str(model),
+                 "--config", str(conf), *seed]) == 0
+    assert main([apply, "--model", str(model), "--in", str(out / "features_test.csv"),
+                 "--report", str(report)]) == 0
+    return pred_column(report), pred_column(out / "predictions.csv")
 
 
 class TestCliRoundTrip:
-    """bench -> features CSVs -> train-svm -> classify, at the bench's settings.
+    """bench -> features CSVs -> train-* -> classify/predict, at bench's settings.
 
-    The features CSVs hold the 12 raw features; bench trains its SVM on
-    their standardized PCA scores, and the CLI has no such step.  So the
-    CLI labels are checked against the same SVM trained in process on the
-    raw features, and bench's own labels against standardize, PCA and SVM
-    rerun on what the CSVs hold.
+    The features CSVs hold the 12 raw features.  `train-svm`/`train-mlp`
+    fit on them the chain bench fits (`bench.fit_front`'s standardize and
+    PCA or KPCA, then the model), from the same config file and seed, and
+    `classify`/`predict` apply the saved chain.  So the CLI's label or ppm
+    column is bench's `predictions.csv` column, text for text.
     """
 
     def test_bench_features_through_train_svm_and_classify(self, tmp_path):
-        out = tmp_path / "bench"
-        assert main(["bench", "--table", "ternary", "--seed", "42",
-                     "--out", str(out)]) == 0
-        x_train, y_train, _ = read_features_csv(out / "features_train.csv")
-        x_test, y_test, _ = read_features_csv(out / "features_test.csv")
-        config = PipelineConfig()
-        params = config.svm_params()
+        cli, bench = bench_then_cli(tmp_path, "ternary", "features = pca\n", False)
+        assert len(cli) == 50 and cli == bench
 
-        model = tmp_path / "bench.svm"
-        report = tmp_path / "classified.csv"
-        assert main(["train-svm", "--in", str(out / "features_train.csv"),
-                     "--c", repr(config.svm_c), "--kernel", config.svm_kernel,
-                     "--gamma", "auto" if config.svm_gamma is None else repr(config.svm_gamma),
-                     "--model", str(model)]) == 0
-        assert main(["classify", "--model", str(model),
-                     "--in", str(out / "features_test.csv"),
-                     "--report", str(report)]) == 0
-        in_process = svm_predict(svm_train_multiclass(x_train, y_train, params), x_test)
-        assert predicted_column(report, 2) == in_process.tolist()
+    def test_kpca_bench_features_through_train_svm_and_classify(self, tmp_path):
+        cli, bench = bench_then_cli(tmp_path, "ternary", "features = kpca\n", False)
+        assert len(cli) == 50 and cli == bench
 
-        std = fit_standardizer(x_train)
-        pca = pca_fit(std.transform(x_train), config.variance_threshold)
-        reduced = svm_train_multiclass(pca_transform(pca, std.transform(x_train)),
-                                       y_train, params)
-        bench_labels = svm_predict(reduced, pca_transform(pca, std.transform(x_test)))
-        assert predicted_column(out / "predictions.csv", 1) == bench_labels.tolist()
+    def test_regression_bench_features_through_train_mlp_and_predict(self, tmp_path):
+        cli, bench = bench_then_cli(tmp_path, "binary-ethanol", "mlp_epochs = 5\n", True)
+        assert len(cli) == 80 and cli == bench
+
+
+def corrupted_copies(lines: list[str]):
+    """(case, lines) for every corruption of a model file's lines: cut at
+    each section boundary, each line missing, each line doubled, and the
+    body under an old v1 header."""
+    for i, line in enumerate(lines):
+        if line.startswith("section "):
+            yield f"cut before line {i + 1}", lines[:i]
+    for i in range(len(lines)):
+        yield f"line {i + 1} missing", lines[:i] + lines[i + 1:]
+        yield f"line {i + 1} doubled", lines[:i + 1] + lines[i:]
+    yield "v1 header", ["enose-model v1 svm", *lines[1:]]
+
+
+class TestModelFileCorruption:
+    """Every corrupted chain file ends `classify`/`predict` with exit 2 and
+    a stage-tagged message: none loads, and none ends in a traceback."""
+
+    @pytest.mark.parametrize("config_text, train, apply", [
+        ("features = pca\n", "train-svm", "classify"),
+        ("features = kpca\nmlp_epochs = 5\n", "train-mlp", "predict"),
+    ], ids=["pca-svm", "kpca-mlp"])
+    def test_every_corruption_rejected(self, tmp_path, capsys, config_text, train, apply):
+        x, y, conc = separable_features(np.random.default_rng(1))
+        feat = tmp_path / "features.csv"
+        write_features_csv(feat, x, y, conc)
+        conf = tmp_path / "run.conf"
+        conf.write_text(config_text)
+        model = tmp_path / "chain.model"
+        assert main([train, "--in", str(feat), "--model", str(model),
+                     "--config", str(conf)]) == 0
+        lines = model.read_text().splitlines()
+        assert sum(line.startswith("section ") for line in lines) == 3
+
+        bad = tmp_path / "bad.model"
+        report = tmp_path / "report.csv"
+        loaded = []
+        for case, corrupted in corrupted_copies(lines):
+            bad.write_text("".join(line + "\n" for line in corrupted))
+            capsys.readouterr()
+            rc = main([apply, "--model", str(bad), "--in", str(feat),
+                       "--report", str(report)])
+            err = capsys.readouterr().err
+            if rc != 2 or not err.startswith(f"error [stage={apply}] ") \
+                    or "Traceback" in err:
+                loaded.append((case, rc, err))
+        assert loaded == []
+        assert not report.exists()
 
 
 class TestCliErrors:
@@ -324,6 +379,23 @@ class TestCliErrors:
                    "--report", str(tmp_path / "report.csv")])
         assert rc == 2
         assert "[stage=classify]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("train, apply, kind, use", [
+        ("train-mlp", "classify", "mlp", "predict"),
+        ("train-svm", "predict", "svm", "classify"),
+    ])
+    def test_model_file_of_the_other_task_rejected(self, tmp_path, capsys,
+                                                   train, apply, kind, use):
+        x, y, conc = separable_features(np.random.default_rng(1))
+        feat = tmp_path / "features.csv"
+        write_features_csv(feat, x, y, conc)
+        model = tmp_path / "chain.model"
+        assert main([train, "--in", str(feat), "--model", str(model)]) == 0
+        rc = main([apply, "--model", str(model), "--in", str(feat),
+                   "--report", str(tmp_path / "report.csv")])
+        assert rc == 2
+        assert (f"error [stage={apply}] {model} holds an {kind} model; "
+                f"use `enose {use}`") in capsys.readouterr().err
 
     @pytest.mark.parametrize("column, value, message", [
         (N_FEATURES, "1.7", "not a whole number"),

@@ -215,7 +215,7 @@ class TestEvaluate:
     def test_perfect_predictor(self):
         model = hand_model([np.array([[1.0]])], [np.zeros(1)], d=1)
         x = np.array([[1.0], [2.0], [3.0]])
-        out = mlp.evaluate_regression(model, x, [1.0, 2.0, 3.0])
+        out = mlp.evaluate_regression(mlp.mlp_forward(model, x), [1.0, 2.0, 3.0])
         assert out == {"rmse_ppm": 0.0, "mae_ppm": 0.0, "r2": 1.0}
 
     def test_mean_predictor_scores_zero_r2(self):
@@ -224,22 +224,23 @@ class TestEvaluate:
             weights=[np.zeros((1, 2)), np.zeros((2, 1))],
             biases=[np.zeros(2), np.zeros(1)],
             d=1, t_min=float(targets.mean()), t_scale=1.0)
-        out = mlp.evaluate_regression(model, np.zeros((3, 1)), targets)
+        out = mlp.evaluate_regression(mlp.mlp_forward(model, np.zeros((3, 1))),
+                                       targets)
         assert out["r2"] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_three_point_example(self):
         model = hand_model([np.array([[1.0]])], [np.zeros(1)], d=1)
         x = np.array([[1.0], [2.0], [4.0]])
-        out = mlp.evaluate_regression(model, x, [1.0, 2.0, 3.0])
+        out = mlp.evaluate_regression(mlp.mlp_forward(model, x), [1.0, 2.0, 3.0])
         assert out["rmse_ppm"] == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-12)
         assert out["mae_ppm"] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_zero_variance_targets_leave_r2_undefined(self):
         model = hand_model([np.array([[1.0]])], [np.zeros(1)], d=1)
-        out = mlp.evaluate_regression(model, [[1.0], [2.0]], [5.0, 5.0])
+        out = mlp.evaluate_regression(mlp.mlp_forward(model, [[1.0], [2.0]]),
+                                       [5.0, 5.0])
         assert out["r2"] is None
 
     def test_empty_test_set_rejected(self):
-        model = hand_model([np.array([[1.0]])], [np.zeros(1)], d=1)
-        with pytest.raises(ValueError):
-            mlp.evaluate_regression(model, np.zeros((0, 1)), [])
+        with pytest.raises(ValueError, match="empty test set"):
+            mlp.evaluate_regression([], [])

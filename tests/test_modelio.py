@@ -1,11 +1,58 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from enose import features as ft
 from enose import mlp
+from enose.bench import PipelineConfig, fit_front
 from enose.modelio import load_model, save_model
-from enose.preprocess import fit_standardizer
-from enose.svm import SvmParams, svm_predict, svm_train_multiclass
+from enose.svm import svm_predict, svm_train_multiclass
+
+
+def training_data():
+    """Three clusters of 12 features, column 2 constant, with a ppm target."""
+    rng = np.random.default_rng(3)
+    x = np.vstack([rng.normal(c, 0.4, (10, 12)) for c in (0.0, 3.0, (0, 3) * 6)])
+    x[:, 2] = 7.0
+    y = np.repeat([1, 2, 3], 10)
+    t = rng.uniform(0, 50, 30)
+    return x, y, t
+
+
+def fit_chain(features: str, head: str):
+    """(front, model) fitted as `train-svm`/`train-mlp` fit them."""
+    x, y, t = training_data()
+    config = PipelineConfig(features=features, mlp_epochs=20)
+    front = fit_front(x, config)
+    z = front.scores(x)
+    if head == "svm":
+        return front, svm_train_multiclass(z, y, config.svm_params())
+    return front, mlp.mlp_train(z, t, config.mlp_config(z.shape[1], seed=2))
+
+
+def assert_identical(a, b):
+    """Same structure, with every array and float equal bit for bit."""
+    if dataclasses.is_dataclass(a) or isinstance(a, tuple):
+        assert type(a) is type(b)
+        pairs = ([(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)]
+                 if dataclasses.is_dataclass(a) else list(zip(a, b, strict=True)))
+        for u, v in pairs:
+            assert_identical(u, v)
+    elif isinstance(a, (np.ndarray, float)):
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    else:
+        assert a == b
+
+
+def assert_round_trip(tmp_path, front, model):
+    path, again_path = tmp_path / "chain.model", tmp_path / "again.model"
+    save_model(front, model, path)
+    front_again, model_again = load_model(path)
+    assert_identical(front_again, front)
+    assert_identical(model_again, model)
+    save_model(front_again, model_again, again_path)
+    assert again_path.read_bytes() == path.read_bytes()
 
 
 def test_header_and_unknown_kind(tmp_path):
@@ -13,77 +60,61 @@ def test_header_and_unknown_kind(tmp_path):
     path.write_text("not a model\n")
     with pytest.raises(ValueError, match="not a model file"):
         load_model(path)
-    path.write_text("enose-model v9 pca\n")
-    with pytest.raises(ValueError, match="version"):
+    path.write_text("enose-model v9\n")
+    with pytest.raises(ValueError, match="version v9"):
         load_model(path)
-    with pytest.raises(TypeError):
-        save_model(object(), path)
+    path.write_text("enose-model v1 svm\n")
+    with pytest.raises(ValueError, match="unsupported model format version v1"):
+        load_model(path)
+
+    front, model = fit_chain("pca", "svm")
+    save_model(front, model, path)
+    path.write_text(path.read_text().replace("section svm", "section tree"))
+    with pytest.raises(ValueError, match="expected a svm or mlp section, found 'tree'"):
+        load_model(path)
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        save_model(front, object(), path)
 
 
 def test_standardizer_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    x = rng.normal(3, 2, (10, 4))
-    x[:, 2] = 7.0
-    std = fit_standardizer(x)
-    path = tmp_path / "std.model"
-    save_model(std, path)
-    again = load_model(path)
-    assert np.array_equal(std.mean, again.mean)
-    assert np.array_equal(std.std, again.std)
-    assert np.array_equal(std.constant, again.constant)
-    assert np.array_equal(std.transform(x), again.transform(x))
+    x, _, _ = training_data()
+    front, model = fit_chain("pca", "svm")
+    save_model(front, model, tmp_path / "chain.model")
+    again, _ = load_model(tmp_path / "chain.model")
+    assert np.flatnonzero(again.standardizer.constant).tolist() == [2]
+    assert np.array_equal(again.standardizer.transform(x), front.standardizer.transform(x))
 
 
 def test_pca_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    x = rng.normal(0, 1, (20, 5))
-    model = ft.pca_fit(x)
-    path = tmp_path / "pca.model"
-    save_model(model, path)
-    again = load_model(path)
-    assert again.retained_k == model.retained_k
-    assert np.array_equal(again.eigenvalues, model.eigenvalues)
-    assert np.array_equal(ft.pca_transform(model, x), ft.pca_transform(again, x))
-    assert path.read_text().startswith("enose-model v1 pca\n")
+    for head in ("svm", "mlp"):
+        assert_round_trip(tmp_path, *fit_chain("pca", head))
+        sections = [line for line in (tmp_path / "chain.model").read_text().splitlines()
+                    if line.startswith("section ")]
+        assert sections == ["section standardizer", "section pca", f"section {head}"]
 
 
 def test_kpca_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    x = rng.normal(0, 1, (12, 3))
-    model = ft.kpca_fit(x)
-    path = tmp_path / "kpca.model"
-    save_model(model, path)
-    again = load_model(path)
-    probe = rng.normal(0, 1, (4, 3))
-    assert np.array_equal(ft.kpca_transform(model, probe),
-                          ft.kpca_transform(again, probe))
+    for head in ("svm", "mlp"):
+        assert_round_trip(tmp_path, *fit_chain("kpca", head))
 
 
 def test_svm_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    x = np.vstack([rng.normal(0, 0.4, (10, 2)), rng.normal(3, 0.4, (10, 2)),
-                   rng.normal((0, 3), 0.4, (10, 2))])
-    y = np.repeat([1, 2, 3], 10)
-    model = svm_train_multiclass(x, y, SvmParams())
-    path = tmp_path / "svm.model"
-    save_model(model, path)
-    again = load_model(path)
-    probe = rng.normal(1.5, 2.0, (30, 2))
-    assert np.array_equal(svm_predict(model, probe), svm_predict(again, probe))
-    for (pa, ma), (pb, mb) in zip(model.machines, again.machines):
-        assert pa == pb
-        assert ma.bias == mb.bias
-        assert np.array_equal(ma.dual_coef, mb.dual_coef)
+    front, model = fit_chain("pca", "svm")
+    save_model(front, model, tmp_path / "chain.model")
+    front_again, model_again = load_model(tmp_path / "chain.model")
+    probe = np.random.default_rng(4).normal(1.5, 2.0, (30, 12))
+    for rows in (probe, probe[:1]):   # BLAS takes another path for one row
+        assert front_again.scores(rows).tobytes() == front.scores(rows).tobytes()
+        assert np.array_equal(svm_predict(model_again, front_again.scores(rows)),
+                              svm_predict(model, front.scores(rows)))
 
 
 def test_mlp_round_trip(tmp_path):
-    rng = np.random.default_rng(4)
-    x = rng.normal(0, 1, (15, 3))
-    t = rng.uniform(0, 50, 15)
-    model = mlp.mlp_train(x, t, mlp.MlpConfig(input_dim=3, epochs=20, seed=2))
-    path = tmp_path / "mlp.model"
-    save_model(model, path)
-    again = load_model(path)
-    assert np.array_equal(mlp.mlp_forward(model, x), mlp.mlp_forward(again, x))
-    assert np.array_equal(model.loss_trace, again.loss_trace)
-    assert again.config == model.config
+    front, model = fit_chain("kpca", "mlp")
+    save_model(front, model, tmp_path / "chain.model")
+    front_again, model_again = load_model(tmp_path / "chain.model")
+    probe = np.random.default_rng(5).normal(1.5, 2.0, (30, 12))
+    for rows in (probe, probe[:1]):
+        assert np.array_equal(mlp.mlp_forward(model_again, front_again.scores(rows)),
+                              mlp.mlp_forward(model, front.scores(rows)))
+    assert model_again.config == model.config

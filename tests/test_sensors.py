@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enose import sensors as sn
-from oracles import grid_min_power_law
+from oracles import grid_min_power_law, power_law_sse
 
 QUIET = dict(noise_sigma=0.0, drift_rate=0.0)
 
@@ -56,7 +56,7 @@ class TestSteadySensitivity:
         excess = [sn.saturating_target(c, s_max, c_half) for c in grid]
         a_fit, b_fit = sn.fit_power_law(grid, excess)
         a_gr, b_gr, sse_gr = grid_min_power_law(grid, excess)
-        sse_fit = sn.power_law_sse(a_fit, b_fit, grid, excess)
+        sse_fit = power_law_sse(a_fit, b_fit, grid, excess)
         # the 1-D scan with closed-form amplitude must beat (or match) the
         # coarse 2-D grid minimum, and land in the same basin
         assert sse_fit <= sse_gr + 1e-9
