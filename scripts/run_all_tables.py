@@ -2,7 +2,9 @@
 """Run the three mixture experiments end to end and print a summary.
 
 Classification accuracy plus the acetone-regression metrics for each
-built-in table, on one seed.  Reports land in --out/<table>/ when given.
+built-in table, on one seed, with the settings of the --config file (the
+same `key = value` file `enose bench --config` reads).  Reports land in
+--out/<table>/ when given.
 """
 
 import argparse
@@ -10,23 +12,22 @@ import time
 
 from enose.bench import (PipelineConfig, TABLES, run_experiment,
                          run_regression_experiment, prepare_features)
+from enose.config import read_config
 from enose.report import emit_report
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--features", choices=("pca", "kpca"), default="pca")
-    ap.add_argument("--noise", type=float, default=None)
     ap.add_argument("--out", default=None, help="directory for report files")
+    ap.add_argument("--config", default=None, help="flat key = value config file")
     args = ap.parse_args()
 
-    kwargs = {"features": args.features}
-    if args.noise is not None:
-        kwargs["noise_sigma"] = args.noise
-    config = PipelineConfig(**kwargs)
+    config = PipelineConfig()
+    if args.config:
+        config = config.updated(read_config(args.config))
 
-    print(f"seed={args.seed} features={args.features} "
+    print(f"seed={args.seed} features={config.features} "
           f"noise={config.noise_sigma}")
     print(f"{'table':<18} {'accuracy':>9} {'rmse_ppm':>9} {'mae_ppm':>9} "
           f"{'r2':>7} {'time_s':>7}")

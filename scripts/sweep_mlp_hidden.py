@@ -2,7 +2,9 @@
 """Sweep the regressor's hidden-layer width on one mixture table.
 
 The right hidden size is an empirical matter; this prints test rmse/mae/r2
-for a range of widths so the trade-off is visible at a glance.
+for a range of widths so the trade-off is visible at a glance.  Every
+other setting comes from the --config file (the same `key = value` file
+`enose bench --config` reads).
 """
 
 import argparse
@@ -10,6 +12,7 @@ import dataclasses
 
 from enose.bench import PipelineConfig, get_table, prepare_features, \
     run_regression_experiment
+from enose.config import read_config
 
 
 def main():
@@ -19,21 +22,19 @@ def main():
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--widths", default="4,8,16,32",
                     help="comma-separated hidden sizes")
-    ap.add_argument("--epochs", type=int, default=150)
-    ap.add_argument("--noise", type=float, default=None)
+    ap.add_argument("--config", default=None, help="flat key = value config file")
     args = ap.parse_args()
 
     base = PipelineConfig()
-    if args.noise is not None:
-        base = dataclasses.replace(base, noise_sigma=args.noise)
+    if args.config:
+        base = base.updated(read_config(args.config))
     table = get_table(args.table)
     prepared = prepare_features(table, base, args.seed)
 
-    print(f"table={table.id} seed={args.seed} epochs={args.epochs}")
+    print(f"table={table.id} seed={args.seed} epochs={base.mlp_epochs}")
     print(f"{'hidden':>7} {'rmse_ppm':>9} {'mae_ppm':>9} {'r2':>8} {'epochs_run':>11}")
     for width in (int(w) for w in args.widths.split(",")):
-        config = dataclasses.replace(base, mlp_hidden=(width,),
-                                     mlp_epochs=args.epochs)
+        config = dataclasses.replace(base, mlp_hidden=(width,))
         rep = run_regression_experiment(table, config, args.seed,
                                         prepared=prepared)
         r2 = "undef" if rep.r2 is None else f"{rep.r2:8.4f}"

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .sensors import ADC_LEVELS, ADC_MAX, ADC_VREF, GASES, GasMixture
+from .config import parse_config_text
+from .sensors import ADC_LEVELS, ADC_MAX, ADC_VREF, GASES, SAMPLE_RATE_HZ, GasMixture
 
 SESSION_HEADER = "t_ms,raw1,raw2,raw3,raw4"
 MALFORMED_FRACTION_LIMIT = 0.10
@@ -63,7 +64,7 @@ class Session:
     counts: np.ndarray
     label: int = 0
     mixture: GasMixture | None = None
-    sample_rate_hz: float = 10.0
+    sample_rate_hz: float = SAMPLE_RATE_HZ
 
     def __post_init__(self):
         t = _readonly_int64(self.t_ms, "t_ms")
@@ -76,7 +77,7 @@ class Session:
             raise ValueError(f"counts must have shape ({t.size}, 4), got {counts.shape}")
         if self.label not in (0, 1, 2, 3):
             raise ValueError(f"label must be 0..3, got {self.label}")
-        if self.sample_rate_hz <= 0:
+        if not self.sample_rate_hz > 0:
             raise ValueError("sample_rate_hz must be > 0")
         if t[0] < 0:
             raise ValueError("t_ms must be >= 0")
@@ -210,7 +211,7 @@ def _scan_frames(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parse_stream(lines, label: int = 0, mixture: GasMixture | None = None,
-                 sample_rate_hz: float = 10.0) -> Session:
+                 sample_rate_hz: float = SAMPLE_RATE_HZ) -> Session:
     """Parse an iterable of frame lines into a Session.
 
     Each line is stripped; blank lines, `#` comments and the canonical
@@ -289,6 +290,10 @@ def frame_lines(t_ms, counts) -> list[str]:
     return chars[keep].tobytes().decode("ascii").splitlines()
 
 
+# The `<name>.meta` sidecar's keys, in the order `write_meta` writes them.
+META_KEYS = ("label", *(f"{gas}_ppm" for gas in GASES), "sample_rate_hz")
+
+
 def meta_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".meta")
 
@@ -299,36 +304,34 @@ def write_meta(record, csv_path) -> None:
     `record` is anything with `label`, `mixture` and `sample_rate_hz`.
     """
     mix = record.mixture or GasMixture()
-    meta_path(csv_path).write_text("\n".join([
-        f"label={record.label}",
-        f"acetone_ppm={mix.acetone_ppm!r}",
-        f"ethanol_ppm={mix.ethanol_ppm!r}",
-        f"methanol_ppm={mix.methanol_ppm!r}",
-        f"sample_rate_hz={record.sample_rate_hz!r}",
-    ]) + "\n")
+    values = [record.label, *(repr(c) for c in mix.as_tuple()), repr(record.sample_rate_hz)]
+    meta_path(csv_path).write_text(
+        "".join(f"{key}={value}\n" for key, value in zip(META_KEYS, values)))
 
 
 def read_meta(csv_path) -> dict:
     """`label`, `mixture` and `sample_rate_hz` from the CSV's sidecar.
 
-    Without a sidecar the defaults apply: label 0, no mixture, 10 Hz.
+    Without a sidecar the defaults apply: label 0, no mixture and
+    SAMPLE_RATE_HZ.  A sidecar is read with the config-file syntax and must
+    hold each of the META_KEYS once and nothing else.
     """
     mp = meta_path(csv_path)
     if not mp.exists():
-        return {"label": 0, "mixture": None, "sample_rate_hz": 10.0}
-    entries: dict[str, str] = {}
-    for line in mp.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
-    return {
-        "label": int(entries.get("label", "0")),
-        "mixture": GasMixture(*(float(entries.get(f"{gas}_ppm", "0"))
-                                for gas in GASES)),
-        "sample_rate_hz": float(entries.get("sample_rate_hz", "10.0")),
-    }
+        return {"label": 0, "mixture": None, "sample_rate_hz": SAMPLE_RATE_HZ}
+    try:
+        entries = parse_config_text(mp.read_text())
+        for key in entries:
+            if key not in META_KEYS:
+                raise ValueError(f"unknown key {key!r}")
+        for key in META_KEYS:
+            if key not in entries:
+                raise ValueError(f"missing key {key!r}")
+        return {"label": int(entries["label"]),
+                "mixture": GasMixture(*(float(entries[f"{gas}_ppm"]) for gas in GASES)),
+                "sample_rate_hz": float(entries["sample_rate_hz"])}
+    except ValueError as exc:
+        raise ValueError(f"{mp}: {exc}") from exc
 
 
 def write_session(session: Session, csv_path) -> None:

@@ -19,14 +19,13 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .acquisition import Session, frame_lines, parse_stream
 from .features import (KpcaModel, PcaModel, extract_features, kpca_fit,
-                       kpca_transform, pca_fit, pca_transform, stack_features)
+                       kpca_transform, pca_fit, pca_transform)
 from .mlp import MlpConfig, evaluate_regression, mlp_forward, mlp_train
 from .preprocess import FilterConfig, Standardizer, fit_standardizer, process_session
 from .report import (RegressionReport, RunReport, classification_metrics)
@@ -384,8 +383,10 @@ def prepare_features(table: ExperimentTable, config: PipelineConfig,
     processed = _stage("preprocess",
                        lambda ss: [process_session(s, config.filter) for s in ss],
                        sessions)
-    fvs = _stage("extract", lambda ps: [extract_features(p) for p in ps], processed)
-    x, y, conc = stack_features(fvs)
+    x = _stage("extract", lambda ps: np.array([extract_features(p) for p in ps]),
+               processed)
+    y = np.array([s.label for s in sessions], dtype=np.int64)
+    conc = np.array([s.mixture.as_tuple() for s in sessions], dtype=float)
 
     train_idx, test_idx = _stage("split", stratified_split, y,
                                  table.n_train, table.n_test, seed)
@@ -400,7 +401,6 @@ def run_experiment(table_id: str | ExperimentTable,
                    seed: int = 0,
                    prepared: FeatureSplit | None = None) -> RunReport:
     """Full classification experiment; deterministic for a fixed seed."""
-    t0 = time.perf_counter()
     table = get_table(table_id) if isinstance(table_id, str) else table_id
     fs = prepared if prepared is not None else prepare_features(table, config, seed)
     y, train_idx, test_idx = fs.y, fs.train_idx, fs.test_idx
@@ -423,7 +423,6 @@ def run_experiment(table_id: str | ExperimentTable,
         config_echo=(("n_train", str(table.n_train)),
                      ("n_test", str(table.n_test))) + config.echo(),
         notes=table.notes,
-        wall_time_s=time.perf_counter() - t0,
     )
 
 
@@ -432,7 +431,6 @@ def run_regression_experiment(table_id: str | ExperimentTable,
                               seed: int = 0,
                               prepared: FeatureSplit | None = None) -> RegressionReport:
     """Same pipeline, but an MLP predicting the acetone concentration."""
-    t0 = time.perf_counter()
     table = get_table(table_id) if isinstance(table_id, str) else table_id
     fs = prepared if prepared is not None else prepare_features(table, config, seed)
     train_idx, test_idx = fs.train_idx, fs.test_idx
@@ -452,5 +450,4 @@ def run_regression_experiment(table_id: str | ExperimentTable,
         config_echo=(("n_train", str(table.n_train)),
                      ("n_test", str(table.n_test))) + config.echo(),
         notes=table.notes,
-        wall_time_s=time.perf_counter() - t0,
     )

@@ -1,16 +1,17 @@
 """Command line interface.
 
-    enose simulate    --table binary-ethanol --seed 42 --out sessions/
+    enose simulate    --table binary-ethanol --seed 42 --out sessions/ [--config run.conf]
     enose ingest      --in frames.txt --out session.csv
-    enose preprocess  --in session.csv --out processed.csv
+    enose preprocess  --in session.csv --out processed.csv [--config run.conf]
     enose train-svm   --in features.csv --model out.svm [--config run.conf]
     enose classify    --model out.svm --in features.csv --report report.csv
     enose train-mlp   --in features.csv --model out.mlp [--config run.conf] [--seed 42]
     enose predict     --model out.mlp --in features.csv --report pred.csv
     enose bench       --table ternary --seed 7 --out results/ [--features kpca]
 
-`train-svm`/`train-mlp` fit bench's chain (standardize, PCA or KPCA, then
-the model) on a features CSV with the settings of `--config`, and save it
+Run settings come only from the `--config` file; `bench --features` is
+the one flag that sets one.  `train-svm`/`train-mlp` fit bench's chain (standardize, PCA or
+KPCA, then the model) on a features CSV with those settings, and save it
 as one model file that `classify`/`predict` apply.
 
 Every failure exits nonzero with a `[stage=...]` tagged message.
@@ -43,13 +44,13 @@ TABLE_CHOICES = ("binary-ethanol", "binary-methanol", "ternary")
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    """Defaults <- config file <- command line flags."""
+    """Defaults <- `--config` file <- `bench --features`."""
     cfg = PipelineConfig()
-    if getattr(args, "config", None):
+    if args.config:
         cfg = cfg.updated(configmod.read_config(args.config))
-    flags = {"features": getattr(args, "features", None),
-             "noise_sigma": getattr(args, "noise", None)}
-    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    if getattr(args, "features", None):
+        cfg = dataclasses.replace(cfg, features=args.features)
+    return cfg
 
 
 def cmd_simulate(args) -> int:
@@ -80,9 +81,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    cfg = _pipeline_config(args)
     session = acquisition.read_session(args.infile)
-    cfg = prep.FilterConfig(window_m=args.window, baseline_degree=args.degree)
-    processed = prep.process_session(session, cfg)
+    processed = prep.process_session(session, cfg.filter)
     prep.write_processed(processed, args.out)
     print(f"processed {processed.n} samples -> {args.out}")
     return 0
@@ -201,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True, choices=TABLE_CHOICES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--noise", type=float, default=None, help="override noise sigma")
     p.add_argument("--per-row", type=int, default=None,
                    help="sessions per mixture row (default: table split sizes)")
     p.add_argument("--config", default=None, help="flat key = value config file")
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="file or - for stdin")
     p.add_argument("--out", required=True)
     p.add_argument("--label", type=int, default=0)
-    p.add_argument("--rate", type=float, default=10.0)
+    p.add_argument("--rate", type=float, default=sensors.SAMPLE_RATE_HZ)
     p.add_argument("--acetone", type=float, default=0.0)
     p.add_argument("--ethanol", type=float, default=0.0)
     p.add_argument("--methanol", type=float, default=0.0)
@@ -220,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="smooth and detrend a session CSV")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--config", default=None, help="flat key = value config file")
     p.set_defaults(fn=cmd_preprocess)
 
     p = sub.add_parser("train-svm", help="fit bench's PCA/KPCA + SVM chain on a features CSV")
@@ -254,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--features", choices=("pca", "kpca"), default=None)
-    p.add_argument("--noise", type=float, default=None)
     p.add_argument("--regression", action="store_true",
                    help="run the MLP concentration experiment instead")
     p.add_argument("--config", default=None, help="flat key = value config file")

@@ -1,6 +1,6 @@
-"""Flat `key = value` config files (one parameter per line, # comments).
-
-`bench.PipelineConfig.updated` knows the keys and parses the values."""
+"""Flat `key = value` files (one setting per line, # comments): run
+configs and session `.meta` sidecars.  `bench.PipelineConfig.updated` and
+`acquisition.read_meta` know their keys and parse the values."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ from pathlib import Path
 
 
 def parse_config_text(text: str) -> dict[str, str]:
+    """Key -> value text; a line without `=`, an empty key or a key given
+    twice raises ValueError naming the line."""
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -19,10 +21,11 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise ValueError(f"line {lineno}: empty key")
+        if key in entries:
+            raise ValueError(f"line {lineno}: key {key!r} given twice")
         entries[key] = value.strip()
     return entries
 
 
 def read_config(path) -> dict[str, str]:
     return parse_config_text(Path(path).read_text())
-

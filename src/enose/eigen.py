@@ -26,6 +26,10 @@ START_BLOCK = 16
 MAX_ITER = 60
 # A Ritz pair (w_j, v_j) has converged when ||a v_j - w_j v_j|| <= RESIDUAL_TOL * w_0.
 RESIDUAL_TOL = 1e-11
+# `jacobi_eigh` stops once the off-diagonal Frobenius norm is at most
+# JACOBI_TOL times the whole matrix's, and raises after MAX_SWEEPS sweeps.
+JACOBI_TOL = 1e-12
+MAX_SWEEPS = 100
 
 
 def _checked_symmetric(a) -> np.ndarray:
@@ -49,7 +53,7 @@ def _round_robin_rounds(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def jacobi_eigh(a, tol: float = 1e-12, max_sweeps: int = 100):
+def jacobi_eigh(a):
     """Eigenvalues and eigenvectors of a symmetric matrix.
 
     Returns (w, v) with eigenvalues descending (ties keep diagonal
@@ -64,21 +68,21 @@ def jacobi_eigh(a, tol: float = 1e-12, max_sweeps: int = 100):
     base = float(np.sqrt(np.sum(a * a)))
     if base == 0.0:
         return np.zeros(n), v
-    floor_cut = tol * base / (10.0 * n)
+    floor_cut = JACOBI_TOL * base / (10.0 * n)
 
     m = n if n % 2 == 0 else n + 1
     rounds = _round_robin_rounds(m)
 
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         # off-diagonal Frobenius norm, computed directly (a difference of
         # squared norms cancels catastrophically near convergence)
         offmat = a - np.diag(np.diag(a))
         off = float(np.sqrt(np.sum(offmat * offmat)))
-        if off <= tol * base:
+        if off <= JACOBI_TOL * base:
             break
         # threshold sweep: skip rotations that are small against the
         # remaining off-diagonal mass; the cut shrinks with it, so the
-        # final accuracy is still set by tol alone
+        # final accuracy is still set by JACOBI_TOL alone
         skip_cut = max(floor_cut, 0.25 * off / n)
         for p_all, q_all in rounds:
             real = (p_all < n) & (q_all < n)
@@ -108,7 +112,7 @@ def jacobi_eigh(a, tol: float = 1e-12, max_sweeps: int = 100):
             v[:, p] = c * vp - s * vq
             v[:, q] = s * vp + c * vq
     else:
-        raise RuntimeError(f"Jacobi did not converge in {max_sweeps} sweeps")
+        raise RuntimeError(f"Jacobi did not converge in {MAX_SWEEPS} sweeps")
 
     w = np.diag(a).copy()
     order = np.argsort(-w, kind="stable")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .eigen import jacobi_eigh, leading_eigh, orient_columns
 from .preprocess import ProcessedSession
-from .sensors import BASELINE_S, EXPOSURE_S, GasMixture
+from .sensors import BASELINE_S, EXPOSURE_S
 
 N_FEATURES = 12
 FEATURES_HEADER = ",".join(
@@ -29,20 +29,15 @@ FEATURES_HEADER = ",".join(
 EIGENVALUE_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray  # 12 entries, channel-major (steady, slope, area)
-    label: int
-    mixture: GasMixture | None
+def extract_features(proc: ProcessedSession) -> np.ndarray:
+    """Deterministic 12-dim summary of one processed session.
 
-
-def extract_features(proc: ProcessedSession,
-                     exposure_start_s: float = BASELINE_S,
-                     exposure_end_s: float = BASELINE_S + EXPOSURE_S) -> FeatureVector:
-    """Deterministic 12-dim summary of one processed session."""
+    Channel-major (steady, slope, area) over the exposure window of the
+    standard protocol, BASELINE_S to BASELINE_S + EXPOSURE_S.
+    """
     rate = proc.sample_rate_hz
-    i0 = int(round(exposure_start_s * rate))
-    i1 = int(round(exposure_end_s * rate))
+    i0 = int(round(BASELINE_S * rate))
+    i1 = int(round((BASELINE_S + EXPOSURE_S) * rate))
     if proc.n < i1 or i1 - i0 < 2:
         raise ValueError(
             f"session has {proc.n} samples, exposure window needs {i1}")
@@ -58,16 +53,7 @@ def extract_features(proc: ProcessedSession,
         values[3 * ch:3 * ch + 3] = (steady, slope, area)
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite feature values")
-    return FeatureVector(values=values, label=proc.label, mixture=proc.mixture)
-
-
-def stack_features(fvs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """FeatureVector list -> (n x 12 matrix, labels, n x 3 ppm targets)."""
-    x = np.array([fv.values for fv in fvs], dtype=float)
-    y = np.array([fv.label for fv in fvs], dtype=np.int64)
-    conc = np.array(
-        [(fv.mixture or GasMixture()).as_tuple() for fv in fvs], dtype=float)
-    return x, y, conc
+    return values
 
 
 # --- PCA ------------------------------------------------------------------
@@ -106,10 +92,10 @@ def pca_fit(x, variance_threshold: float = 0.95) -> PcaModel:
     return PcaModel(mean=mean, components=v.T, eigenvalues=w, retained_k=retained)
 
 
-def pca_transform(model: PcaModel, x, k: int | None = None) -> np.ndarray:
-    k = model.retained_k if k is None else k
+def pca_transform(model: PcaModel, x) -> np.ndarray:
+    """Scores on the model's `retained_k` leading components."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    return (x - model.mean) @ model.components[:k].T
+    return (x - model.mean) @ model.components[:model.retained_k].T
 
 
 # --- kernel PCA -----------------------------------------------------------
@@ -198,15 +184,15 @@ def kpca_fit(x, gamma: float | None = None,
                      train_total_mean=total_mean, retained_k=retained)
 
 
-def kpca_transform(model: KpcaModel, x, k: int | None = None) -> np.ndarray:
-    """Project new points with the centred out-of-sample kernel rows."""
-    k_keep = model.retained_k if k is None else k
+def kpca_transform(model: KpcaModel, x) -> np.ndarray:
+    """Project new points on the model's `retained_k` leading components,
+    with the centred out-of-sample kernel rows."""
     kt = rbf_kernel(x, model.x_train, model.gamma)
     ktc = (kt
            - kt.mean(axis=1)[:, None]
            - model.train_row_means[None, :]
            + model.train_total_mean)
-    return ktc @ model.alphas[:, :k_keep]
+    return ktc @ model.alphas[:, :model.retained_k]
 
 
 # --- feature CSV ----------------------------------------------------------

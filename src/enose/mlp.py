@@ -7,6 +7,12 @@ produces the bit-identical model.  Inputs are z-scored and the target is
 min-max scaled to [0, 1] before training; predictions are mapped back to
 ppm on the way out.
 
+In the detector chain the inputs are PCA or KPCA scores of features that
+`bench.fit_front` has already z-scored, so they are centred, but each
+score's variance is its component's eigenvalue, not 1.  The model's own
+standardizer rescales them to unit variance.  It stays: without it every
+regression artifact and every saved MLP chain changes.
+
 `mlp_train` runs its per-sample steps inline under one `np.errstate`,
 since numpy's per-call overhead, not arithmetic, bounds a one-row step.
 Each layer keeps one (fan_in + 1, fan_out) block, its weights over its
@@ -34,11 +40,14 @@ LOSS_IMPROVEMENT_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class MlpConfig:
+    """No defaults: a run's values come from `bench.PipelineConfig.mlp_config`,
+    the one declaration of the MLP settings."""
+
     input_dim: int
-    hidden_layers: tuple[int, ...] = (16,)
-    lr: float = 0.01
-    epochs: int = 200
-    seed: int = 0
+    hidden_layers: tuple[int, ...]
+    lr: float
+    epochs: int
+    seed: int
 
     def __post_init__(self):
         if self.input_dim < 1 or any(h < 1 for h in self.hidden_layers):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import SESSION_HEADER, Session, write_meta
-from .sensors import GasMixture
+from .sensors import SAMPLE_RATE_HZ, GasMixture
 
 EDGE_FRACTION = 0.10
 
@@ -135,7 +135,7 @@ class ProcessedSession:
     channels: np.ndarray  # n x 4 processed voltages
     label: int = 0
     mixture: GasMixture | None = None
-    sample_rate_hz: float = 10.0
+    sample_rate_hz: float = SAMPLE_RATE_HZ
     config: FilterConfig = FilterConfig()
 
     @property

@@ -1,8 +1,8 @@
 """Experiment reports: metrics tables (CSV) and plots (hand-emitted SVG).
 
 Serialized artifacts are deterministic: floats are written with repr()
-and the volatile wall-time measurement is deliberately left out of every
-file, so two runs with the same seed produce byte-identical outputs.
+and no report holds a timing, so two runs with the same seed produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class RunReport:
     scores_2d: np.ndarray           # test samples in the first two components
     config_echo: tuple[tuple[str, str], ...]
     notes: tuple[str, ...] = ()
-    wall_time_s: float = 0.0        # never serialized
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,6 @@ class RegressionReport:
     loss_trace: np.ndarray
     config_echo: tuple[tuple[str, str], ...]
     notes: tuple[str, ...] = ()
-    wall_time_s: float = 0.0        # never serialized
 
 
 def classification_metrics(y_true, y_pred, classes):

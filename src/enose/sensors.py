@@ -228,6 +228,9 @@ def session_seed(seed: int, row: int, rep: int) -> int:
 
 # --- calibration ---------------------------------------------------------
 
+# Exponents the power-law fit scans before its golden-section refinement.
+B_GRID_SIZE = 400
+
 # Concentration grids the canonical response targets are pinned at.
 ACETONE_GRID_PPM = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0, 50.0, 100.0, 150.0, 200.0, 300.0)
 INTERFERENT_GRID_PPM = (1.0, 10.0, 20.0, 50.0, 100.0, 200.0)
@@ -246,11 +249,12 @@ TIO2_TARGETS = {
 }
 
 
-def fit_power_law(conc, excess, b_grid_size: int = 400) -> tuple[float, float]:
+def fit_power_law(conc, excess) -> tuple[float, float]:
     """Least-squares fit of excess = a * c**b with b in (0, 1].
 
     For fixed b the optimal amplitude is closed-form, so the fit reduces
-    to a 1-D scan over b followed by a golden-section refinement.
+    to a 1-D scan over B_GRID_SIZE values of b followed by a golden-section
+    refinement.
     """
     conc = np.asarray(conc, dtype=float)
     excess = np.asarray(excess, dtype=float)
@@ -264,7 +268,7 @@ def fit_power_law(conc, excess, b_grid_size: int = 400) -> tuple[float, float]:
         a = best_a(b)
         return float(np.sum((a * conc**b - excess) ** 2))
 
-    bs = np.linspace(1.0 / b_grid_size, 1.0, b_grid_size)
+    bs = np.linspace(1.0 / B_GRID_SIZE, 1.0, B_GRID_SIZE)
     errs = [sse(b) for b in bs]
     k = int(np.argmin(errs))
     lo = bs[max(0, k - 1)]

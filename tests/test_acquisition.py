@@ -290,6 +290,28 @@ class TestRoundTrip:
         session = acq.read_session(path)
         assert (session.label, session.mixture, session.sample_rate_hz) == (0, None, 10.0)
 
+    @pytest.mark.parametrize("text, message", [
+        # a misspelt key, a line with no `=` and three missing keys
+        ("labl=2\nacetone_ppm=5.0\ngarbage line\n", "line 3: expected 'key = value'"),
+        ("labl=2\nacetone_ppm=5.0\n", "unknown key 'labl'"),
+        ("label=2\nacetone_ppm=5.0\n", "missing key 'ethanol_ppm'"),
+        ("label=2\nlabel=3\n", "line 2: key 'label' given twice"),
+        ("label=two\nacetone_ppm=0\nethanol_ppm=0\nmethanol_ppm=0\nsample_rate_hz=10\n",
+         "invalid literal for int"),
+    ])
+    def test_bad_meta_rejected(self, tmp_path, text, message):
+        path = tmp_path / "session.csv"
+        path.write_text(acq.SESSION_HEADER + "\n0,1,2,3,4\n")
+        (tmp_path / "session.meta").write_text(text)
+        with pytest.raises(ValueError, match=f"session.meta: {message}"):
+            acq.read_meta(path)
+
+    def test_meta_keys_are_the_written_keys(self, tmp_path):
+        path = tmp_path / "session.csv"
+        acq.write_meta(acq.Session([0], [(1, 1, 1, 1)], label=3), path)
+        lines = (tmp_path / "session.meta").read_text().splitlines()
+        assert [line.partition("=")[0] for line in lines] == list(acq.META_KEYS)
+
 
 def one_frame(raw=(1, 1, 1, 1), t_ms=0):
     return [t_ms], [raw]
@@ -311,6 +333,9 @@ class TestSessionInvariants:
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError, match="sample_rate_hz"):
             acq.Session(*one_frame(), sample_rate_hz=0.0)
+        # a sidecar can say nan
+        with pytest.raises(ValueError, match="sample_rate_hz"):
+            acq.Session(*one_frame(), sample_rate_hz=float("nan"))
 
     def test_counts_outside_12_bits_rejected(self):
         with pytest.raises(ValueError, match="4095"):

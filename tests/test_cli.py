@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enose import config as cfg
-from enose.acquisition import read_session, write_session
+from enose.acquisition import Session, read_session, write_session
 from enose.bench import PipelineConfig
 from enose.cli import main
 from enose.features import N_FEATURES, write_features_csv
 from enose.preprocess import FilterConfig
+from enose.sensors import GasMixture
 
 from test_report import read_metrics_csv
 
@@ -60,6 +61,10 @@ class TestConfigFiles:
             cfg.parse_config_text("= 3")
         with pytest.raises(ValueError, match="unknown config key"):
             PipelineConfig().updated({"volume": "11"})
+
+    def test_key_given_twice_rejected(self):
+        with pytest.raises(ValueError, match="line 3: key 'svm_c' given twice"):
+            cfg.parse_config_text("svm_c = 1\n# tuned\nsvm_c = 2\n")
 
     def test_hidden_sizes(self):
         assert PipelineConfig().updated({"mlp_hidden": "8 4"}).mlp_hidden == (8, 4)
@@ -135,11 +140,19 @@ def separable_features(rng, n_per=20):
     return x, y, conc
 
 
+def small_session(n=60):
+    """A labelled 10 Hz session of n random frames."""
+    counts = np.random.default_rng(0).integers(500, 3000, (n, 4))
+    return Session(np.arange(n) * 100, counts, label=1, mixture=GasMixture(50, 0, 0))
+
+
 class TestCliWorkflows:
     def test_simulate_writes_sessions_and_meta(self, tmp_path, capsys):
+        conf = tmp_path / "sim.conf"
+        conf.write_text("noise_sigma = 0\n")
         out = tmp_path / "sessions"
         rc = main(["simulate", "--table", "binary-ethanol", "--seed", "3",
-                   "--out", str(out), "--per-row", "1", "--noise", "0"])
+                   "--out", str(out), "--per-row", "1", "--config", str(conf)])
         assert rc == 0
         csvs = sorted(out.glob("session_*.csv"))
         metas = sorted(out.glob("session_*.meta"))
@@ -161,12 +174,14 @@ class TestCliWorkflows:
         meta = (tmp_path / "session.meta").read_text()
         assert "label=1" in meta and "acetone_ppm=50.0" in meta
 
+        conf = tmp_path / "filter.conf"
+        conf.write_text("window_m = 3\nbaseline_degree = 1\n")
         processed_csv = tmp_path / "processed.csv"
         rc = main(["preprocess", "--in", str(session_csv), "--out",
-                   str(processed_csv), "--window", "3", "--degree", "1"])
+                   str(processed_csv), "--config", str(conf)])
         assert rc == 0
         text = processed_csv.read_text()
-        assert text.startswith("# window_m = 3")
+        assert text.startswith("# window_m = 3\n# baseline_degree = 1\n")
 
     @pytest.mark.parametrize("source", ["file", "stdin"])
     def test_ingest_splits_lines_as_read_session_does(self, tmp_path, monkeypatch,
@@ -305,17 +320,35 @@ class TestCliRoundTrip:
         assert len(cli) == 80 and cli == bench
 
 
-def corrupted_copies(lines: list[str]):
-    """(case, lines) for every corruption of a model file's lines: cut at
-    each section boundary, each line missing, each line doubled, and the
-    body under an old v1 header."""
-    for i, line in enumerate(lines):
-        if line.startswith("section "):
-            yield f"cut before line {i + 1}", lines[:i]
+def corrupted_copies(lines: list[str], cuts=None):
+    """(case, lines) for every corruption of a file's lines: cut before each
+    line index in `cuts` (every line when None), each line missing, each
+    line doubled, and each line with its first character replaced by
+    \xff."""
+    for i in range(len(lines)) if cuts is None else cuts:
+        yield f"cut before line {i + 1}", lines[:i]
     for i in range(len(lines)):
         yield f"line {i + 1} missing", lines[:i] + lines[i + 1:]
         yield f"line {i + 1} doubled", lines[:i + 1] + lines[i:]
-    yield "v1 header", ["enose-model v1 svm", *lines[1:]]
+        yield f"line {i + 1} starts with \\xff", [*lines[:i], "\xff" + lines[i][1:],
+                                                 *lines[i + 1:]]
+
+
+def failures_of(main_argv, path, cases, capsys, allow_success: bool,
+                tag: str = "error [stage="):
+    """Write each case's lines to `path` and run `enose main_argv`; the
+    cases that did not end in exit 2 with a message starting with `tag`
+    (or in exit 0, when `allow_success`), or that printed a traceback."""
+    failures = []
+    for case, corrupted in cases:
+        path.write_text("".join(line + "\n" for line in corrupted))
+        capsys.readouterr()
+        rc = main(main_argv)
+        err = capsys.readouterr().err
+        stage_tagged = rc == 2 and err.startswith(tag)
+        if not (stage_tagged or (allow_success and rc == 0)) or "Traceback" in err:
+            failures.append((case, rc, err))
+    return failures
 
 
 class TestModelFileCorruption:
@@ -336,22 +369,53 @@ class TestModelFileCorruption:
         assert main([train, "--in", str(feat), "--model", str(model),
                      "--config", str(conf)]) == 0
         lines = model.read_text().splitlines()
-        assert sum(line.startswith("section ") for line in lines) == 3
+        sections = [i for i, line in enumerate(lines) if line.startswith("section ")]
+        assert len(sections) == 3
 
         bad = tmp_path / "bad.model"
         report = tmp_path / "report.csv"
-        loaded = []
-        for case, corrupted in corrupted_copies(lines):
-            bad.write_text("".join(line + "\n" for line in corrupted))
-            capsys.readouterr()
-            rc = main([apply, "--model", str(bad), "--in", str(feat),
-                       "--report", str(report)])
-            err = capsys.readouterr().err
-            if rc != 2 or not err.startswith(f"error [stage={apply}] ") \
-                    or "Traceback" in err:
-                loaded.append((case, rc, err))
-        assert loaded == []
+        cases = [*corrupted_copies(lines, cuts=sections),
+                 ("v1 header", ["enose-model v1 svm", *lines[1:]])]
+        argv = [apply, "--model", str(bad), "--in", str(feat), "--report", str(report)]
+        failures = failures_of(argv, bad, cases, capsys, allow_success=False,
+                               tag=f"error [stage={apply}] ")
+        assert failures == []
         assert not report.exists()
+
+
+class TestInputCorruption:
+    """Every corruption of a features CSV, a session CSV or a config file
+    ends in exit 0 or in exit 2 with a stage-tagged message, and never in
+    a traceback."""
+
+    def test_features_csv_through_train_svm(self, tmp_path, capsys):
+        x, y, conc = separable_features(np.random.default_rng(1), n_per=8)
+        feat = tmp_path / "features.csv"
+        write_features_csv(feat, x, y, conc)
+        lines = feat.read_text().splitlines()
+        argv = ["train-svm", "--in", str(feat), "--model", str(tmp_path / "out.model")]
+        assert failures_of(argv, feat, corrupted_copies(lines), capsys,
+                           allow_success=True) == []
+
+    def test_session_csv_through_preprocess(self, tmp_path, capsys):
+        session_csv = tmp_path / "session.csv"
+        write_session(small_session(), session_csv)
+        lines = session_csv.read_text().splitlines()
+        argv = ["preprocess", "--in", str(session_csv),
+                "--out", str(tmp_path / "processed.csv")]
+        assert failures_of(argv, session_csv, corrupted_copies(lines), capsys,
+                           allow_success=True) == []
+
+    def test_config_file_through_train_svm(self, tmp_path, capsys):
+        x, y, conc = separable_features(np.random.default_rng(1), n_per=8)
+        feat = tmp_path / "features.csv"
+        write_features_csv(feat, x, y, conc)
+        conf = tmp_path / "run.conf"
+        lines = [f"{key} = {value}" for key, value in PipelineConfig().echo()]
+        argv = ["train-svm", "--in", str(feat), "--model", str(tmp_path / "out.model"),
+                "--config", str(conf)]
+        assert failures_of(argv, conf, corrupted_copies(lines), capsys,
+                           allow_success=True) == []
 
 
 class TestCliErrors:
@@ -456,17 +520,17 @@ class TestCliErrors:
         assert f"[stage=bench] {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("args, line, message", [
-        (["--noise", "-0.1"], "", "noise_sigma must be finite and >= 0"),
-        ([], "tau_fall = 0", "tau_fall must be > 0"),
-        ([], "drift_rate = inf", "drift_rate must be finite"),
+    @pytest.mark.parametrize("line, message", [
+        ("noise_sigma = -0.1", "noise_sigma must be finite and >= 0"),
+        ("tau_fall = 0", "tau_fall must be > 0"),
+        ("drift_rate = inf", "drift_rate must be finite"),
     ])
-    def test_simulate_rejects_bad_run_setting(self, tmp_path, capsys, args, line, message):
+    def test_simulate_rejects_bad_run_setting(self, tmp_path, capsys, line, message):
         conf = tmp_path / "run.conf"
         conf.write_text(line + "\n")
         out = tmp_path / "sessions"
         rc = main(["simulate", "--table", "ternary", "--per-row", "1",
-                   "--out", str(out), "--config", str(conf), *args])
+                   "--out", str(out), "--config", str(conf)])
         assert rc == 2
         assert f"[stage=simulate] {message}" in capsys.readouterr().err
         assert not out.exists()
@@ -479,6 +543,44 @@ class TestCliErrors:
                    "--out", str(out), "--config", str(conf)])
         assert rc == 2
         assert "[stage=simulate] c_penalty must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_preprocess_checks_the_model_settings(self, tmp_path, capsys):
+        session_csv = tmp_path / "session.csv"
+        write_session(small_session(), session_csv)
+        conf = tmp_path / "run.conf"
+        conf.write_text("svm_c = -1\n")
+        out = tmp_path / "processed.csv"
+        rc = main(["preprocess", "--in", str(session_csv), "--out", str(out),
+                   "--config", str(conf)])
+        assert rc == 2
+        assert "[stage=preprocess] c_penalty must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_key_given_twice_stops_bench(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("svm_c = 1\nsvm_c = 2\n")
+        out = tmp_path / "results"
+        rc = main(["bench", "--table", "ternary", "--out", str(out),
+                   "--config", str(conf)])
+        assert rc == 2
+        assert "[stage=bench] line 2: key 'svm_c' given twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("meta, message", [
+        ("labl=2\n", "unknown key 'labl'"),
+        ("garbage line\n", "line 6: expected 'key = value', got 'garbage line'"),
+        ("label=2\n", "line 6: key 'label' given twice"),
+    ], ids=["misspelt-key", "garbage-line", "key-twice"])
+    def test_bad_meta_sidecar_stops_preprocess(self, tmp_path, capsys, meta, message):
+        session_csv = tmp_path / "session.csv"
+        write_session(small_session(), session_csv)
+        sidecar = tmp_path / "session.meta"
+        sidecar.write_text(sidecar.read_text() + meta)
+        out = tmp_path / "processed.csv"
+        rc = main(["preprocess", "--in", str(session_csv), "--out", str(out)])
+        assert rc == 2
+        assert f"[stage=preprocess] {sidecar}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_table(self, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,8 +28,8 @@ def processed_from(channels, label=1, mixture=None):
 class TestExtractFeatures:
     def test_flat_session_gives_zero_features(self):
         proc = processed_from(np.zeros((700, 4)))
-        fv = ft.extract_features(proc)
-        assert fv.values == pytest.approx(np.zeros(12), abs=1e-12)
+        values = ft.extract_features(proc)
+        assert values == pytest.approx(np.zeros(12), abs=1e-12)
 
     def test_analytic_step_response(self):
         # first-order rise of height h starting at the exposure window
@@ -38,8 +39,7 @@ class TestExtractFeatures:
         rise = np.where(t >= BASELINE_S,
                         h * (1.0 - np.exp(-(t - BASELINE_S) / tau)), 0.0)
         proc = processed_from(np.column_stack([rise] * 4))
-        fv = ft.extract_features(proc)
-        steady, slope, area = fv.values[0:3]
+        steady, slope, area = ft.extract_features(proc)[0:3]
         assert abs(steady - h) < 0.01 * h
         # max rise rate of the sampled curve is its first step
         expected_slope = h * (1.0 - math.exp(-0.1 / tau)) * RATE
@@ -54,7 +54,7 @@ class TestExtractFeatures:
         channels = rng.normal(0, 1, (700, 4))
         a = ft.extract_features(processed_from(channels))
         b = ft.extract_features(processed_from(channels.copy()))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_short_session_rejected(self):
         proc = processed_from(np.zeros((100, 4)))
@@ -70,14 +70,14 @@ class TestExtractFeatures:
         t_ms, counts = simulate_session(specs, standard_protocol(mix), seed=0)
         from enose.acquisition import Session
         session = Session(t_ms, counts, label=1, mixture=mix, sample_rate_hz=RATE)
-        fv = ft.extract_features(process_session(session, FilterConfig()))
+        values = ft.extract_features(process_session(session, FilterConfig()))
         for ch, spec in enumerate(specs):
             s = steady_sensitivity(spec, mix)
             height = divider_voltage(spec, spec.r_air / s) - divider_voltage(spec, spec.r_air)
             # trailing baseline anchors sit on the recovery tail, which
             # biases the fitted baseline up by a few percent of the height;
             # the bias is identical across sessions of a mixture
-            assert fv.values[3 * ch] == pytest.approx(height, rel=0.10)
+            assert values[3 * ch] == pytest.approx(height, rel=0.10)
 
 
 class TestPca:
@@ -112,7 +112,7 @@ class TestPca:
         rng = np.random.default_rng(3)
         x = rng.normal(0, 1, (50, 6)) @ np.diag([3, 2, 1.5, 1, 0.5, 0.1])
         model = ft.pca_fit(x)
-        scores = ft.pca_transform(model, x, k=6)
+        scores = ft.pca_transform(dataclasses.replace(model, retained_k=6), x)
         assert np.abs(scores.mean(axis=0)).max() < 1e-9
         var = scores.var(axis=0)  # population, matching the fit convention
         assert var == pytest.approx(model.eigenvalues, rel=1e-8)
@@ -121,7 +121,8 @@ class TestPca:
         rng = np.random.default_rng(5)
         x = rng.normal(0, 1, (20, 4))
         model = ft.pca_fit(x)
-        back = ft.pca_transform(model, x, k=4) @ model.components + model.mean
+        every = dataclasses.replace(model, retained_k=4)
+        back = ft.pca_transform(every, x) @ model.components + model.mean
         assert np.abs(back - x).max() < 1e-8
 
     def test_rotation_leaves_spectrum_unchanged(self):

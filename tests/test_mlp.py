@@ -17,7 +17,8 @@ def identity_standardizer(d):
 def hand_model(weights, biases, d, t_min=0.0, t_scale=1.0):
     ws = tuple(np.asarray(w, dtype=float) for w in weights)
     bs = tuple(np.asarray(b, dtype=float) for b in biases)
-    cfg = mlp.MlpConfig(input_dim=d, hidden_layers=tuple(w.shape[1] for w in ws[:-1]))
+    cfg = mlp.MlpConfig(input_dim=d, hidden_layers=tuple(w.shape[1] for w in ws[:-1]),
+                        lr=0.01, epochs=200, seed=0)
     return mlp.MlpModel(weights=ws, biases=bs,
                         standardizer=identity_standardizer(d),
                         target_min=t_min, target_scale=t_scale,
@@ -47,7 +48,8 @@ class TestForward:
         rng = np.random.default_rng(0)
         x = rng.normal(0, 1, (6, 4))
         t = rng.uniform(0, 10, 6)
-        model = mlp.mlp_train(x, t, mlp.MlpConfig(input_dim=4, epochs=5, seed=1))
+        model = mlp.mlp_train(x, t, mlp.MlpConfig(input_dim=4, hidden_layers=(16,),
+                                                  lr=0.01, epochs=5, seed=1))
         assert np.array_equal(mlp.mlp_forward(model, x), mlp.mlp_forward(model, x))
 
     def test_dimension_mismatch_rejected(self):
@@ -79,7 +81,7 @@ class TestTraining:
         rng = np.random.default_rng(4)
         x = rng.normal(0, 1, (25, 5))
         t = rng.uniform(0, 100, 25)
-        cfg = mlp.MlpConfig(input_dim=5, epochs=40, seed=9)
+        cfg = mlp.MlpConfig(input_dim=5, hidden_layers=(16,), lr=0.01, epochs=40, seed=9)
         a = mlp.mlp_train(x, t, cfg)
         b = mlp.mlp_train(x, t, cfg)
         for wa, wb in zip(a.weights, b.weights):
@@ -91,7 +93,7 @@ class TestTraining:
     def test_loss_trace_finite_and_non_increasing_when_gentle(self):
         x = np.linspace(-1.0, 1.0, 40).reshape(-1, 1)
         t = 3.0 * x[:, 0] + 5.0
-        cfg = mlp.MlpConfig(input_dim=1, lr=1e-3, epochs=120, seed=0)
+        cfg = mlp.MlpConfig(input_dim=1, hidden_layers=(16,), lr=1e-3, epochs=120, seed=0)
         model = mlp.mlp_train(x, t, cfg)
         trace = model.loss_trace
         assert np.all(np.isfinite(trace))
@@ -103,18 +105,19 @@ class TestTraining:
         x = rng.normal(0, 1, (10, 2))
         t = rng.uniform(0, 1, 10)
         with pytest.raises(RuntimeError, match="non-finite"):
-            mlp.mlp_train(x, t, mlp.MlpConfig(input_dim=2, lr=1e12, epochs=50,
-                                              seed=0))
+            mlp.mlp_train(x, t, mlp.MlpConfig(input_dim=2, hidden_layers=(16,),
+                                              lr=1e12, epochs=50, seed=0))
 
     def test_shape_validation(self):
+        settings = dict(hidden_layers=(16,), lr=0.01, epochs=200, seed=0)
         with pytest.raises(ValueError):
             mlp.mlp_train(np.zeros((4, 3)), np.zeros(5),
-                          mlp.MlpConfig(input_dim=3))
+                          mlp.MlpConfig(input_dim=3, **settings))
         with pytest.raises(ValueError):
             mlp.mlp_train(np.zeros((4, 3)), np.zeros(4),
-                          mlp.MlpConfig(input_dim=2))
+                          mlp.MlpConfig(input_dim=2, **settings))
         with pytest.raises(ValueError):
-            mlp.MlpConfig(input_dim=3, lr=0.0)
+            mlp.MlpConfig(input_dim=3, **{**settings, "lr": 0.0})
 
 
 def same_bits(a, b) -> bool:

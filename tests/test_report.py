@@ -34,7 +34,6 @@ def toy_report(n=12):
         scores_2d=rng.normal(0, 1, (n, 2)),
         config_echo=(("features", "pca"), ("svm_c", "10.0")),
         notes=("toy table",),
-        wall_time_s=1.23,
     )
 
 
@@ -69,14 +68,6 @@ class TestCsvEmission:
             assert metrics[f"precision_{c}"] == rep.precision[c]
             assert metrics[f"recall_{c}"] == rep.recall[c]
         assert metrics["confusion_1_2"] == rep.confusion[0, 1]
-
-    def test_wall_time_not_serialized(self, tmp_path):
-        rep = toy_report()
-        rp.emit_report(rep, tmp_path)
-        for path in tmp_path.iterdir():
-            text = path.read_text()
-            assert "1.23" not in text
-            assert "wall" not in text
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError, match="empty"):
