@@ -179,17 +179,17 @@ class PipelineConfig:
                 raise ValueError(f"{key} must be > 0")
         if not self.mlp_hidden:
             raise ValueError("mlp_hidden needs at least one layer size")
-        # build the model settings once for their checks; the real
-        # input_dim and seed are known only when a model is trained
+        # build the model settings once for their checks; the real seed
+        # is known only when a model is trained
         self.svm_params()
-        self.mlp_config(input_dim=1, seed=0)
+        self.mlp_config(seed=0)
 
     def svm_params(self) -> SvmParams:
         return SvmParams(c_penalty=self.svm_c, kernel=self.svm_kernel,
                          gamma=self.svm_gamma)
 
-    def mlp_config(self, input_dim: int, seed: int) -> MlpConfig:
-        return MlpConfig(input_dim=input_dim, hidden_layers=self.mlp_hidden,
+    def mlp_config(self, seed: int) -> MlpConfig:
+        return MlpConfig(hidden_layers=self.mlp_hidden,
                          lr=self.mlp_lr, epochs=self.mlp_epochs, seed=seed)
 
     def settings(self) -> dict[str, object]:
@@ -438,7 +438,7 @@ def run_regression_experiment(table_id: str | ExperimentTable,
 
     acetone = fs.conc[:, 0]
     model = _stage("train", mlp_train, z_train, acetone[train_idx],
-                   config.mlp_config(z_train.shape[1], seed))
+                   config.mlp_config(seed))
     preds = _stage("score", mlp_forward, model, z_test)
     metrics = evaluate_regression(preds, acetone[test_idx])
 

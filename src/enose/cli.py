@@ -132,7 +132,7 @@ def cmd_train_mlp(args) -> int:
     x, _, conc = features.read_features_csv(args.infile)
     front = bench.fit_front(x, cfg)
     z = front.scores(x)
-    model = mlp_train(z, conc[:, 0], cfg.mlp_config(z.shape[1], args.seed))
+    model = mlp_train(z, conc[:, 0], cfg.mlp_config(args.seed))
     modelio.save_model(front, model, args.model)
     print(f"trained MLP ({len(model.loss_trace)} epochs, "
           f"final loss {model.loss_trace[-1]:.3e}) -> {args.model}")

@@ -41,19 +41,21 @@ LOSS_IMPROVEMENT_FLOOR = 1e-9
 @dataclass(frozen=True)
 class MlpConfig:
     """No defaults: a run's values come from `bench.PipelineConfig.mlp_config`,
-    the one declaration of the MLP settings."""
+    the one declaration of the MLP settings.  The input width is the
+    training matrix's."""
 
-    input_dim: int
     hidden_layers: tuple[int, ...]
     lr: float
     epochs: int
     seed: int
 
     def __post_init__(self):
-        if self.input_dim < 1 or any(h < 1 for h in self.hidden_layers):
+        if any(h < 1 for h in self.hidden_layers):
             raise ValueError("layer sizes must be >= 1")
         if not self.lr > 0:
             raise ValueError("lr must be > 0")
+        if not np.isfinite(self.lr):
+            raise ValueError("lr must be finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -86,10 +88,10 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(e, d, out=e if out is None else out)
 
 
-def init_layers(config: MlpConfig):
+def init_layers(input_dim: int, config: MlpConfig):
     """Uniform +-1/sqrt(fan_in) weights, zero biases, from the seeded RNG."""
     rng = np.random.default_rng(config.seed)
-    sizes = (config.input_dim, *config.hidden_layers, 1)
+    sizes = (input_dim, *config.hidden_layers, 1)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         bound = 1.0 / np.sqrt(fan_in)
@@ -149,9 +151,8 @@ def mlp_train(x, targets_ppm, config: MlpConfig) -> MlpModel:
         raise ValueError("targets do not match the training matrix")
     if not np.all(np.isfinite(t)):
         raise ValueError("targets must be finite")
-    if x.shape[1] != config.input_dim:
-        raise ValueError(f"config expects input_dim={config.input_dim}, "
-                         f"data has {x.shape[1]}")
+    if x.shape[1] < 1:
+        raise ValueError("training matrix has no columns")
 
     std = fit_standardizer(x)
     xs = std.transform(x)
@@ -161,7 +162,7 @@ def mlp_train(x, targets_ppm, config: MlpConfig) -> MlpModel:
 
     # one (fan_in + 1, fan_out) block per layer, the weights over the bias
     # row, so that one outer product with a trailing-1.0 input updates both
-    blocks = [np.vstack((w, b)) for w, b in zip(*init_layers(config))]
+    blocks = [np.vstack((w, b)) for w, b in zip(*init_layers(x.shape[1], config))]
     grads = [np.empty_like(blk) for blk in blocks]
     weights = [blk[:-1] for blk in blocks]
     weights_t = [w.T for w in weights]
@@ -170,7 +171,7 @@ def mlp_train(x, targets_ppm, config: MlpConfig) -> MlpModel:
     # forward matmul and as a column view for the update: the training
     # rows, then the hidden activations, which the logistic writes in place
     n = xs.shape[0]
-    xs_aug = np.ones((n, config.input_dim + 1))
+    xs_aug = np.ones((n, x.shape[1] + 1))
     xs_aug[:, :-1] = xs
     x_rows = [xs_aug[i:i + 1, :-1] for i in range(n)]
     x_cols = [xs_aug[i:i + 1].T for i in range(n)]
@@ -249,8 +250,8 @@ def mlp_train(x, targets_ppm, config: MlpConfig) -> MlpModel:
 def mlp_forward(model: MlpModel, x) -> np.ndarray:
     """Predicted concentration in ppm for one sample or a batch."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != model.config.input_dim:
-        raise ValueError(f"expected {model.config.input_dim} inputs, got {x.shape[1]}")
+    if x.shape[1] != model.weights[0].shape[0]:
+        raise ValueError(f"expected {model.weights[0].shape[0]} inputs, got {x.shape[1]}")
     xs = model.standardizer.transform(x)
     out = _forward(list(model.weights), list(model.biases), xs)[-1][:, 0]
     return out * model.target_scale + model.target_min

@@ -11,11 +11,14 @@ line: `standardizer`, then `pca` or `kpca`, then `svm` or `mlp`.  The
 body is line oriented: `key value...` scalars, and matrices as a `matrix
 <name> <rows> <cols>` line followed by one space-separated row per line.
 Floats are written with repr() so a save/load round trip reproduces the
-chain bit for bit.
+chain bit for bit; a nan or inf is an error.  One table of fields per
+flat section type drives its writing and reading; `svm` and `mlp` nest
+them in code of their own.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,15 +38,13 @@ def _vec(values) -> str:
 
 def _mat_lines(name: str, m) -> list[str]:
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    lines = [f"matrix {name} {m.shape[0]} {m.shape[1]}"]
-    lines.extend(" ".join(repr(float(v)) for v in row) for row in m)
-    return lines
+    return [f"matrix {name} {m.shape[0]} {m.shape[1]}", *(_vec(row) for row in m)]
 
 
 class _Reader:
     def __init__(self, lines: list[str]):
-        self.lines = [ln.rstrip("\n") for ln in lines]
-        self.pos = 0
+        self.lines = lines
+        self.pos = 0   # lines consumed, so the 1-based number of the last one
 
     def next(self) -> str:
         while self.pos < len(self.lines) and not self.lines[self.pos].strip():
@@ -61,9 +62,25 @@ class _Reader:
             raise ValueError(f"expected field {key!r}, found {name!r}")
         return rest
 
-    def vec(self, key: str) -> np.ndarray:
-        rest = self.field(key)
-        return np.array([float(v) for v in rest.split()]) if rest else np.array([])
+    def floats(self, text: str) -> np.ndarray:
+        """The numbers in `text`, part of the last line read; all finite."""
+        try:
+            values = np.array([float(v) for v in text.split()])
+        except ValueError as exc:
+            raise ValueError(f"line {self.pos}: {exc}") from None
+        if not np.isfinite(values).all():
+            raise ValueError(f"line {self.pos}: non-finite number")
+        return values
+
+    def number(self, text: str) -> float:
+        if (values := self.floats(text)).size != 1:
+            raise ValueError(f"line {self.pos}: expected one number")
+        return float(values[0])
+
+    def flags(self, text: str) -> np.ndarray:
+        if any(v not in ("0", "1") for v in text.split()):
+            raise ValueError(f"line {self.pos}: flags must be 0 or 1")
+        return np.array([v == "1" for v in text.split()])
 
     def mat(self, name: str) -> np.ndarray:
         header = self.next().split()
@@ -72,104 +89,59 @@ class _Reader:
         rows, cols = int(header[2]), int(header[3])
         m = np.empty((rows, cols))
         for i in range(rows):
-            m[i] = [float(v) for v in self.next().split()]
+            row = self.floats(self.next())
+            if row.size != cols:
+                raise ValueError(f"line {self.pos}: expected {cols} numbers")
+            m[i] = row
         return m
 
 
-def _standardizer_lines(s: Standardizer) -> list[str]:
-    return [
-        f"mean {_vec(s.mean)}",
-        f"std {_vec(s.std)}",
-        "constant " + " ".join(str(int(c)) for c in s.constant),
-    ]
+def _scalar(write, read):
+    # a kind held on one `name text` line: write(value) -> text, read(r, text) -> value
+    return (lambda name, value: [f"{name} {write(value)}"],
+            lambda r, name: read(r, r.field(name)))
 
 
-def _read_standardizer(r: _Reader) -> Standardizer:
-    mean = r.vec("mean")
-    std = r.vec("std")
-    constant = np.array([bool(int(v)) for v in r.field("constant").split()])
-    return Standardizer(mean=mean, std=std, constant=constant)
+# Value kind -> (write, read): the lines of a named field, and its value
+# read back from them.
+_KINDS = {
+    "int": _scalar(str, lambda r, text: int(text)),
+    "float": _scalar(repr, _Reader.number),
+    "float|none": _scalar(lambda v: "none" if v is None else repr(v),
+                          lambda r, text: None if text == "none" else r.number(text)),
+    "str": _scalar(str, lambda r, text: text),
+    "vector": _scalar(_vec, _Reader.floats),
+    "flags": _scalar(lambda v: " ".join(str(int(c)) for c in v), _Reader.flags),
+    "matrix": (_mat_lines, _Reader.mat),
+}
+
+# Flat section type -> its fields, (name, kind), in file order.
+_FIELDS = {
+    Standardizer: (("mean", "vector"), ("std", "vector"), ("constant", "flags")),
+    PcaModel: (("retained_k", "int"), ("mean", "vector"), ("eigenvalues", "vector"),
+               ("components", "matrix")),
+    KpcaModel: (("retained_k", "int"), ("gamma", "float"), ("train_total_mean", "float"),
+                ("eigenvalues", "vector"), ("train_row_means", "vector"),
+                ("x_train", "matrix"), ("alphas", "matrix")),
+    BinarySvm: (("kernel", "str"), ("gamma", "float|none"), ("c_penalty", "float"),
+                ("bias", "float"), ("n_iter", "int"), ("objective", "float"),
+                ("dual_coef", "vector"), ("support_vectors", "matrix")),
+}
 
 
-def _pca_lines(m: PcaModel) -> list[str]:
-    return [
-        f"retained_k {m.retained_k}",
-        f"mean {_vec(m.mean)}",
-        f"eigenvalues {_vec(m.eigenvalues)}",
-        *_mat_lines("components", m.components),
-    ]
+def _field_lines(part) -> list[str]:
+    return [line for name, kind in _FIELDS[type(part)]
+            for line in _KINDS[kind][0](name, getattr(part, name))]
 
 
-def _read_pca(r: _Reader) -> PcaModel:
-    retained = int(r.field("retained_k"))
-    mean = r.vec("mean")
-    eigenvalues = r.vec("eigenvalues")
-    components = r.mat("components")
-    return PcaModel(mean=mean, components=components,
-                    eigenvalues=eigenvalues, retained_k=retained)
-
-
-def _kpca_lines(m: KpcaModel) -> list[str]:
-    return [
-        f"retained_k {m.retained_k}",
-        f"gamma {m.gamma!r}",
-        f"train_total_mean {m.train_total_mean!r}",
-        f"eigenvalues {_vec(m.eigenvalues)}",
-        f"train_row_means {_vec(m.train_row_means)}",
-        *_mat_lines("x_train", m.x_train),
-        *_mat_lines("alphas", m.alphas),
-    ]
-
-
-def _read_kpca(r: _Reader) -> KpcaModel:
-    retained = int(r.field("retained_k"))
-    gamma = float(r.field("gamma"))
-    total_mean = float(r.field("train_total_mean"))
-    eigenvalues = r.vec("eigenvalues")
-    row_means = r.vec("train_row_means")
-    x_train = r.mat("x_train")
-    alphas = r.mat("alphas")
-    return KpcaModel(x_train=x_train, gamma=gamma, alphas=alphas,
-                     eigenvalues=eigenvalues, train_row_means=row_means,
-                     train_total_mean=total_mean, retained_k=retained)
-
-
-def _binary_svm_lines(m: BinarySvm) -> list[str]:
-    return [
-        f"kernel {m.kernel}",
-        f"gamma {'none' if m.gamma is None else repr(m.gamma)}",
-        f"c_penalty {m.c_penalty!r}",
-        f"bias {m.bias!r}",
-        f"n_iter {m.n_iter}",
-        f"objective {m.objective!r}",
-        f"dual_coef {_vec(m.dual_coef)}",
-        *_mat_lines("support_vectors", m.support_vectors),
-    ]
-
-
-def _read_binary_svm(r: _Reader) -> BinarySvm:
-    kernel = r.field("kernel")
-    gamma_s = r.field("gamma")
-    gamma = None if gamma_s == "none" else float(gamma_s)
-    c_penalty = float(r.field("c_penalty"))
-    bias = float(r.field("bias"))
-    n_iter = int(r.field("n_iter"))
-    objective = float(r.field("objective"))
-    dual_coef = r.vec("dual_coef")
-    sv = r.mat("support_vectors")
-    return BinarySvm(support_vectors=sv, dual_coef=dual_coef, bias=bias,
-                     kernel=kernel, gamma=gamma, c_penalty=c_penalty,
-                     n_iter=n_iter, objective=objective)
+def _read_fields(cls, r: _Reader):
+    return cls(**{name: _KINDS[kind][1](r, name) for name, kind in _FIELDS[cls]})
 
 
 def _svm_lines(m: SvmModel) -> list[str]:
-    lines = [
-        "classes " + " ".join(str(c) for c in m.classes),
-        f"pairs {len(m.machines)}",
-    ]
+    lines = ["classes " + " ".join(str(c) for c in m.classes), f"pairs {len(m.machines)}"]
     for (ci, cj), machine in m.machines:
-        lines.append(f"pair {ci} {cj}")
-        lines.extend(_binary_svm_lines(machine))
+        lines += [f"pair {ci} {cj}", *_field_lines(machine)]
     return lines
 
 
@@ -179,64 +151,56 @@ def _read_svm(r: _Reader) -> SvmModel:
     machines = []
     for _ in range(n_pairs):
         ci, cj = (int(v) for v in r.field("pair").split())
-        machines.append(((ci, cj), _read_binary_svm(r)))
+        machines.append(((ci, cj), _read_fields(BinarySvm, r)))
     return SvmModel(classes=classes, machines=tuple(machines))
 
 
 def _mlp_lines(m: MlpModel) -> list[str]:
     cfg = m.config
-    lines = [
-        f"input_dim {cfg.input_dim}",
-        "hidden " + " ".join(str(h) for h in cfg.hidden_layers),
-        f"lr {cfg.lr!r}",
-        f"epochs {cfg.epochs}",
-        f"seed {cfg.seed}",
-        f"target_min {m.target_min!r}",
-        f"target_scale {m.target_scale!r}",
-        *_standardizer_lines(m.standardizer),
-        f"loss_trace {_vec(m.loss_trace)}",
-        f"layers {len(m.weights)}",
-    ]
+    lines = [f"input_dim {m.weights[0].shape[0]}",
+             "hidden " + " ".join(str(h) for h in cfg.hidden_layers),
+             f"lr {cfg.lr!r}", f"epochs {cfg.epochs}", f"seed {cfg.seed}",
+             f"target_min {m.target_min!r}", f"target_scale {m.target_scale!r}",
+             *_field_lines(m.standardizer),
+             f"loss_trace {_vec(m.loss_trace)}", f"layers {len(m.weights)}"]
     for i, (w, b) in enumerate(zip(m.weights, m.biases)):
-        lines.extend(_mat_lines(f"weight{i}", w))
-        lines.append(f"bias{i} {_vec(b)}")
+        lines += [*_mat_lines(f"weight{i}", w), f"bias{i} {_vec(b)}"]
     return lines
 
 
 def _read_mlp(r: _Reader) -> MlpModel:
     input_dim = int(r.field("input_dim"))
     hidden = tuple(int(h) for h in r.field("hidden").split())
-    lr = float(r.field("lr"))
+    lr = r.number(r.field("lr"))
     epochs = int(r.field("epochs"))
     seed = int(r.field("seed"))
-    target_min = float(r.field("target_min"))
-    target_scale = float(r.field("target_scale"))
-    std = _read_standardizer(r)
-    loss_trace = r.vec("loss_trace")
-    n_layers = int(r.field("layers"))
-    weights, biases = [], []
-    for i in range(n_layers):
-        weights.append(r.mat(f"weight{i}"))
-        biases.append(r.vec(f"bias{i}"))
-    cfg = MlpConfig(input_dim=input_dim, hidden_layers=hidden, lr=lr,
-                    epochs=epochs, seed=seed)
-    return MlpModel(weights=tuple(weights), biases=tuple(biases),
+    target_min = r.number(r.field("target_min"))
+    target_scale = r.number(r.field("target_scale"))
+    std = _read_fields(Standardizer, r)
+    loss_trace = r.floats(r.field("loss_trace"))
+    layers = [(r.mat(f"weight{i}"), r.floats(r.field(f"bias{i}")))
+              for i in range(int(r.field("layers")))]
+    if not layers or layers[0][0].shape[0] != input_dim:
+        raise ValueError(f"input_dim {input_dim} does not match the first weight matrix")
+    cfg = MlpConfig(hidden_layers=hidden, lr=lr, epochs=epochs, seed=seed)
+    return MlpModel(weights=tuple(w for w, _ in layers), biases=tuple(b for _, b in layers),
                     standardizer=std, target_min=target_min,
                     target_scale=target_scale, loss_trace=loss_trace, config=cfg)
 
 
-# Section name -> (fitted type, line writer, reader), per slot of the chain.
-_STANDARDIZER = {"standardizer": (Standardizer, _standardizer_lines, _read_standardizer)}
-_REDUCERS = {"pca": (PcaModel, _pca_lines, _read_pca),
-             "kpca": (KpcaModel, _kpca_lines, _read_kpca)}
-_MODELS = {"svm": (SvmModel, _svm_lines, _read_svm),
-           "mlp": (MlpModel, _mlp_lines, _read_mlp)}
+# Section name -> fitted type, per slot of the chain.
+_STANDARDIZER = {"standardizer": Standardizer}
+_REDUCERS = {"pca": PcaModel, "kpca": KpcaModel}
+_MODELS = {"svm": SvmModel, "mlp": MlpModel}
+# Fitted type -> (writer, reader) of its section's body.
+_CODECS = {cls: (_field_lines, partial(_read_fields, cls)) for cls in _FIELDS}
+_CODECS.update({SvmModel: (_svm_lines, _read_svm), MlpModel: (_mlp_lines, _read_mlp)})
 
 
 def _section_lines(part, sections) -> list[str]:
-    for name, (cls, writer, _) in sections.items():
+    for name, cls in sections.items():
         if isinstance(part, cls):
-            return [f"section {name}", *writer(part)]
+            return [f"section {name}", *_CODECS[cls][0](part)]
     raise TypeError(f"cannot serialize {type(part).__name__} "
                     f"as a {' or '.join(sections)} section")
 
@@ -245,7 +209,7 @@ def _read_section(r: _Reader, sections):
     name = r.field("section")
     if name not in sections:
         raise ValueError(f"expected a {' or '.join(sections)} section, found {name!r}")
-    return sections[name][2](r)
+    return _CODECS[sections[name]][1](r)
 
 
 def save_model(front: FittedFront, model: SvmModel | MlpModel, path) -> None:
@@ -262,11 +226,9 @@ def load_model(path) -> tuple[FittedFront, SvmModel | MlpModel]:
     lines = Path(path).read_text().splitlines()
     reader = _Reader(lines)
     header = reader.next().split()
-    if len(header) < 2 or header[0] != "enose-model":
-        raise ValueError(f"{path} is not a model file")
-    if header[1] != FORMAT_VERSION:
+    if header[:1] == ["enose-model"] and header[1:2] not in ([], [FORMAT_VERSION]):
         raise ValueError(f"unsupported model format version {header[1]}")
-    if len(header) != 2:
+    if header != ["enose-model", FORMAT_VERSION]:
         raise ValueError(f"{path} is not a model file")
     front = FittedFront(standardizer=_read_section(reader, _STANDARDIZER),
                         reducer=_read_section(reader, _REDUCERS))

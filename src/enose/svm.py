@@ -7,9 +7,9 @@ scans run in a fixed order, so training is fully deterministic.
 Multiclass problems train one binary machine per class pair and
 predict by majority vote.
 
-The solver stops once the violation gap is comfortably inside the
-requested tolerance, so the trained model satisfies the per-point KKT
-conditions at tol after the final bias is recomputed.
+The solver stops once the violation gap is comfortably inside SMO_TOL,
+so the trained model satisfies the per-point KKT conditions at that
+tolerance after the final bias is recomputed.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import default_gamma, rbf_kernel
+
+SMO_TOL = 1e-3          # KKT tolerance of a trained machine
+MAX_STEPS = 200_000     # cap on two-variable updates per machine
 
 
 class ConvergenceError(RuntimeError):
@@ -32,8 +35,6 @@ class SvmParams:
     c_penalty: float = 10.0
     kernel: str = "rbf"           # "linear" or "rbf"
     gamma: float | None = None    # None: 1/(d * median pairwise sq dist)
-    tol: float = 1e-3
-    max_passes: int = 200_000     # cap on two-variable updates
 
     def __post_init__(self):
         if not self.c_penalty > 0:
@@ -42,8 +43,10 @@ class SvmParams:
             raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.gamma is not None and not self.gamma > 0:
             raise ValueError("gamma must be > 0")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not np.isfinite(self.c_penalty):
+            raise ValueError("c_penalty must be finite")
+        if self.gamma is not None and not np.isfinite(self.gamma):
+            raise ValueError("gamma must be finite")
 
 
 def kernel_matrix(a, b, kernel: str, gamma: float | None) -> np.ndarray:
@@ -92,11 +95,10 @@ def kkt_max_violation(k, y, alpha, bias, c, bound_cut=1e-8):
 
 
 class _Smo:
-    def __init__(self, k: np.ndarray, y: np.ndarray, c: float, tol: float):
+    def __init__(self, k: np.ndarray, y: np.ndarray, c: float):
         self.k = k
         self.y = y
         self.c = c
-        self.tol = tol
         self.n = y.size
         self.alpha = np.zeros(self.n)
         self.bias = 0.0
@@ -172,16 +174,16 @@ class _Smo:
         low = ((self.y > 0) & ~near_lo) | ((self.y < 0) & ~near_hi)
         return up, low
 
-    def solve(self, max_steps: int) -> int:
+    def solve(self) -> int:
         """Maximal-violating-pair SMO.
 
         Optimality is the bias-free gap criterion: with E_i = f_i - y_i,
-        the dual is tol-optimal once max(E over the 'low' set) minus
+        the dual is SMO_TOL-optimal once max(E over the 'low' set) minus
         min(E over the 'up' set) drops below the stop gap.  The selected
         pair is the one maximizing |E_i - E_j| over eligible pairs.
         """
-        stop_gap = 0.8 * self.tol
-        while self.n_steps < max_steps:
+        stop_gap = 0.8 * SMO_TOL
+        while self.n_steps < MAX_STEPS:
             e = self.f - self.y
             up, low = self._eligible()
             if not up.any() or not low.any():
@@ -230,8 +232,8 @@ def svm_train_binary_with_duals(x, y, params: SvmParams = SvmParams()):
         gamma = default_gamma(x)
     k = kernel_matrix(x, x, params.kernel, gamma)
 
-    smo = _Smo(k, y, params.c_penalty, params.tol)
-    n_iter = smo.solve(params.max_passes)
+    smo = _Smo(k, y, params.c_penalty)
+    n_iter = smo.solve()
     alpha = np.clip(smo.alpha, 0.0, params.c_penalty)
 
     # final bias: mean over free support vectors, else midpoint of the

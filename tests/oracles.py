@@ -258,7 +258,7 @@ def mlp_train_per_call(x, targets_ppm, config: MlpConfig) -> MlpModel:
     t_scale = float(t.max() - t.min()) or 1.0
     ys = (t - t_min) / t_scale
 
-    weights, biases = init_layers(config)
+    weights, biases = init_layers(x.shape[1], config)
     rng = np.random.default_rng(config.seed)
     n = xs.shape[0]
     trace = []

@@ -115,7 +115,7 @@ def test_criterion_07_svm_oracle():
         if len(np.unique(y)) < 2:
             y[0] = -y[0]
         c = 5.0
-        params = SvmParams(c_penalty=c, kernel="rbf", gamma=0.8, tol=1e-3)
+        params = SvmParams(c_penalty=c, kernel="rbf", gamma=0.8)
         model, alpha, k = svm_train_binary_with_duals(x, y, params)
         alpha_pg, obj_pg = projected_gradient_dual(k, y, c)
         worst_gap = max(worst_gap, abs(model.objective - obj_pg))

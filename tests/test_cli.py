@@ -80,13 +80,16 @@ class TestConfigFiles:
         ("svm_c", "0", "c_penalty must be > 0"),
         ("svm_c", "-1", "c_penalty must be > 0"),
         ("svm_c", "nan", "c_penalty must be > 0"),
+        ("svm_c", "inf", "c_penalty must be finite"),
         ("svm_kernel", "poly", "unknown kernel 'poly'"),
         ("svm_gamma", "0", "gamma must be > 0"),
         ("svm_gamma", "-0.5", "gamma must be > 0"),
+        ("svm_gamma", "inf", "gamma must be finite"),
         ("mlp_hidden", "", "at least one layer size"),
         ("mlp_hidden", "8 0", "layer sizes must be >= 1"),
         ("mlp_lr", "0", "lr must be > 0"),
         ("mlp_lr", "nan", "lr must be > 0"),
+        ("mlp_lr", "inf", "lr must be finite"),
         ("mlp_epochs", "0", "epochs must be >= 1"),
     ])
     def test_model_settings_checked_when_built(self, key, text, message):
@@ -375,7 +378,10 @@ class TestModelFileCorruption:
         bad = tmp_path / "bad.model"
         report = tmp_path / "report.csv"
         cases = [*corrupted_copies(lines, cuts=sections),
-                 ("v1 header", ["enose-model v1 svm", *lines[1:]])]
+                 ("v1 header", ["enose-model v1 svm", *lines[1:]]),
+                 ("inf in the standardizer mean",
+                  [*lines[:2], lines[2].rsplit(" ", 1)[0] + " inf", *lines[3:]]),
+                 ("nan as the last number", [*lines[:-1], lines[-1].rsplit(" ", 1)[0] + " nan"])]
         argv = [apply, "--model", str(bad), "--in", str(feat), "--report", str(report)]
         failures = failures_of(argv, bad, cases, capsys, allow_success=False,
                                tag=f"error [stage={apply}] ")

@@ -3,14 +3,20 @@
 Criterion 09 checks that two runs of the same code agree; these digests
 check that a refactor reproduces the bytes the code wrote before it.  They
 cover the synthetic route (`bench`, PCA classification and MLP regression),
-`simulate --per-row`, and the lab route (`ingest` then `preprocess`) on a
-small hand-written dirty stream.  The floating-point artifacts depend on
+`simulate --per-row`, the lab route (`ingest` then `preprocess`) on a
+small hand-written dirty stream, and the model files `train-svm` and
+`train-mlp` save.  The floating-point artifacts depend on
 numpy's arithmetic; the digests were recorded with numpy 2.4 on x86-64.
 """
 
 import hashlib
 
+import numpy as np
+
 from enose.cli import main
+from enose.features import write_features_csv
+
+from test_modelio import training_data
 
 SEED = "42"
 
@@ -57,6 +63,14 @@ INGEST_PREPROCESS = {
         "df6454868a5f0718ebd71003a83f0e0da3cdb68eefeb15d8a52c59f0ffc40b29",
     "session.meta":
         "43b7e828fcf92e92a7ecf976239c346ba9c4b27bc49e844f140280cf1524f002",
+}
+
+# A pca-svm and a kpca-mlp chain between them hold every section type.
+MODEL_FILES = {
+    "kpca-mlp.model":
+        "fcee8034449a8393dc61cb73a8e21c3213e79bd02ea308c4e454e8718a3f0c12",
+    "pca-svm.model":
+        "2ca3e3ecc805810b8a96cbc23875dd4e548a9bc4d40031aa3241b7bf7f2238cc",
 }
 
 
@@ -116,3 +130,19 @@ def test_ingest_then_preprocess_dirty_stream(tmp_path):
     assert main(["preprocess", "--in", str(out / "session.csv"),
                  "--out", str(out / "processed.csv")]) == 0
     assert _digests(out) == INGEST_PREPROCESS
+
+
+def test_train_svm_and_train_mlp_model_files(tmp_path):
+    x, y, t = training_data()     # column 2 constant: covers the `constant` flags
+    feat = tmp_path / "features.csv"
+    write_features_csv(feat, x, y, np.column_stack([t, t / 10, np.zeros_like(t)]))
+    out = tmp_path / "out"
+    out.mkdir()
+    pca, kpca = tmp_path / "pca.cfg", tmp_path / "kpca.cfg"
+    pca.write_text("features = pca\n")
+    kpca.write_text("features = kpca\nmlp_epochs = 5\n")
+    assert main(["train-svm", "--in", str(feat), "--config", str(pca),
+                 "--model", str(out / "pca-svm.model")]) == 0
+    assert main(["train-mlp", "--in", str(feat), "--config", str(kpca), "--seed", SEED,
+                 "--model", str(out / "kpca-mlp.model")]) == 0
+    assert _digests(out) == MODEL_FILES

@@ -17,7 +17,7 @@ def identity_standardizer(d):
 def hand_model(weights, biases, d, t_min=0.0, t_scale=1.0):
     ws = tuple(np.asarray(w, dtype=float) for w in weights)
     bs = tuple(np.asarray(b, dtype=float) for b in biases)
-    cfg = mlp.MlpConfig(input_dim=d, hidden_layers=tuple(w.shape[1] for w in ws[:-1]),
+    cfg = mlp.MlpConfig(hidden_layers=tuple(w.shape[1] for w in ws[:-1]),
                         lr=0.01, epochs=200, seed=0)
     return mlp.MlpModel(weights=ws, biases=bs,
                         standardizer=identity_standardizer(d),
@@ -48,7 +48,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         x = rng.normal(0, 1, (6, 4))
         t = rng.uniform(0, 10, 6)
-        model = mlp.mlp_train(x, t, mlp.MlpConfig(input_dim=4, hidden_layers=(16,),
+        model = mlp.mlp_train(x, t, mlp.MlpConfig(hidden_layers=(16,),
                                                   lr=0.01, epochs=5, seed=1))
         assert np.array_equal(mlp.mlp_forward(model, x), mlp.mlp_forward(model, x))
 
@@ -63,7 +63,7 @@ class TestTraining:
         rng = np.random.default_rng(2)
         x = rng.normal(0, 1, (10, 2))
         t = np.full(10, 42.0)
-        model = mlp.mlp_train(x, t, mlp.MlpConfig(input_dim=2, hidden_layers=(16,),
+        model = mlp.mlp_train(x, t, mlp.MlpConfig(hidden_layers=(16,),
                                                   lr=0.3, epochs=2000, seed=0))
         preds = mlp.mlp_forward(model, x)
         assert float(np.mean((preds - t) ** 2)) < 1e-6
@@ -71,7 +71,7 @@ class TestTraining:
     def test_noiseless_linear_map(self):
         x = np.linspace(0.0, 1.0, 16).reshape(-1, 1)
         t = 2.0 * x[:, 0]
-        cfg = mlp.MlpConfig(input_dim=1, hidden_layers=(16,), lr=0.05,
+        cfg = mlp.MlpConfig(hidden_layers=(16,), lr=0.05,
                             epochs=5000, seed=3)
         model = mlp.mlp_train(x, t, cfg)
         err = np.abs(mlp.mlp_forward(model, x) - t)
@@ -81,7 +81,7 @@ class TestTraining:
         rng = np.random.default_rng(4)
         x = rng.normal(0, 1, (25, 5))
         t = rng.uniform(0, 100, 25)
-        cfg = mlp.MlpConfig(input_dim=5, hidden_layers=(16,), lr=0.01, epochs=40, seed=9)
+        cfg = mlp.MlpConfig(hidden_layers=(16,), lr=0.01, epochs=40, seed=9)
         a = mlp.mlp_train(x, t, cfg)
         b = mlp.mlp_train(x, t, cfg)
         for wa, wb in zip(a.weights, b.weights):
@@ -93,7 +93,7 @@ class TestTraining:
     def test_loss_trace_finite_and_non_increasing_when_gentle(self):
         x = np.linspace(-1.0, 1.0, 40).reshape(-1, 1)
         t = 3.0 * x[:, 0] + 5.0
-        cfg = mlp.MlpConfig(input_dim=1, hidden_layers=(16,), lr=1e-3, epochs=120, seed=0)
+        cfg = mlp.MlpConfig(hidden_layers=(16,), lr=1e-3, epochs=120, seed=0)
         model = mlp.mlp_train(x, t, cfg)
         trace = model.loss_trace
         assert np.all(np.isfinite(trace))
@@ -105,19 +105,18 @@ class TestTraining:
         x = rng.normal(0, 1, (10, 2))
         t = rng.uniform(0, 1, 10)
         with pytest.raises(RuntimeError, match="non-finite"):
-            mlp.mlp_train(x, t, mlp.MlpConfig(input_dim=2, hidden_layers=(16,),
+            mlp.mlp_train(x, t, mlp.MlpConfig(hidden_layers=(16,),
                                               lr=1e12, epochs=50, seed=0))
 
     def test_shape_validation(self):
         settings = dict(hidden_layers=(16,), lr=0.01, epochs=200, seed=0)
         with pytest.raises(ValueError):
             mlp.mlp_train(np.zeros((4, 3)), np.zeros(5),
-                          mlp.MlpConfig(input_dim=3, **settings))
+                          mlp.MlpConfig(**settings))
+        with pytest.raises(ValueError, match="no columns"):
+            mlp.mlp_train(np.zeros((4, 0)), np.zeros(4), mlp.MlpConfig(**settings))
         with pytest.raises(ValueError):
-            mlp.mlp_train(np.zeros((4, 3)), np.zeros(4),
-                          mlp.MlpConfig(input_dim=2, **settings))
-        with pytest.raises(ValueError):
-            mlp.MlpConfig(input_dim=3, **{**settings, "lr": 0.0})
+            mlp.MlpConfig(**{**settings, "lr": 0.0})
 
 
 def same_bits(a, b) -> bool:
@@ -142,7 +141,7 @@ class TestAgainstPerCallLoop:
         rng = np.random.default_rng(seed)
         x = rng.normal(0, 1, (24, dim))
         t = x @ rng.normal(0, 1, dim) * 20.0 + rng.normal(0, 1, 24)
-        cfg = mlp.MlpConfig(input_dim=dim, hidden_layers=hidden, lr=0.05,
+        cfg = mlp.MlpConfig(hidden_layers=hidden, lr=0.05,
                             epochs=8, seed=seed)
         assert_same_model(mlp.mlp_train(x, t, cfg), mlp_train_per_call(x, t, cfg))
 
@@ -150,7 +149,7 @@ class TestAgainstPerCallLoop:
         rng = np.random.default_rng(2)
         x = rng.normal(0, 1, (10, 2))
         t = np.full(10, 42.0)
-        cfg = mlp.MlpConfig(input_dim=2, hidden_layers=(3, 2), lr=0.8,
+        cfg = mlp.MlpConfig(hidden_layers=(3, 2), lr=0.8,
                             epochs=3000, seed=0)
         model = mlp.mlp_train(x, t, cfg)
         assert len(model.loss_trace) < cfg.epochs
@@ -164,7 +163,7 @@ class TestAgainstPerCallLoop:
         rng = np.random.default_rng(2)
         x = rng.normal(0, 1, (10, 2))
         t = np.full(10, 42.0) if constant else rng.uniform(0, 1, 10)
-        cfg = mlp.MlpConfig(input_dim=2, hidden_layers=hidden, lr=lr, epochs=100, seed=0)
+        cfg = mlp.MlpConfig(hidden_layers=hidden, lr=lr, epochs=100, seed=0)
         with pytest.raises(RuntimeError, match="non-finite") as lean:
             mlp.mlp_train(x, t, cfg)
         with pytest.raises(RuntimeError) as per_call:

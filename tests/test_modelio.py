@@ -27,7 +27,7 @@ def fit_chain(features: str, head: str):
     z = front.scores(x)
     if head == "svm":
         return front, svm_train_multiclass(z, y, config.svm_params())
-    return front, mlp.mlp_train(z, t, config.mlp_config(z.shape[1], seed=2))
+    return front, mlp.mlp_train(z, t, config.mlp_config(seed=2))
 
 
 def assert_identical(a, b):
@@ -74,6 +74,17 @@ def test_header_and_unknown_kind(tmp_path):
         load_model(path)
     with pytest.raises(TypeError, match="cannot serialize object"):
         save_model(front, object(), path)
+
+
+def test_mlp_input_dim_must_match_first_weights(tmp_path):
+    front, model = fit_chain("pca", "mlp")
+    path = tmp_path / "chain.model"
+    save_model(front, model, path)
+    width = model.weights[0].shape[0]
+    path.write_text(path.read_text().replace(f"input_dim {width}\n",
+                                             f"input_dim {width + 1}\n"))
+    with pytest.raises(ValueError, match=f"input_dim {width + 1} does not match"):
+        load_model(path)
 
 
 def test_standardizer_round_trip(tmp_path):

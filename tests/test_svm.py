@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from enose import svm
 from enose.svm import (BinarySvm, ConvergenceError, SvmModel, SvmParams,
                        kkt_max_violation, svm_train_binary,
                        svm_train_binary_with_duals, svm_train_multiclass,
@@ -40,10 +41,11 @@ class TestBinaryTraining:
         with pytest.raises(ValueError):
             svm_train_binary(x, np.ones(3), SvmParams())
 
-    def test_non_convergence_carries_iteration_count(self):
+    def test_non_convergence_carries_iteration_count(self, monkeypatch):
+        monkeypatch.setattr(svm, "MAX_STEPS", 1)
         x, y = separable_dataset(0, n_per=6, gap=1.0)
         with pytest.raises(ConvergenceError) as err:
-            svm_train_binary(x, y, SvmParams(max_passes=1))
+            svm_train_binary(x, y, SvmParams())
         assert err.value.n_iter == 1
 
     def test_only_positive_duals_stored(self):
@@ -78,7 +80,7 @@ class TestDualOptimality:
     @pytest.mark.parametrize("seed", range(6))
     def test_kkt_residuals_within_tol(self, seed):
         x, y = separable_dataset(seed, n_per=8, gap=2.0)
-        params = SvmParams(c_penalty=10.0, tol=1e-3)
+        params = SvmParams(c_penalty=10.0)
         model, alpha, k = svm_train_binary_with_duals(x, y, params)
         assert kkt_max_violation(k, y, alpha, model.bias, 10.0) <= 1e-3
 
