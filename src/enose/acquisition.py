@@ -36,13 +36,6 @@ class StreamError(ValueError):
         self.n_lines = n_lines
 
 
-def adc_to_voltage(raw: int) -> float:
-    """Volts for one 12-bit ADC count: raw * 3.3 / 4096."""
-    if not 0 <= raw <= ADC_MAX:
-        raise ValueError(f"raw count {raw} outside [0, {ADC_MAX}]")
-    return raw * ADC_VREF / ADC_LEVELS
-
-
 def _readonly_int64(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.size and not np.issubdtype(arr.dtype, np.integer):

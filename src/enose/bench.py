@@ -30,8 +30,9 @@ from .mlp import MlpConfig, evaluate_regression, mlp_forward, mlp_train
 from .preprocess import FilterConfig, Standardizer, fit_standardizer, process_session
 from .report import (RegressionReport, RunReport, classification_metrics)
 from .sensors import (DEFAULT_DRIFT_RATE, DEFAULT_NOISE_SIGMA, GasMixture,
-                      SAMPLE_RATE_HZ, default_sensor_array, dominant_gas_label,
-                      session_seed, simulate_session, standard_protocol)
+                      SAMPLE_RATE_HZ, clean_traces, default_sensor_array,
+                      dominant_gas_label, session_seed, simulate_session,
+                      standard_protocol)
 from .svm import SvmParams, svm_predict, svm_train_multiclass
 
 log = logging.getLogger("enose.bench")
@@ -279,9 +280,10 @@ def build_sessions(table: ExperimentTable, config: PipelineConfig,
     for row_idx, (mix, count) in enumerate(zip(table.rows, counts)):
         proto = standard_protocol(mix, config.sample_rate_hz)
         label = dominant_gas_label(mix)
+        clean = clean_traces(specs, proto)
         for rep in range(count):
             t_ms, raw = simulate_session(specs, proto,
-                                         session_seed(seed, row_idx, rep))
+                                         session_seed(seed, row_idx, rep), clean)
             sessions.append(Session(t_ms, raw, label=label, mixture=mix,
                                     sample_rate_hz=config.sample_rate_hz))
     return sessions

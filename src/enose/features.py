@@ -58,6 +58,11 @@ def extract_features(proc: ProcessedSession) -> np.ndarray:
 
 # --- PCA ------------------------------------------------------------------
 
+def _check_retained_k(k: int, available: int, what: str) -> None:
+    if not 1 <= k <= available:
+        raise ValueError(f"retained_k must lie in 1..{available} ({what}), got {k}")
+
+
 @dataclass(frozen=True)
 class PcaModel:
     mean: np.ndarray
@@ -68,6 +73,7 @@ class PcaModel:
     def __post_init__(self):
         # one layout for fitted and loaded models, as for KpcaModel.alphas
         object.__setattr__(self, "components", np.asfortranarray(self.components))
+        _check_retained_k(self.retained_k, self.components.shape[0], "components")
 
 
 def pca_fit(x, variance_threshold: float = 0.95) -> PcaModel:
@@ -115,6 +121,7 @@ class KpcaModel:
         # alphas; one layout for fitted and loaded models keeps a saved and
         # reloaded model's projections bit for bit those of the fitted one
         object.__setattr__(self, "alphas", np.asfortranarray(self.alphas))
+        _check_retained_k(self.retained_k, self.alphas.shape[-1], "alphas columns")
 
 
 def pairwise_sq_dists(a, b) -> np.ndarray:

@@ -34,7 +34,10 @@ class FilterConfig:
 
 
 def moving_average(series, window_m: int) -> np.ndarray:
-    """Centred moving average with shrinking windows at the edges."""
+    """Centred moving average along axis 0, with shrinking windows at the edges.
+
+    A 2-D series is averaged column by column.
+    """
     x = np.asarray(series, dtype=float)
     if x.size == 0:
         raise ValueError("series is empty")
@@ -42,15 +45,16 @@ def moving_average(series, window_m: int) -> np.ndarray:
         raise ValueError("window_m must be an odd integer >= 1")
     if window_m == 1:
         return x.copy()
-    n = x.size
+    n = x.shape[0]
     half = window_m // 2
     idx = np.arange(n)
     lo = np.maximum(0, idx - half)
     hi = np.minimum(n, idx + half + 1)
-    csum = np.concatenate(([0.0], np.cumsum(x)))
-    out = (csum[hi] - csum[lo]) / (hi - lo)
+    csum = np.concatenate((np.zeros((1, *x.shape[1:])), np.cumsum(x, axis=0)))
+    width = (hi - lo).reshape(-1, *(1,) * (x.ndim - 1))
+    out = (csum[hi] - csum[lo]) / width
     # window means lie in [min, max] exactly; clip off cumsum rounding dust
-    return np.clip(out, x.min(), x.max())
+    return np.clip(out, x.min(axis=0), x.max(axis=0))
 
 
 def default_anchors(n: int) -> np.ndarray:
@@ -60,20 +64,24 @@ def default_anchors(n: int) -> np.ndarray:
 
 
 def fit_baseline(series, t, degree: int, anchors=None):
-    """Least-squares polynomial over the anchor samples.
+    """Least-squares polynomial over the anchor samples, per column.
 
-    Returns (baseline evaluated at every t, coefficients, (t0, tscale)).
-    Coefficients are in the scaled coordinate s = (t - t0) / tscale for
-    conditioning; callers comparing against an independent solve must
-    use the same basis.
+    `series` is (n,) or (n, k).  Returns (baseline evaluated at every t,
+    coefficients, (t0, tscale)), each column fitted on its own; the
+    coefficients are (degree + 1,) or (degree + 1, k).  They are in the
+    scaled coordinate s = (t - t0) / tscale for conditioning; callers
+    comparing against an independent solve must use the same basis.
     """
     y = np.asarray(series, dtype=float)
     t = np.asarray(t, dtype=float)
-    if y.size != t.size:
+    if y.ndim not in (1, 2):
+        raise ValueError(f"series must be (n,) or (n, k), got shape {y.shape}")
+    n = y.shape[0]
+    if n != t.size:
         raise ValueError("series and timestamps differ in length")
-    if y.size < degree + 1:
+    if n < degree + 1:
         raise ValueError(f"need at least {degree + 1} samples for degree {degree}")
-    anchors = default_anchors(y.size) if anchors is None else np.asarray(anchors)
+    anchors = default_anchors(n) if anchors is None else np.asarray(anchors)
     if anchors.dtype == bool:
         anchors = np.flatnonzero(anchors)
     if anchors.size < degree + 1:
@@ -83,15 +91,24 @@ def fit_baseline(series, t, degree: int, anchors=None):
     tscale = float(t.max() - t.min()) or 1.0
     s = (t - t0) / tscale
     vand = np.vander(s[anchors], degree + 1, increasing=True)
-    coeffs, _, rank, _ = np.linalg.lstsq(vand, y[anchors], rcond=None)
-    if rank < degree + 1:
-        raise ValueError(f"rank-deficient baseline fit (rank {rank} < {degree + 1})")
-    baseline = np.vander(s, degree + 1, increasing=True) @ coeffs
-    return baseline, coeffs, (t0, tscale)
+    full = np.vander(s, degree + 1, increasing=True)
+    cols = y.reshape(n, -1)
+    coeffs = np.empty((degree + 1, cols.shape[1]))
+    baseline = np.empty(cols.shape)
+    # one lstsq and one matvec per column: a stacked right-hand side
+    # rounds differently
+    for j in range(cols.shape[1]):
+        c, _, rank, _ = np.linalg.lstsq(vand, cols[anchors, j], rcond=None)
+        if rank < degree + 1:
+            raise ValueError(f"rank-deficient baseline fit (rank {rank} < {degree + 1})")
+        coeffs[:, j] = c
+        baseline[:, j] = full @ c
+    return (baseline.reshape(y.shape), coeffs.reshape(degree + 1, *y.shape[1:]),
+            (t0, tscale))
 
 
 def remove_baseline(series, t, degree: int, anchors=None) -> np.ndarray:
-    """Subtract the anchor-fitted polynomial baseline from the series."""
+    """Subtract the anchor-fitted polynomial baseline from each column."""
     baseline, _, _ = fit_baseline(series, t, degree, anchors)
     return np.asarray(series, dtype=float) - baseline
 
@@ -145,13 +162,9 @@ class ProcessedSession:
 
 def process_session(session: Session, config: FilterConfig = FilterConfig()) -> ProcessedSession:
     """Smooth each channel, then remove its polynomial baseline."""
-    volts = session.voltages()
     t_ms = session.t_ms
-    t_s = t_ms / 1000.0
-    out = np.empty_like(volts, dtype=float)
-    for ch in range(4):
-        smooth = moving_average(volts[:, ch], config.window_m)
-        out[:, ch] = remove_baseline(smooth, t_s, config.baseline_degree)
+    smooth = moving_average(session.voltages(), config.window_m)
+    out = remove_baseline(smooth, t_ms / 1000.0, config.baseline_degree)
     return ProcessedSession(t_ms=t_ms, channels=out, label=session.label,
                             mixture=session.mixture,
                             sample_rate_hz=session.sample_rate_hz, config=config)

@@ -189,27 +189,46 @@ def _channel_resistance(spec: SensorSpec, proto: ExposureProtocol, t: np.ndarray
     return r
 
 
+def clean_traces(specs: tuple[SensorSpec, ...], proto: ExposureProtocol) -> np.ndarray:
+    """Noise-free, drift-added resistance of every channel, (n, 4), read-only.
+
+    Every session of one mixture row shares this trace; only the noise
+    drawn on top of it differs between them.
+    """
+    if len(specs) != 4:
+        raise ValueError("the array has exactly 4 channels")
+    t = np.arange(proto.n_samples) * (1.0 / proto.sample_rate_hz)
+    clean = np.empty((t.size, 4))
+    for ch, spec in enumerate(specs):
+        clean[:, ch] = (_channel_resistance(spec, proto, t)
+                        + spec.r_air * spec.drift_rate * (t / 3600.0))
+    clean.flags.writeable = False
+    return clean
+
+
 def simulate_session(
     specs: tuple[SensorSpec, ...],
     proto: ExposureProtocol,
     seed: int,
+    clean: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate one acquisition session as (t_ms[n], counts[n, 4]).
 
-    Identical inputs give identical arrays.  Sample k is stamped
-    round(k * 1000 / sample_rate_hz) ms.
+    `clean` is `clean_traces(specs, proto)`, shared by every session of
+    a mixture row; the session draws its seeded noise on top of it, one
+    channel at a time.  Identical inputs give identical arrays.  Sample
+    k is stamped round(k * 1000 / sample_rate_hz) ms.
     """
     if len(specs) != 4:
         raise ValueError("the array has exactly 4 channels")
     n = proto.n_samples
-    dt = 1.0 / proto.sample_rate_hz
-    t = np.arange(n) * dt
+    if clean.shape != (n, 4):
+        raise ValueError(f"clean trace must have shape ({n}, 4), got {clean.shape}")
     rng = np.random.default_rng(seed)
 
     counts = np.empty((n, 4), dtype=np.int64)
     for ch, spec in enumerate(specs):
-        r = _channel_resistance(spec, proto, t)
-        r = r + spec.r_air * spec.drift_rate * (t / 3600.0)
+        r = clean[:, ch]
         if spec.noise_sigma > 0:
             r = r * (1.0 + spec.noise_sigma * rng.standard_normal(n))
         r = np.maximum(r, 1e-9)

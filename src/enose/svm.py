@@ -39,14 +39,19 @@ class SvmParams:
     def __post_init__(self):
         if not self.c_penalty > 0:
             raise ValueError("c_penalty must be > 0")
-        if self.kernel not in ("linear", "rbf"):
-            raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError("gamma must be > 0")
         if not np.isfinite(self.c_penalty):
             raise ValueError("c_penalty must be finite")
-        if self.gamma is not None and not np.isfinite(self.gamma):
-            raise ValueError("gamma must be finite")
+        _check_kernel(self.kernel, self.gamma)
+
+
+def _check_kernel(kernel: str, gamma: float | None) -> None:
+    """A known kernel, and a gamma that is None or finite and > 0."""
+    if kernel not in ("linear", "rbf"):
+        raise ValueError(f"unknown kernel {kernel!r}")
+    if gamma is not None and not gamma > 0:
+        raise ValueError("gamma must be > 0")
+    if gamma is not None and not np.isfinite(gamma):
+        raise ValueError("gamma must be finite")
 
 
 def kernel_matrix(a, b, kernel: str, gamma: float | None) -> np.ndarray:
@@ -54,7 +59,9 @@ def kernel_matrix(a, b, kernel: str, gamma: float | None) -> np.ndarray:
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if kernel == "linear":
         return a @ b.T
-    return rbf_kernel(a, b, gamma)
+    if kernel == "rbf":
+        return rbf_kernel(a, b, gamma)
+    raise ValueError(f"unknown kernel {kernel!r}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,11 @@ class BinarySvm:
     n_iter: int
     objective: float
 
+    def __post_init__(self):
+        _check_kernel(self.kernel, self.gamma)
+        if self.kernel == "rbf" and self.gamma is None:
+            raise ValueError("gamma must be set for the rbf kernel")
+
     def decision(self, x) -> np.ndarray:
         k = kernel_matrix(x, self.support_vectors, self.kernel, self.gamma)
         return k @ self.dual_coef + self.bias
@@ -79,19 +91,6 @@ def dual_objective(k: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
     """SVM dual: sum(alpha) - 0.5 * (alpha*y)' K (alpha*y)."""
     ay = alpha * y
     return float(alpha.sum() - 0.5 * ay @ k @ ay)
-
-
-def kkt_max_violation(k, y, alpha, bias, c, bound_cut=1e-8):
-    """Worst-case KKT residual of a dual solution (0 when exact)."""
-    yf = y * (k @ (alpha * y) + bias)
-    viol = np.zeros_like(yf)
-    at_lo = alpha <= bound_cut * c
-    at_hi = alpha >= (1.0 - bound_cut) * c
-    free = ~(at_lo | at_hi)
-    viol[at_lo] = np.maximum(0.0, 1.0 - yf[at_lo])
-    viol[at_hi] = np.maximum(0.0, yf[at_hi] - 1.0)
-    viol[free] = np.abs(yf[free] - 1.0)
-    return float(viol.max()) if viol.size else 0.0
 
 
 class _Smo:

@@ -6,7 +6,9 @@ iterative rotations, explicit normal equations instead of lstsq,
 projected gradient ascent instead of SMO, brute-force window means
 instead of cumulative sums, one `str.split` per frame line instead of a
 tokenizer over the whole stream, one `loss_and_grads` call per SGD step
-instead of the inlined training loop.
+instead of the inlined training loop, one whole simulation per session
+and one baseline fit per channel instead of the front end's shared
+per-row trace and per-session basis.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from enose.acquisition import (MALFORMED_FRACTION_LIMIT, SESSION_HEADER, StreamE
                                impute_missing)
 from enose.mlp import (LOSS_IMPROVEMENT_FLOOR, MlpConfig, MlpModel, init_layers,
                        loss_and_grads)
-from enose.preprocess import fit_standardizer
-from enose.sensors import ADC_MAX
+from enose.preprocess import default_anchors, fit_standardizer
+from enose.sensors import ADC_MAX, _channel_resistance, divider_voltage, quantize
 
 
 def charpoly_eigvalsh(a) -> np.ndarray:
@@ -84,6 +86,19 @@ def normal_eq_polyfit(s, y, degree: int) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     v = np.vander(s, degree + 1, increasing=True)
     return np.linalg.solve(v.T @ v, v.T @ np.asarray(y, dtype=float))
+
+
+def kkt_max_violation(k, y, alpha, bias, c, bound_cut=1e-8):
+    """Worst-case KKT residual of a dual solution (0 when exact)."""
+    yf = y * (k @ (alpha * y) + bias)
+    viol = np.zeros_like(yf)
+    at_lo = alpha <= bound_cut * c
+    at_hi = alpha >= (1.0 - bound_cut) * c
+    free = ~(at_lo | at_hi)
+    viol[at_lo] = np.maximum(0.0, 1.0 - yf[at_lo])
+    viol[at_hi] = np.maximum(0.0, yf[at_hi] - 1.0)
+    viol[free] = np.abs(yf[free] - 1.0)
+    return float(viol.max()) if viol.size else 0.0
 
 
 def project_box_hyperplane(z, y, c, tol: float = 1e-14) -> np.ndarray:
@@ -284,3 +299,62 @@ def mlp_train_per_call(x, targets_ppm, config: MlpConfig) -> MlpModel:
     return MlpModel(weights=tuple(weights), biases=tuple(biases), standardizer=std,
                     target_min=t_min, target_scale=t_scale,
                     loss_trace=np.array(trace), config=config)
+
+
+def simulate_session_per_session(specs, proto, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """`sensors.simulate_session` rebuilding every channel's clean trace.
+
+    The reference for the shared per-row trace: each channel's resistance,
+    drift, noise draw, floor and readout in turn, one channel at a time.
+    """
+    n = proto.n_samples
+    dt = 1.0 / proto.sample_rate_hz
+    t = np.arange(n) * dt
+    rng = np.random.default_rng(seed)
+    counts = np.empty((n, 4), dtype=np.int64)
+    for ch, spec in enumerate(specs):
+        r = _channel_resistance(spec, proto, t)
+        r = r + spec.r_air * spec.drift_rate * (t / 3600.0)
+        if spec.noise_sigma > 0:
+            r = r * (1.0 + spec.noise_sigma * rng.standard_normal(n))
+        r = np.maximum(r, 1e-9)
+        counts[:, ch] = quantize(divider_voltage(spec, r))
+    t_ms = np.rint(np.arange(n) * 1000.0 / proto.sample_rate_hz).astype(np.int64)
+    return t_ms, counts
+
+
+def moving_average_1d(x, window_m: int) -> np.ndarray:
+    """Shrink-window moving average of one series by cumulative sums."""
+    x = np.asarray(x, dtype=float)
+    if window_m == 1:
+        return x.copy()
+    n = x.size
+    half = window_m // 2
+    idx = np.arange(n)
+    lo = np.maximum(0, idx - half)
+    hi = np.minimum(n, idx + half + 1)
+    csum = np.concatenate(([0.0], np.cumsum(x)))
+    out = (csum[hi] - csum[lo]) / (hi - lo)
+    return np.clip(out, x.min(), x.max())
+
+
+def remove_baseline_1d(y, t, degree: int) -> np.ndarray:
+    """One series minus its polynomial fitted over the default anchors."""
+    y = np.asarray(y, dtype=float)
+    t = np.asarray(t, dtype=float)
+    anchors = default_anchors(y.size)
+    s = (t - t.min()) / (float(t.max() - t.min()) or 1.0)
+    vand = np.vander(s[anchors], degree + 1, increasing=True)
+    coeffs = np.linalg.lstsq(vand, y[anchors], rcond=None)[0]
+    return y - np.vander(s, degree + 1, increasing=True) @ coeffs
+
+
+def process_session_per_channel(session, window_m: int, degree: int) -> np.ndarray:
+    """`preprocess.process_session` channels, smoothing and detrending one
+    channel at a time with its own basis."""
+    volts = session.voltages()
+    t_s = session.t_ms / 1000.0
+    out = np.empty_like(volts, dtype=float)
+    for ch in range(4):
+        out[:, ch] = remove_baseline_1d(moving_average_1d(volts[:, ch], window_m), t_s, degree)
+    return out

@@ -13,11 +13,11 @@ import numpy as np
 from enose import features as ft
 from enose import mlp
 from enose import preprocess as pp
-from enose.acquisition import adc_to_voltage
+from enose.acquisition import Session
 from enose.bench import PipelineConfig, run_experiment
 from enose.cli import main as cli_main
-from enose.svm import SvmParams, kkt_max_violation, svm_train_binary_with_duals
-from oracles import charpoly_eigvalsh, projected_gradient_dual
+from enose.svm import SvmParams, svm_train_binary_with_duals
+from oracles import charpoly_eigvalsh, kkt_max_violation, projected_gradient_dual
 
 SEED = 42
 
@@ -58,8 +58,9 @@ def test_criterion_03_ternary_analogue():
 
 
 def test_criterion_04_adc_conversion():
-    exact = adc_to_voltage(4095) == 4095 * 3.3 / 4096 == 3.2991943359375
-    volts = [adc_to_voltage(r) for r in range(4096)]
+    codes = np.arange(4096)
+    volts = Session(np.arange(1024), codes.reshape(1024, 4)).voltages().ravel().tolist()
+    exact = volts[4095] == 4095 * 3.3 / 4096 == 3.2991943359375
     monotone = all(b > a for a, b in zip(volts, volts[1:]))
     _criterion(4, "ADC conversion exact at full scale; monotone over 4096 codes",
                exact and monotone)

@@ -10,28 +10,36 @@ from enose.sensors import GasMixture
 from oracles import parse_stream_per_line
 
 
+def volts_of(raws) -> list[float]:
+    """`Session.voltages` of the given counts, four to a frame, in order."""
+    counts = np.asarray(raws).reshape(-1, 4)
+    return acq.Session(np.arange(len(counts)), counts).voltages().ravel().tolist()
+
+
 class TestAdcToVoltage:
+    """The ADC conversion rule raw * 3.3 / 4096, as `Session.voltages` applies it."""
+
     def test_zero(self):
-        assert acq.adc_to_voltage(0) == 0.0
+        assert volts_of([0] * 4) == [0.0] * 4
 
     def test_half_scale(self):
-        assert acq.adc_to_voltage(2048) == 1.65
+        assert volts_of([2048] * 4) == [1.65] * 4
 
     def test_full_scale_exact_rational(self):
         # independent arithmetic: 4095 * 33/10 / 4096 = 27027/8192, which is
         # dyadic and therefore exactly representable
         expected = Fraction(4095) * Fraction(33, 10) / 4096
         assert expected == Fraction(27027, 8192)
-        assert acq.adc_to_voltage(4095) == float(expected) == 3.2991943359375
+        assert volts_of([4095] * 4) == [float(expected)] * 4 == [3.2991943359375] * 4
 
     def test_range_errors(self):
-        with pytest.raises(ValueError):
-            acq.adc_to_voltage(-1)
-        with pytest.raises(ValueError):
-            acq.adc_to_voltage(4096)
+        with pytest.raises(ValueError, match="raw counts"):
+            volts_of([0, 0, -1, 0])
+        with pytest.raises(ValueError, match="raw counts"):
+            volts_of([0, 4096, 0, 0])
 
     def test_exhaustive_monotone_and_bounded(self):
-        volts = [acq.adc_to_voltage(r) for r in range(4096)]
+        volts = volts_of(range(4096))
         assert all(b > a for a, b in zip(volts, volts[1:]))
         assert volts[0] == 0.0
         assert volts[-1] <= 3.3 * 4095 / 4096
@@ -368,4 +376,4 @@ class TestSessionInvariants:
     def test_voltages_match_scalar_rule(self):
         session = acq.Session(*one_frame(raw=(0, 2048, 4095, 7)))
         v = session.voltages()[0]
-        assert v.tolist() == [acq.adc_to_voltage(r) for r in (0, 2048, 4095, 7)]
+        assert v.tolist() == [r * 3.3 / 4096 for r in (0, 2048, 4095, 7)]

@@ -2,12 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enose import bench
 from enose.bench import (ExperimentTable, PipelineConfig, StageError,
                          row_counts, stratified_split)
 from enose.report import emit_report
-from enose.sensors import GasMixture, standard_protocol
+from enose.sensors import GasMixture, session_seed, standard_protocol
+from oracles import simulate_session_per_session
 
 FAST = PipelineConfig(noise_sigma=0.0, mlp_epochs=40)
 
@@ -170,6 +173,32 @@ class TestBuildSessions:
         per_row = bench.build_sessions(TINY, PipelineConfig(), seed=5, per_row=2)
         for a, b in zip(per_row, [split[0], split[1], split[12], split[13]]):
             assert np.array_equal(a.counts, b.counts) and a.label == b.label
+
+    @given(
+        noise_sigma=st.sampled_from([0.0, 0.02, 0.1]),
+        drift_rate=st.sampled_from([0.0, 0.05, -0.5]),
+        tau_rise=st.none() | st.floats(0.5, 20.0),
+        tau_fall=st.none() | st.floats(0.5, 20.0),
+        rate=st.sampled_from([2.0, 10.0, 16.0, 25.0]),
+        per_row=st.integers(1, 3),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_per_session_oracle(self, noise_sigma, drift_rate, tau_rise,
+                                            tau_fall, rate, per_row, seed):
+        config = PipelineConfig(noise_sigma=noise_sigma, drift_rate=drift_rate,
+                                tau_rise=tau_rise, tau_fall=tau_fall, sample_rate_hz=rate)
+        table = ExperimentTable(id="three", n_train=4, n_test=2, rows=(
+            GasMixture(100, 0, 0), GasMixture(0, 40, 60), GasMixture(0, 0, 0)))
+        sessions = bench.build_sessions(table, config, seed, per_row=per_row)
+        specs = bench.sensor_array_for(config)
+        expected = [simulate_session_per_session(specs, standard_protocol(mix, rate),
+                                                 session_seed(seed, row, rep))
+                    for row, mix in enumerate(table.rows) for rep in range(per_row)]
+        assert len(sessions) == len(expected)
+        for session, (t_ms, counts) in zip(sessions, expected):
+            assert np.array_equal(session.t_ms, t_ms)
+            assert np.array_equal(session.counts, counts)
 
 
 class TestReingest:

@@ -388,6 +388,33 @@ class TestModelFileCorruption:
         assert failures == []
         assert not report.exists()
 
+    @pytest.mark.parametrize("features, key, value", [
+        ("pca", "kernel", "poly"),
+        ("pca", "gamma", "none"),
+        ("pca", "retained_k", "99"),
+        ("pca", "retained_k", "0"),
+        ("kpca", "retained_k", "99"),
+    ])
+    def test_edited_field_is_named(self, tmp_path, capsys, features, key, value):
+        # each edit parses, but contradicts another field of the chain
+        x, y, conc = separable_features(np.random.default_rng(1))
+        feat = tmp_path / "features.csv"
+        write_features_csv(feat, x, y, conc)
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"features = {features}\n")
+        model = tmp_path / "chain.model"
+        assert main(["train-svm", "--in", str(feat), "--model", str(model),
+                     "--config", str(conf)]) == 0
+        lines = model.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"{key} "))
+        model.write_text("\n".join([*lines[:i], f"{key} {value}", *lines[i + 1:]]) + "\n")
+        capsys.readouterr()
+        rc = main(["classify", "--model", str(model), "--in", str(feat),
+                   "--report", str(tmp_path / "report.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error [stage=classify] ") and key in err
+        assert "Traceback" not in err and "NoneType" not in err
+
 
 class TestInputCorruption:
     """Every corruption of a features CSV, a session CSV or a config file

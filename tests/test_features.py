@@ -10,7 +10,7 @@ from enose import features as ft
 from enose.eigen import jacobi_eigh, orient_columns
 from enose.preprocess import FilterConfig, ProcessedSession, process_session
 from enose.sensors import (BASELINE_S, EXPOSURE_S, GasMixture, SensorSpec,
-                           divider_voltage, simulate_session,
+                           clean_traces, divider_voltage, simulate_session,
                            standard_protocol, steady_sensitivity)
 from oracles import charpoly_eigvalsh, eigvec_3x3
 
@@ -67,7 +67,8 @@ class TestExtractFeatures:
                        sens_exp=(0.6, 0.6, 0.6), noise_sigma=0.0, drift_rate=0.0)
             for i, r in enumerate((120.0, 45.0, 30.0, 60.0)))
         mix = GasMixture(100, 0, 0)
-        t_ms, counts = simulate_session(specs, standard_protocol(mix), seed=0)
+        proto = standard_protocol(mix)
+        t_ms, counts = simulate_session(specs, proto, 0, clean_traces(specs, proto))
         from enose.acquisition import Session
         session = Session(t_ms, counts, label=1, mixture=mix, sample_rate_hz=RATE)
         values = ft.extract_features(process_session(session, FilterConfig()))
@@ -160,6 +161,13 @@ class TestPca:
         with pytest.raises(ValueError):
             ft.pca_fit(np.ones((1, 3)))
 
+    def test_retained_k_within_the_components(self):
+        model = ft.pca_fit(np.random.default_rng(3).normal(0, 1, (10, 3)))
+        for k in (0, 4, 99):
+            with pytest.raises(ValueError, match="retained_k"):
+                dataclasses.replace(model, retained_k=k)
+        assert dataclasses.replace(model, retained_k=3).retained_k == 3
+
 
 def dense_kpca(x, variance_threshold=0.95):
     """kpca_fit as it was before the top-k solver: the full Jacobi spectrum,
@@ -250,6 +258,12 @@ class TestKpca:
         model = ft.kpca_fit(x)
         floor = ft.EIGENVALUE_FLOOR * model.eigenvalues[0]
         assert np.all(model.eigenvalues > floor)
+
+    def test_retained_k_within_the_alphas_columns(self):
+        model = ft.kpca_fit(np.random.default_rng(21).normal(0, 1, (12, 2)))
+        for k in (0, model.alphas.shape[1] + 1):
+            with pytest.raises(ValueError, match="retained_k"):
+                dataclasses.replace(model, retained_k=k)
 
     def test_gamma_validation(self):
         x = np.zeros((3, 2))

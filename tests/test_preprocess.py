@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from enose import preprocess as pp
 from enose.acquisition import SESSION_HEADER, Session, read_meta
 from enose.sensors import GasMixture
-from oracles import brute_moving_average, normal_eq_polyfit
+from oracles import (brute_moving_average, moving_average_1d, normal_eq_polyfit,
+                     process_session_per_channel, remove_baseline_1d)
 
 series_st = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=30).map(np.array)
 windows_st = st.sampled_from([1, 3, 5, 7, 9])
@@ -47,6 +48,16 @@ class TestMovingAverage:
         out = pp.moving_average(x, m)
         assert out.min() >= x.min()
         assert out.max() <= x.max()
+
+    @given(st.integers(1, 40), st.integers(1, 5), windows_st, st.integers(0, 2**32))
+    @settings(max_examples=100)
+    def test_columns_match_the_1d_oracle(self, n, k, m, seed):
+        x = np.random.default_rng(seed).normal(0.0, 3.0, (n, k))
+        out = pp.moving_average(x, m)
+        assert out.shape == (n, k)
+        for j in range(k):
+            assert np.array_equal(out[:, j], moving_average_1d(x[:, j], m))
+            assert np.array_equal(out[:, j], pp.moving_average(x[:, j], m))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -99,6 +110,44 @@ class TestRemoveBaseline:
     def test_too_short_series_rejected(self):
         with pytest.raises(ValueError):
             pp.remove_baseline([1.0, 2.0], [0.0, 1.0], degree=2)
+        with pytest.raises(ValueError, match="shape"):
+            pp.remove_baseline(np.zeros((4, 2, 2)), np.arange(4.0), degree=0)
+
+    @given(st.integers(0, 5), st.integers(1, 5), st.integers(0, 2**32))
+    @settings(max_examples=60)
+    def test_columns_fitted_one_by_one(self, degree, k, seed):
+        rng = np.random.default_rng(seed)
+        t = np.cumsum(rng.uniform(0.05, 1.0, 60))
+        y = rng.normal(0.0, 1.0, (60, k)) + 0.3 * t[:, None]
+        baseline, coeffs, _ = pp.fit_baseline(y, t, degree)
+        assert baseline.shape == (60, k) and coeffs.shape == (degree + 1, k)
+        resid = pp.remove_baseline(y, t, degree)
+        for j in range(k):
+            one, one_coeffs, _ = pp.fit_baseline(y[:, j], t, degree)
+            assert np.array_equal(baseline[:, j], one)
+            assert np.array_equal(coeffs[:, j], one_coeffs)
+            assert np.array_equal(resid[:, j], remove_baseline_1d(y[:, j], t, degree))
+
+
+class TestProcessSessionOracle:
+    @given(
+        n=st.integers(30, 400),   # 6 anchors at least, for degree 5
+        rate=st.sampled_from([1.0, 4.0, 10.0, 16.0, 50.0]),
+        window_m=st.sampled_from([1, 3, 5, 7, 9, 15, 31]),
+        degree=st.integers(0, 5),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_per_channel_oracle(self, n, rate, window_m, degree, seed):
+        rng = np.random.default_rng(seed)
+        k = np.arange(n)[:, None]
+        trend = rng.uniform(500, 3500, 4) + rng.uniform(-2, 2, 4) * k
+        counts = np.clip(np.rint(trend + rng.normal(0, 40, (n, 4))), 0, 4095)
+        t_ms = np.rint(np.arange(n) * 1000.0 / rate).astype(np.int64)
+        session = Session(t_ms, counts.astype(np.int64), sample_rate_hz=rate)
+        proc = pp.process_session(session, pp.FilterConfig(window_m, degree))
+        assert np.array_equal(proc.channels,
+                              process_session_per_channel(session, window_m, degree))
 
 
 class TestStandardizer:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enose import sensors as sn
-from oracles import grid_min_power_law, power_law_sse
+from oracles import grid_min_power_law, power_law_sse, simulate_session_per_session
 
 QUIET = dict(noise_sigma=0.0, drift_rate=0.0)
 
@@ -107,11 +108,15 @@ def quiet_array():
     )
 
 
+def simulate(specs, proto, seed):
+    return sn.simulate_session(specs, proto, seed, sn.clean_traces(specs, proto))
+
+
 class TestSimulateSession:
     def test_clean_air_is_the_constant_divider_voltage(self):
         specs = quiet_array()
         proto = sn.ExposureProtocol(phases=((sn.CLEAN_AIR, 5.0),), sample_rate_hz=10)
-        _, counts = sn.simulate_session(specs, proto, seed=1)
+        _, counts = simulate(specs, proto, seed=1)
         expected = [
             int(sn.quantize(np.array([sn.divider_voltage(s, s.r_air)]))[0])
             for s in specs
@@ -123,7 +128,7 @@ class TestSimulateSession:
         mix = sn.GasMixture(100, 0, 0)
         proto = sn.ExposureProtocol(
             phases=((sn.CLEAN_AIR, 5.0), (mix, 40.0)), sample_rate_hz=10)
-        _, counts = sn.simulate_session(specs, proto, seed=1)
+        _, counts = simulate(specs, proto, seed=1)
         spec = specs[0]
         # gas phase: counts rise monotonically (resistance decays)
         gas = counts[50:, 0]
@@ -139,7 +144,7 @@ class TestSimulateSession:
         specs = quiet_array()
         mix = sn.GasMixture(80, 10, 5)
         proto = sn.ExposureProtocol(phases=((mix, 30.0),), sample_rate_hz=10)
-        _, counts = sn.simulate_session(specs, proto, seed=0)
+        _, counts = simulate(specs, proto, seed=0)
         lsb = sn.ADC_VREF / sn.ADC_LEVELS
         for ch, spec in enumerate(specs):
             volts = counts[:, ch] * lsb
@@ -155,10 +160,10 @@ class TestSimulateSession:
     def test_seed_determinism_and_range(self):
         specs = sn.default_sensor_array()
         proto = sn.standard_protocol(sn.GasMixture(50, 5, 5))
-        t_a, a = sn.simulate_session(specs, proto, seed=7)
-        t_b, b = sn.simulate_session(specs, proto, seed=7)
+        t_a, a = simulate(specs, proto, seed=7)
+        t_b, b = simulate(specs, proto, seed=7)
         assert np.array_equal(t_a, t_b) and np.array_equal(a, b)
-        _, c = sn.simulate_session(specs, proto, seed=8)
+        _, c = simulate(specs, proto, seed=8)
         assert not np.array_equal(a, c)
         assert np.all(np.diff(t_a) > 0)
         assert a.min() >= 0 and a.max() <= sn.ADC_MAX
@@ -167,16 +172,55 @@ class TestSimulateSession:
     def test_timestamps_round_half_to_even(self):
         # at 16 Hz every odd sample falls on a half millisecond
         proto = sn.ExposureProtocol(phases=((sn.CLEAN_AIR, 2.0),), sample_rate_hz=16.0)
-        t_ms, _ = sn.simulate_session(quiet_array(), proto, seed=0)
+        t_ms, _ = simulate(quiet_array(), proto, seed=0)
         assert t_ms.dtype == np.int64
         assert t_ms[:4].tolist() == [0, 62, 125, 188]
         assert t_ms.tolist() == [int(round(k * 1000.0 / 16.0)) for k in range(32)]
 
     def test_rejects_bad_array_size(self):
-        specs = quiet_array()[:3]
+        specs = quiet_array()
         proto = sn.standard_protocol(sn.CLEAN_AIR)
+        clean = sn.clean_traces(specs, proto)
         with pytest.raises(ValueError):
-            sn.simulate_session(specs, proto, seed=0)
+            sn.clean_traces(specs[:3], proto)
+        with pytest.raises(ValueError):
+            sn.simulate_session(specs[:3], proto, 0, clean)
+        with pytest.raises(ValueError, match="clean trace"):
+            sn.simulate_session(specs, proto, 0, clean[:-1])
+
+    def test_clean_trace_is_read_only(self):
+        noisy = sn.default_sensor_array()
+        specs = (dataclasses.replace(noisy[0], noise_sigma=0.0), *noisy[1:])
+        proto = sn.standard_protocol(sn.GasMixture(50, 5, 5))
+        clean = sn.clean_traces(specs, proto)
+        before = clean.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            clean[0, 0] = 0.0
+        # sessions of the row, with noise-free and noisy channels, leave it as it was
+        for seed in (0, 1):
+            sn.simulate_session(specs, proto, seed, clean)
+        assert np.array_equal(clean, before)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sigmas=st.lists(st.sampled_from([0.0, 0.003, 0.02, 0.2]), min_size=4, max_size=4),
+        drift=st.sampled_from([0.0, 0.05, 1.5]),
+        tau_rise=st.floats(0.5, 20.0),
+        tau_fall=st.floats(0.5, 20.0),
+        rate=st.sampled_from([1.0, 7.0, 10.0, 16.0, 33.3]),
+        mix=mixtures_st,
+        seed=st.integers(0, 2**63),
+    )
+    def test_matches_the_per_session_oracle(self, sigmas, drift, tau_rise, tau_fall,
+                                            rate, mix, seed):
+        # noise off on no, some or all channels, and time-constant overrides
+        specs = tuple(dataclasses.replace(s, noise_sigma=sigma, drift_rate=drift,
+                                          tau_rise=tau_rise, tau_fall=tau_fall)
+                      for s, sigma in zip(sn.default_sensor_array(), sigmas))
+        proto = sn.standard_protocol(mix, rate)
+        t_ms, counts = simulate(specs, proto, seed)
+        t_ref, counts_ref = simulate_session_per_session(specs, proto, seed)
+        assert np.array_equal(t_ms, t_ref) and np.array_equal(counts, counts_ref)
 
 
 class TestDominantLabel:

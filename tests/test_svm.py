@@ -3,10 +3,9 @@ import pytest
 
 from enose import svm
 from enose.svm import (BinarySvm, ConvergenceError, SvmModel, SvmParams,
-                       kkt_max_violation, svm_train_binary,
-                       svm_train_binary_with_duals, svm_train_multiclass,
-                       svm_predict)
-from oracles import projected_gradient_dual
+                       svm_train_binary, svm_train_binary_with_duals,
+                       svm_train_multiclass, svm_predict)
+from oracles import kkt_max_violation, projected_gradient_dual
 
 
 def separable_dataset(seed, n_per=4, gap=3.0, d=2):
@@ -54,6 +53,24 @@ class TestBinaryTraining:
         assert model.support_vectors.shape[0] == int((alpha > 1e-12 * 10.0).sum())
         assert np.all(np.abs(model.dual_coef) > 0)
         assert np.all(alpha >= 0) and np.all(alpha <= 10.0)
+
+    def test_machine_kernel_and_gamma_checked(self):
+        def machine(kernel, gamma):
+            return BinarySvm(support_vectors=np.zeros((1, 2)), dual_coef=np.ones(1),
+                             bias=0.0, kernel=kernel, gamma=gamma, c_penalty=1.0,
+                             n_iter=0, objective=0.0)
+
+        assert machine("linear", None).decision(np.ones((1, 2))).tolist() == [0.0]
+        assert machine("rbf", 0.5).decision(np.zeros((1, 2))).tolist() == [1.0]
+        for kernel, gamma, message in [("poly", 0.5, "unknown kernel 'poly'"),
+                                       ("rbf", None, "gamma must be set"),
+                                       ("rbf", 0.0, "gamma must be > 0"),
+                                       ("rbf", float("nan"), "gamma must be > 0"),
+                                       ("linear", float("inf"), "gamma must be finite")]:
+            with pytest.raises(ValueError, match=message):
+                machine(kernel, gamma)
+        with pytest.raises(ValueError, match="unknown kernel"):
+            svm.kernel_matrix(np.zeros((1, 2)), np.zeros((1, 2)), "poly", 0.5)
 
 
 class TestDualOptimality:
