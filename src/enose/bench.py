@@ -19,13 +19,16 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from .acquisition import Session, frame_lines, parse_stream
-from .features import (KpcaModel, PcaModel, extract_features, kpca_fit,
-                       kpca_transform, pca_fit, pca_transform)
+from .features import (N_FEATURES, KpcaModel, PcaModel, extract_features,
+                       kpca_fit, kpca_transform, pca_fit, pca_transform)
 from .mlp import MlpConfig, evaluate_regression, mlp_forward, mlp_train
 from .preprocess import FilterConfig, Standardizer, fit_standardizer, process_session
 from .report import (RegressionReport, RunReport, classification_metrics)
@@ -262,12 +265,15 @@ def sensor_array_for(config: PipelineConfig):
 
 
 def build_sessions(table: ExperimentTable, config: PipelineConfig,
-                   seed: int, per_row: int | None = None) -> list[Session]:
-    """Simulate labeled sessions for every mixture row of the table.
+                   seed: int, per_row: int | None = None) -> Iterator[Session]:
+    """Simulate labeled sessions for every mixture row of the table, lazily.
 
     The table's n_total sessions are split over its rows (`row_counts`)
     unless `per_row` gives every row that many.  Labels follow the
     dominant-gas rule; session (row, rep) is seeded by `session_seed`.
+    The settings are checked now; sessions are made one at a time as the
+    returned iterator is read, in row-then-rep order, and only the current
+    row's clean trace is kept between them.
     """
     if per_row is None:
         counts = row_counts(table.n_total, len(table.rows))
@@ -276,26 +282,24 @@ def build_sessions(table: ExperimentTable, config: PipelineConfig,
     else:
         counts = [per_row] * len(table.rows)
     specs = sensor_array_for(config)
-    sessions: list[Session] = []
-    for row_idx, (mix, count) in enumerate(zip(table.rows, counts)):
-        proto = standard_protocol(mix, config.sample_rate_hz)
+    return _simulate_rows(table.rows, counts, specs, config.sample_rate_hz, seed)
+
+
+def _simulate_rows(rows, counts, specs, rate: float, seed: int) -> Iterator[Session]:
+    for row_idx, (mix, count) in enumerate(zip(rows, counts)):
+        proto = standard_protocol(mix, rate)
         label = dominant_gas_label(mix)
         clean = clean_traces(specs, proto)
         for rep in range(count):
             t_ms, raw = simulate_session(specs, proto,
                                          session_seed(seed, row_idx, rep), clean)
-            sessions.append(Session(t_ms, raw, label=label, mixture=mix,
-                                    sample_rate_hz=config.sample_rate_hz))
-    return sessions
+            yield Session(t_ms, raw, label=label, mixture=mix, sample_rate_hz=rate)
 
 
-def reingest(sessions: list[Session]) -> list[Session]:
-    """Round-trip every session through the wire format parser."""
-    return [
-        parse_stream(frame_lines(s.t_ms, s.counts), label=s.label, mixture=s.mixture,
-                     sample_rate_hz=s.sample_rate_hz)
-        for s in sessions
-    ]
+def reingest(session: Session) -> Session:
+    """Round-trip a session through the wire format parser."""
+    return parse_stream(frame_lines(session.t_ms, session.counts), label=session.label,
+                        mixture=session.mixture, sample_rate_hz=session.sample_rate_hz)
 
 
 def stratified_split(y, n_train: int, n_test: int, seed: int):
@@ -334,6 +338,11 @@ def stratified_split(y, n_train: int, n_test: int, seed: int):
 
 def _stage(name: str, fn, *args, **kwargs):
     log.info("stage %s", name)
+    return _tagged(name, fn, *args, **kwargs)
+
+
+def _tagged(name: str, fn, *args, **kwargs):
+    """`fn(*args, **kwargs)`, with a failure raised as a StageError of `name`."""
     try:
         return fn(*args, **kwargs)
     except StageError:
@@ -364,6 +373,13 @@ def fit_front(x_train, config: PipelineConfig) -> FittedFront:
     return FittedFront(standardizer=std, reducer=reducer)
 
 
+# Sessions go through the front end's stages this many at a time.  A
+# chunk's memory does not grow with the table, and running each stage over
+# a chunk keeps `enose bench` as fast as running it over the whole table;
+# one session at a time made the ternary front end ~14% slower.
+FRONT_CHUNK = 16
+
+
 @dataclass(frozen=True)
 class FeatureSplit:
     """Front half of an experiment: features, split and reduced matrices."""
@@ -379,16 +395,28 @@ class FeatureSplit:
 
 def prepare_features(table: ExperimentTable, config: PipelineConfig,
                      seed: int) -> FeatureSplit:
-    """Run generate -> ingest -> preprocess -> extract -> split -> reduce."""
+    """Run generate -> ingest -> preprocess -> extract -> split -> reduce.
+
+    The front end streams: FRONT_CHUNK sessions at a time are generated,
+    ingested, preprocessed and reduced to feature rows before the next
+    ones are made, so its memory does not grow with the table.  Labels and
+    targets come from the table's rows.  Each stage is logged once, on the
+    first chunk, and a failure in any session is tagged with its stage.
+    """
     sessions = _stage("generate", build_sessions, table, config, seed)
-    sessions = _stage("ingest", reingest, sessions)
-    processed = _stage("preprocess",
-                       lambda ss: [process_session(s, config.filter) for s in ss],
-                       sessions)
-    x = _stage("extract", lambda ps: np.array([extract_features(p) for p in ps]),
-               processed)
-    y = np.array([s.label for s in sessions], dtype=np.int64)
-    conc = np.array([s.mixture.as_tuple() for s in sessions], dtype=float)
+    preprocess = partial(process_session, config=config.filter)
+    x = np.empty((table.n_total, N_FEATURES))
+    for start in range(0, table.n_total, FRONT_CHUNK):
+        stage = _stage if start == 0 else _tagged
+        chunk = _tagged("generate", list, islice(sessions, FRONT_CHUNK))
+        chunk = stage("ingest", list, map(reingest, chunk))
+        chunk = stage("preprocess", list, map(preprocess, chunk))
+        x[start:start + len(chunk)] = stage("extract", list, map(extract_features, chunk))
+    counts = row_counts(table.n_total, len(table.rows))
+    y = np.repeat(np.array([dominant_gas_label(m) for m in table.rows], dtype=np.int64),
+                  counts)
+    conc = np.repeat(np.array([m.as_tuple() for m in table.rows], dtype=float),
+                     counts, axis=0)
 
     train_idx, test_idx = _stage("split", stratified_split, y,
                                  table.n_train, table.n_test, seed)

@@ -58,10 +58,11 @@ def cmd_simulate(args) -> int:
     cfg = _pipeline_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sessions = bench.build_sessions(table, cfg, args.seed, per_row=args.per_row)
-    for i, session in enumerate(sessions):
-        acquisition.write_session(session, out / f"session_{i:04d}.csv")
-    print(f"wrote {len(sessions)} sessions to {out}")
+    n = 0
+    for session in bench.build_sessions(table, cfg, args.seed, per_row=args.per_row):
+        acquisition.write_session(session, out / f"session_{n:04d}.csv")
+        n += 1
+    print(f"wrote {n} sessions to {out}")
     return 0
 
 

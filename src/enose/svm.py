@@ -37,11 +37,15 @@ class SvmParams:
     gamma: float | None = None    # None: 1/(d * median pairwise sq dist)
 
     def __post_init__(self):
-        if not self.c_penalty > 0:
-            raise ValueError("c_penalty must be > 0")
-        if not np.isfinite(self.c_penalty):
-            raise ValueError("c_penalty must be finite")
+        _check_c_penalty(self.c_penalty)
         _check_kernel(self.kernel, self.gamma)
+
+
+def _check_c_penalty(c_penalty: float) -> None:
+    if not c_penalty > 0:
+        raise ValueError("c_penalty must be > 0")
+    if not np.isfinite(c_penalty):
+        raise ValueError("c_penalty must be finite")
 
 
 def _check_kernel(kernel: str, gamma: float | None) -> None:
@@ -81,6 +85,10 @@ class BinarySvm:
         _check_kernel(self.kernel, self.gamma)
         if self.kernel == "rbf" and self.gamma is None:
             raise ValueError("gamma must be set for the rbf kernel")
+        _check_c_penalty(self.c_penalty)
+        if len(self.support_vectors) != len(self.dual_coef):
+            raise ValueError(f"{len(self.support_vectors)} support_vectors rows but "
+                             f"{len(self.dual_coef)} dual_coef values")
 
     def decision(self, x) -> np.ndarray:
         k = kernel_matrix(x, self.support_vectors, self.kernel, self.gamma)

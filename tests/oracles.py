@@ -8,7 +8,8 @@ instead of cumulative sums, one `str.split` per frame line instead of a
 tokenizer over the whole stream, one `loss_and_grads` call per SGD step
 instead of the inlined training loop, one whole simulation per session
 and one baseline fit per channel instead of the front end's shared
-per-row trace and per-session basis.
+per-row trace and per-session basis, and whole-table lists of sessions
+instead of the streamed front end.
 """
 
 from __future__ import annotations
@@ -17,12 +18,16 @@ import math
 
 import numpy as np
 
-from enose.acquisition import (MALFORMED_FRACTION_LIMIT, SESSION_HEADER, StreamError,
-                               impute_missing)
+from enose import bench
+from enose.acquisition import (MALFORMED_FRACTION_LIMIT, SESSION_HEADER, Session,
+                               StreamError, frame_lines, impute_missing, parse_stream)
+from enose.features import extract_features
 from enose.mlp import (LOSS_IMPROVEMENT_FLOOR, MlpConfig, MlpModel, init_layers,
                        loss_and_grads)
-from enose.preprocess import default_anchors, fit_standardizer
-from enose.sensors import ADC_MAX, _channel_resistance, divider_voltage, quantize
+from enose.preprocess import default_anchors, fit_standardizer, process_session
+from enose.sensors import (ADC_MAX, _channel_resistance, clean_traces, divider_voltage,
+                           dominant_gas_label, quantize, session_seed, simulate_session,
+                           standard_protocol)
 
 
 def charpoly_eigvalsh(a) -> np.ndarray:
@@ -358,3 +363,36 @@ def process_session_per_channel(session, window_m: int, degree: int) -> np.ndarr
     for ch in range(4):
         out[:, ch] = remove_baseline_1d(moving_average_1d(volts[:, ch], window_m), t_s, degree)
     return out
+
+
+def prepare_features_whole_table(table, config, seed: int) -> bench.FeatureSplit:
+    """`bench.prepare_features` holding every session of the table at once.
+
+    The reference for the streamed front end: a list of all generated
+    sessions, then the list of their wire round trips, then the list of
+    processed sessions, then one feature row each, with labels and targets
+    read from the kept sessions.
+    """
+    specs = bench.sensor_array_for(config)
+    sessions = []
+    counts = bench.row_counts(table.n_total, len(table.rows))
+    for row_idx, (mix, count) in enumerate(zip(table.rows, counts)):
+        proto = standard_protocol(mix, config.sample_rate_hz)
+        clean = clean_traces(specs, proto)
+        for rep in range(count):
+            t_ms, raw = simulate_session(specs, proto,
+                                         session_seed(seed, row_idx, rep), clean)
+            sessions.append(Session(t_ms, raw, label=dominant_gas_label(mix), mixture=mix,
+                                    sample_rate_hz=config.sample_rate_hz))
+    sessions = [parse_stream(frame_lines(s.t_ms, s.counts), label=s.label,
+                             mixture=s.mixture, sample_rate_hz=s.sample_rate_hz)
+                for s in sessions]
+    processed = [process_session(s, config.filter) for s in sessions]
+    x = np.array([extract_features(p) for p in processed])
+    y = np.array([s.label for s in sessions], dtype=np.int64)
+    conc = np.array([s.mixture.as_tuple() for s in sessions], dtype=float)
+    train_idx, test_idx = bench.stratified_split(y, table.n_train, table.n_test, seed)
+    front = bench.fit_front(x[train_idx], config)
+    return bench.FeatureSplit(x=x, y=y, conc=conc, train_idx=train_idx,
+                              test_idx=test_idx, z_train=front.scores(x[train_idx]),
+                              z_test=front.scores(x[test_idx]))

@@ -1,4 +1,6 @@
 import dataclasses
+import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from enose.bench import (ExperimentTable, PipelineConfig, StageError,
                          row_counts, stratified_split)
 from enose.report import emit_report
 from enose.sensors import GasMixture, session_seed, standard_protocol
-from oracles import simulate_session_per_session
+from oracles import prepare_features_whole_table, simulate_session_per_session
 
 FAST = PipelineConfig(noise_sigma=0.0, mlp_epochs=40)
 
@@ -147,14 +149,14 @@ class TestRegressionExperiment:
 
 class TestBuildSessions:
     def test_per_row_counts_and_labels(self):
-        sessions = bench.build_sessions(TINY, FAST, seed=5, per_row=3)
+        sessions = list(bench.build_sessions(TINY, FAST, seed=5, per_row=3))
         assert len(sessions) == 6
         assert [s.label for s in sessions] == [1, 1, 1, 2, 2, 2]
         n = standard_protocol(GasMixture()).n_samples
         assert all(s.t_ms.shape == (n,) and s.counts.shape == (n, 4) for s in sessions)
 
     def test_default_counts_follow_the_table_split(self):
-        sessions = bench.build_sessions(TINY, FAST, seed=5)
+        sessions = list(bench.build_sessions(TINY, FAST, seed=5))
         assert [s.label for s in sessions] == [1] * 12 + [2] * 12
 
     def test_rejects_zero_per_row(self):
@@ -169,8 +171,8 @@ class TestBuildSessions:
 
     def test_per_row_prefix_matches_the_table_split(self):
         # session (row, rep) has its own seed, so the two counts agree on shared reps
-        split = bench.build_sessions(TINY, PipelineConfig(), seed=5)
-        per_row = bench.build_sessions(TINY, PipelineConfig(), seed=5, per_row=2)
+        split = list(bench.build_sessions(TINY, PipelineConfig(), seed=5))
+        per_row = list(bench.build_sessions(TINY, PipelineConfig(), seed=5, per_row=2))
         for a, b in zip(per_row, [split[0], split[1], split[12], split[13]]):
             assert np.array_equal(a.counts, b.counts) and a.label == b.label
 
@@ -190,7 +192,7 @@ class TestBuildSessions:
                                 tau_rise=tau_rise, tau_fall=tau_fall, sample_rate_hz=rate)
         table = ExperimentTable(id="three", n_train=4, n_test=2, rows=(
             GasMixture(100, 0, 0), GasMixture(0, 40, 60), GasMixture(0, 0, 0)))
-        sessions = bench.build_sessions(table, config, seed, per_row=per_row)
+        sessions = list(bench.build_sessions(table, config, seed, per_row=per_row))
         specs = bench.sensor_array_for(config)
         expected = [simulate_session_per_session(specs, standard_protocol(mix, rate),
                                                  session_seed(seed, row, rep))
@@ -203,9 +205,88 @@ class TestBuildSessions:
 
 class TestReingest:
     def test_wire_round_trip_preserves_sessions(self):
-        sessions = bench.build_sessions(TINY, FAST, seed=2)
-        again = bench.reingest(sessions)
+        sessions = list(bench.build_sessions(TINY, FAST, seed=2))
+        again = [bench.reingest(s) for s in sessions]
         assert len(again) == len(sessions)
         assert all(np.array_equal(a.t_ms, b.t_ms) and np.array_equal(a.counts, b.counts)
                    for a, b in zip(sessions, again))
         assert all(a.label == b.label for a, b in zip(sessions, again))
+
+
+MIXTURES = (GasMixture(100, 0, 0), GasMixture(0, 100, 0), GasMixture(0, 0, 100),
+            GasMixture(50, 25, 25), GasMixture(10, 80, 10), GasMixture(0, 0, 0))
+
+
+class TestStreamedFrontEnd:
+    @given(
+        rows=st.lists(st.sampled_from(MIXTURES), min_size=1, max_size=6),
+        reps=st.data(),
+        noise_sigma=st.sampled_from([0.0, 0.02]),
+        features=st.sampled_from(["pca", "kpca"]),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_whole_table_oracle(self, rows, reps, noise_sigma, features, seed):
+        # 1-3 sessions per row: row_counts spreads n_total over the rows
+        n_total = reps.draw(st.integers(max(3, len(rows)), 3 * len(rows)))
+        n_test = reps.draw(st.integers(1, n_total - 2))
+        table = ExperimentTable(id="drawn", rows=tuple(rows),
+                                n_train=n_total - n_test, n_test=n_test)
+        config = PipelineConfig(noise_sigma=noise_sigma, features=features)
+        try:
+            expected = prepare_features_whole_table(table, config, seed)
+        except StageError as exc:
+            with pytest.raises(StageError) as got:
+                bench.prepare_features(table, config, seed)
+            assert (got.value.stage, str(got.value)) == (exc.stage, str(exc))
+            return
+        got = bench.prepare_features(table, config, seed)
+        for name in ("x", "y", "conc", "train_idx", "test_idx", "z_train", "z_test"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_peak_memory_does_not_grow_with_the_table(self):
+        rows = MIXTURES[:5] + (GasMixture(30, 30, 40),)
+
+        def peak_mb(n_total):
+            table = ExperimentTable(id="six", rows=rows, n_train=n_total - 6, n_test=6)
+            tracemalloc.start()
+            try:
+                bench.prepare_features(table, PipelineConfig(), seed=3)
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        peak_mb(12)   # first-use caches are built outside the measurement
+        small, large = peak_mb(30), peak_mb(120)
+        assert large <= small + 0.5, (small, large)
+
+    @pytest.mark.parametrize("name, stage", [
+        ("simulate_session", "generate"),
+        ("parse_stream", "ingest"),
+        ("process_session", "preprocess"),
+        ("extract_features", "extract"),
+    ])
+    def test_failure_in_a_later_session_keeps_its_stage(self, monkeypatch, name, stage):
+        # TINY has 24 sessions, so session 20 lies past the first chunk
+        assert TINY.n_total > 20 > bench.FRONT_CHUNK
+        real = getattr(bench, name)
+        calls = []
+
+        def call_20_fails(*args, **kwargs):
+            calls.append(name)
+            if len(calls) == 20:
+                raise ValueError(f"{name} failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, name, call_20_fails)
+        with pytest.raises(StageError, match=f"{name} failed") as exc:
+            bench.prepare_features(TINY, FAST, seed=0)
+        assert exc.value.stage == stage
+
+    def test_each_stage_is_logged_once(self, caplog):
+        with caplog.at_level(logging.INFO, logger="enose.bench"):
+            bench.prepare_features(TINY, FAST, seed=0)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"stage {name}" for name in ("generate", "ingest", "preprocess", "extract",
+                                         "split", "standardize", "reduce")]

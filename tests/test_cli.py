@@ -394,6 +394,9 @@ class TestModelFileCorruption:
         ("pca", "retained_k", "99"),
         ("pca", "retained_k", "0"),
         ("kpca", "retained_k", "99"),
+        ("pca", "c_penalty", "-5"),
+        ("pca", "c_penalty", "0"),
+        ("pca", "dual_coef", "1.0"),
     ])
     def test_edited_field_is_named(self, tmp_path, capsys, features, key, value):
         # each edit parses, but contradicts another field of the chain

@@ -54,6 +54,21 @@ class TestBinaryTraining:
         assert np.all(np.abs(model.dual_coef) > 0)
         assert np.all(alpha >= 0) and np.all(alpha <= 10.0)
 
+    def test_machine_c_penalty_and_lengths_checked(self):
+        def machine(c_penalty, n_duals):
+            return BinarySvm(support_vectors=np.zeros((2, 2)), dual_coef=np.ones(n_duals),
+                             bias=0.0, kernel="linear", gamma=None, c_penalty=c_penalty,
+                             n_iter=0, objective=0.0)
+
+        assert machine(1.0, 2).decision(np.ones((1, 2))).tolist() == [0.0]
+        for c_penalty, n_duals, message in [(-5.0, 2, "c_penalty must be > 0"),
+                                            (0.0, 2, "c_penalty must be > 0"),
+                                            (float("nan"), 2, "c_penalty must be > 0"),
+                                            (float("inf"), 2, "c_penalty must be finite"),
+                                            (1.0, 1, "2 support_vectors rows but 1 dual_coef")]:
+            with pytest.raises(ValueError, match=message):
+                machine(c_penalty, n_duals)
+
     def test_machine_kernel_and_gamma_checked(self):
         def machine(kernel, gamma):
             return BinarySvm(support_vectors=np.zeros((1, 2)), dual_coef=np.ones(1),
