@@ -12,13 +12,13 @@ import dataclasses
 
 from enose.bench import PipelineConfig, get_table, prepare_features, \
     run_regression_experiment
+from enose.cli import TABLE_CHOICES
 from enose.config import read_config
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--table", default="binary-ethanol",
-                    choices=("binary-ethanol", "binary-methanol", "ternary"))
+    ap.add_argument("--table", default="binary-ethanol", choices=TABLE_CHOICES)
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--widths", default="4,8,16,32",
                     help="comma-separated hidden sizes")

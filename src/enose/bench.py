@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
@@ -27,13 +26,14 @@ from itertools import islice
 import numpy as np
 
 from .acquisition import Session, frame_lines, parse_stream
+from .checks import check_sizes
 from .features import (N_FEATURES, KpcaModel, PcaModel, extract_features,
                        kpca_fit, kpca_transform, pca_fit, pca_transform)
 from .mlp import MlpConfig, evaluate_regression, mlp_forward, mlp_train
 from .preprocess import FilterConfig, Standardizer, fit_standardizer, process_session
 from .report import (RegressionReport, RunReport, classification_metrics)
-from .sensors import (DEFAULT_DRIFT_RATE, DEFAULT_NOISE_SIGMA, GasMixture,
-                      SAMPLE_RATE_HZ, clean_traces, default_sensor_array,
+from .sensors import (CLEAN_AIR, DEFAULT_DRIFT_RATE, DEFAULT_NOISE_SIGMA, SAMPLE_RATE_HZ,
+                      GasMixture, SensorSpec, clean_traces, default_sensor_array,
                       dominant_gas_label, session_seed, simulate_session,
                       standard_protocol)
 from .svm import SvmParams, svm_predict, svm_train_multiclass
@@ -146,9 +146,9 @@ class PipelineConfig:
 
     Its fields, with `filter` flattened, are the config-file keys and the
     report's echo, so an echo block is a valid config file.  Construction
-    runs the checks of `SvmParams` and `MlpConfig`, so a bad model setting
-    fails before any stage runs, and checks the other settings' ranges
-    with comparisons that a nan fails.
+    builds the `SvmParams`, `MlpConfig`, sensor array and exposure protocol
+    the settings describe, so the range checks those types own stop a bad
+    setting before any stage runs.
     """
 
     features: str = "pca"            # "pca" or "kpca"
@@ -171,22 +171,13 @@ class PipelineConfig:
             raise ValueError("features must be 'pca' or 'kpca'")
         if not 0 < self.variance_threshold <= 1:
             raise ValueError("variance_threshold must be in (0, 1]")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError("noise_sigma must be finite and >= 0")
-        if not math.isfinite(self.drift_rate):
-            raise ValueError("drift_rate must be finite")
-        if not 0 < self.sample_rate_hz <= 1000:
-            raise ValueError("sample_rate_hz must be in (0, 1000]")
-        for key in ("tau_rise", "tau_fall"):
-            tau = getattr(self, key)
-            if tau is not None and not tau > 0:
-                raise ValueError(f"{key} must be > 0")
         if not self.mlp_hidden:
             raise ValueError("mlp_hidden needs at least one layer size")
-        # build the model settings once for their checks; the real seed
-        # is known only when a model is trained
+        # each type checks its own settings; the seed and mixture come later
         self.svm_params()
         self.mlp_config(seed=0)
+        sensor_array_for(self)
+        standard_protocol(CLEAN_AIR, self.sample_rate_hz)
 
     def svm_params(self) -> SvmParams:
         return SvmParams(c_penalty=self.svm_c, kernel=self.svm_kernel,
@@ -250,18 +241,12 @@ def row_counts(total: int, n_rows: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(n_rows)]
 
 
-def sensor_array_for(config: PipelineConfig):
-    """The default array with the config's noise/drift/time-constant overrides."""
-    specs = default_sensor_array(noise_sigma=config.noise_sigma,
-                                 drift_rate=config.drift_rate)
-    overrides = {}
-    if config.tau_rise is not None:
-        overrides["tau_rise"] = config.tau_rise
-    if config.tau_fall is not None:
-        overrides["tau_fall"] = config.tau_fall
-    if overrides:
-        specs = tuple(dataclasses.replace(s, **overrides) for s in specs)
-    return specs
+def sensor_array_for(config: PipelineConfig) -> tuple[SensorSpec, ...]:
+    """The default array with the config's noise, drift and time constants."""
+    overrides = {"noise_sigma": config.noise_sigma, "drift_rate": config.drift_rate}
+    overrides.update({key: tau for key in ("tau_rise", "tau_fall")
+                      if (tau := getattr(config, key)) is not None})
+    return tuple(dataclasses.replace(s, **overrides) for s in default_sensor_array())
 
 
 def build_sessions(table: ExperimentTable, config: PipelineConfig,
@@ -357,6 +342,11 @@ class FittedFront:
 
     standardizer: Standardizer
     reducer: PcaModel | KpcaModel
+
+    def __post_init__(self):
+        r = self.reducer
+        width = len(r.mean) if isinstance(r, PcaModel) else r.x_train.shape[1]
+        check_sizes({"standardizer mean": len(self.standardizer.mean), "reducer input": width})
 
     def scores(self, x) -> np.ndarray:
         """Reduced scores of raw feature rows."""

@@ -1,0 +1,17 @@
+"""Range and size checks shared by the settings and fitted-model types."""
+
+import math
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise unless `value` is > 0 (which a nan is not) and finite."""
+    if not value > 0:
+        raise ValueError(f"{name} must be > 0")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+
+
+def check_sizes(sizes: dict[str, int]) -> None:
+    """Raise, naming every size, unless all of `sizes` are equal."""
+    if len(set(sizes.values())) > 1:
+        raise ValueError("sizes disagree: " + ", ".join(f"{k} {v}" for k, v in sizes.items()))

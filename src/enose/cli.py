@@ -40,7 +40,7 @@ from .svm import SvmModel, svm_predict, svm_train_multiclass
 
 log = logging.getLogger("enose")
 
-TABLE_CHOICES = ("binary-ethanol", "binary-methanol", "ternary")
+TABLE_CHOICES = tuple(key.replace("_", "-") for key in bench.TABLES)
 
 
 def _pipeline_config(args) -> PipelineConfig:

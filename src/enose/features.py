@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import check_positive, check_sizes
 from .eigen import jacobi_eigh, leading_eigh, orient_columns
 from .preprocess import ProcessedSession
 from .sensors import BASELINE_S, EXPOSURE_S
@@ -73,7 +74,10 @@ class PcaModel:
     def __post_init__(self):
         # one layout for fitted and loaded models, as for KpcaModel.alphas
         object.__setattr__(self, "components", np.asfortranarray(self.components))
-        _check_retained_k(self.retained_k, self.components.shape[0], "components")
+        k, d = self.components.shape
+        check_sizes({"mean": len(self.mean), "components columns": d})
+        check_sizes({"eigenvalues": len(self.eigenvalues), "components rows": k})
+        _check_retained_k(self.retained_k, k, "components")
 
 
 def pca_fit(x, variance_threshold: float = 0.95) -> PcaModel:
@@ -121,7 +125,12 @@ class KpcaModel:
         # alphas; one layout for fitted and loaded models keeps a saved and
         # reloaded model's projections bit for bit those of the fitted one
         object.__setattr__(self, "alphas", np.asfortranarray(self.alphas))
-        _check_retained_k(self.retained_k, self.alphas.shape[-1], "alphas columns")
+        check_positive("gamma", self.gamma)
+        n, k = self.alphas.shape
+        check_sizes({"x_train rows": len(self.x_train),
+                     "train_row_means": len(self.train_row_means), "alphas rows": n})
+        check_sizes({"eigenvalues": len(self.eigenvalues), "alphas columns": k})
+        _check_retained_k(self.retained_k, k, "alphas columns")
 
 
 def pairwise_sq_dists(a, b) -> np.ndarray:
@@ -165,8 +174,6 @@ def kpca_fit(x, gamma: float | None = None,
         raise ValueError("KPCA needs at least 2 samples")
     if gamma is None:
         gamma = default_gamma(x)
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
 
     k = rbf_kernel(x, x, gamma)
     row_means = k.mean(axis=1)

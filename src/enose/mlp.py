@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_positive, check_sizes
 from .preprocess import Standardizer, fit_standardizer
 
 LOSS_IMPROVEMENT_FLOOR = 1e-9
@@ -52,10 +53,7 @@ class MlpConfig:
     def __post_init__(self):
         if any(h < 1 for h in self.hidden_layers):
             raise ValueError("layer sizes must be >= 1")
-        if not self.lr > 0:
-            raise ValueError("lr must be > 0")
-        if not np.isfinite(self.lr):
-            raise ValueError("lr must be finite")
+        check_positive("lr", self.lr)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -69,6 +67,17 @@ class MlpModel:
     target_scale: float
     loss_trace: np.ndarray
     config: MlpConfig
+
+    def __post_init__(self):
+        # sizes are named as a model file names them
+        sizes = (len(self.standardizer.mean), *self.config.hidden_layers, 1)
+        shapes = tuple(w.shape for w in self.weights)
+        if shapes != tuple(zip(sizes, sizes[1:])):
+            raise ValueError(f"standardizer width, hidden and one output {sizes} "
+                             f"do not match the weight shapes {shapes}")
+        for i, (w, b) in enumerate(zip(self.weights, self.biases, strict=True)):
+            check_sizes({f"bias{i}": len(b), f"weight{i} columns": w.shape[1]})
+        check_positive("target_scale", self.target_scale)
 
 
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import FittedFront
+from .checks import check_sizes
 from .features import KpcaModel, PcaModel
 from .mlp import MlpConfig, MlpModel
 from .preprocess import Standardizer
@@ -233,6 +234,9 @@ def load_model(path) -> tuple[FittedFront, SvmModel | MlpModel]:
     front = FittedFront(standardizer=_read_section(reader, _STANDARDIZER),
                         reducer=_read_section(reader, _REDUCERS))
     model = _read_section(reader, _MODELS)
+    width = (model.weights[0].shape[0] if isinstance(model, MlpModel)
+             else model.machines[0][1].support_vectors.shape[1])
+    check_sizes({"retained_k": front.reducer.retained_k, "model input width": width})
     for lineno in range(reader.pos, len(lines)):
         if lines[lineno].strip():
             raise ValueError(f"line {lineno + 1}: unexpected content after the model")

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import SESSION_HEADER, Session, write_meta
+from .checks import check_sizes
 from .sensors import SAMPLE_RATE_HZ, GasMixture
 
 EDGE_FRACTION = 0.10
@@ -124,6 +125,12 @@ class Standardizer:
     mean: np.ndarray
     std: np.ndarray
     constant: np.ndarray
+
+    def __post_init__(self):
+        check_sizes({"mean": len(self.mean), "std": len(self.std),
+                     "constant": len(self.constant)})
+        if not np.all((self.std > 0) & (self.std < np.inf)):
+            raise ValueError("std must be finite and > 0")
 
     def transform(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -16,19 +16,20 @@ Gaussian noise are applied on top, then the resistance is read out
 through a voltage divider and quantized to 12-bit ADC counts.
 
 The default array holds one acetone-dominant channel whose power-law
-coefficients are least-squares fitted to canonical saturating target
-curves (see ``fit_power_law``), plus three channels with distinct
-hand-set cross-sensitivity profiles, so the array as a whole separates
-acetone / ethanol / methanol mixtures.
+coefficients were least-squares fitted once to saturating target curves
+(the literals in ``default_sensor_array`` name them), plus three channels
+with distinct hand-set cross-sensitivity profiles, so the array as a
+whole separates acetone / ethanol / methanol mixtures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+
+from .checks import check_positive, check_sizes
 
 GASES = ("acetone", "ethanol", "methanol")
 
@@ -102,16 +103,16 @@ class SensorSpec:
     noise_sigma: float = DEFAULT_NOISE_SIGMA
 
     def __post_init__(self):
-        if self.r_air <= 0:
-            raise ValueError("r_air must be > 0")
-        if self.tau_rise <= 0 or self.tau_fall <= 0:
-            raise ValueError("time constants must be > 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if len(self.sens_coeff) != 3 or len(self.sens_exp) != 3:
-            raise ValueError("sens_coeff and sens_exp need one entry per gas")
-        if any(a < 0 for a in self.sens_coeff):
-            raise ValueError("sensitivity coefficients must be >= 0")
+        for key in ("r_air", "tau_rise", "tau_fall"):
+            check_positive(key, getattr(self, key))
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
+        if not math.isfinite(self.drift_rate):
+            raise ValueError("drift_rate must be finite")
+        check_sizes({"gases": 3, "sens_coeff": len(self.sens_coeff),
+                     "sens_exp": len(self.sens_exp)})
+        if any(not 0 <= a < math.inf for a in self.sens_coeff):
+            raise ValueError("sensitivity coefficients must be finite and >= 0")
         if not any(a > 0 for a in self.sens_coeff):
             raise ValueError("sensor must respond to at least one gas")
         if any(not 0 < b <= 1 for b in self.sens_exp):
@@ -128,8 +129,8 @@ class ExposureProtocol:
     def __post_init__(self):
         if not self.phases:
             raise ValueError("protocol needs at least one phase")
-        if any(d <= 0 for _, d in self.phases):
-            raise ValueError("phase durations must be > 0")
+        for _, duration in self.phases:
+            check_positive("phase duration", duration)
         if not 0 < self.sample_rate_hz <= 1000:
             raise ValueError("sample_rate_hz must be in (0, 1000]")
 
@@ -245,99 +246,22 @@ def session_seed(seed: int, row: int, rep: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# --- calibration ---------------------------------------------------------
-
-# Exponents the power-law fit scans before its golden-section refinement.
-B_GRID_SIZE = 400
-
-# Concentration grids the canonical response targets are pinned at.
-ACETONE_GRID_PPM = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0, 50.0, 100.0, 150.0, 200.0, 300.0)
-INTERFERENT_GRID_PPM = (1.0, 10.0, 20.0, 50.0, 100.0, 200.0)
-
-
-def saturating_target(c: float, s_max: float, c_half: float) -> float:
-    """Canonical monotone-concave excess sensitivity S(c) - 1 = s_max*c/(c+c_half)."""
-    return s_max * c / (c + c_half)
-
-
-# (s_max, c_half, grid) per gas for the acetone-dominant channel.
-TIO2_TARGETS = {
-    "acetone": (9.0, 60.0, ACETONE_GRID_PPM),
-    "ethanol": (2.2, 90.0, INTERFERENT_GRID_PPM),
-    "methanol": (1.6, 120.0, INTERFERENT_GRID_PPM),
-}
-
-
-def fit_power_law(conc, excess) -> tuple[float, float]:
-    """Least-squares fit of excess = a * c**b with b in (0, 1].
-
-    For fixed b the optimal amplitude is closed-form, so the fit reduces
-    to a 1-D scan over B_GRID_SIZE values of b followed by a golden-section
-    refinement.
-    """
-    conc = np.asarray(conc, dtype=float)
-    excess = np.asarray(excess, dtype=float)
-
-    def best_a(b):
-        x = conc**b
-        denom = float(x @ x)
-        return max(0.0, float(x @ excess) / denom) if denom > 0 else 0.0
-
-    def sse(b):
-        a = best_a(b)
-        return float(np.sum((a * conc**b - excess) ** 2))
-
-    bs = np.linspace(1.0 / B_GRID_SIZE, 1.0, B_GRID_SIZE)
-    errs = [sse(b) for b in bs]
-    k = int(np.argmin(errs))
-    lo = bs[max(0, k - 1)]
-    hi = bs[min(len(bs) - 1, k + 1)]
-
-    # golden-section on the bracketed minimum
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = sse(x1), sse(x2)
-    for _ in range(80):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = sse(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = sse(x2)
-    b = 0.5 * (lo + hi)
-    return best_a(b), b
-
-
-@lru_cache(maxsize=None)
-def _fitted_tio2_coeffs() -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    coeffs, exps = [], []
-    for gas in GASES:
-        s_max, c_half, grid = TIO2_TARGETS[gas]
-        excess = [saturating_target(c, s_max, c_half) for c in grid]
-        a, b = fit_power_law(grid, excess)
-        coeffs.append(a)
-        exps.append(b)
-    return tuple(coeffs), tuple(exps)
-
-
-def default_sensor_array(noise_sigma: float = DEFAULT_NOISE_SIGMA,
-                         drift_rate: float = DEFAULT_DRIFT_RATE) -> tuple[SensorSpec, ...]:
+def default_sensor_array() -> tuple[SensorSpec, ...]:
     """The default 4-channel array with distinct cross-sensitivity profiles."""
-    tio2_a, tio2_b = _fitted_tio2_coeffs()
-    common = dict(noise_sigma=noise_sigma, drift_rate=drift_rate)
     return (
-        # acetone-dominant channel, calibrated against the canonical targets
-        SensorSpec(id=0, r_air=120.0, sens_coeff=tio2_a, sens_exp=tio2_b, **common),
+        # acetone-dominant TiO2 channel: the power law least-squares fitted
+        # to S - 1 = s_max * c / (c + c_half) with s_max/c_half 9.0/60 ppm
+        # (acetone), 2.2/90 ppm (ethanol) and 1.6/120 ppm (methanol)
+        SensorSpec(id=0, r_air=120.0,
+                   sens_coeff=(0.5176564179026558, 0.08119565586322176, 0.04062565359181517),
+                   sens_exp=(0.4869833517955493, 0.5599716577357634, 0.6105077689145484)),
         # broad-response channel
         SensorSpec(id=1, r_air=45.0,
-                   sens_coeff=(0.30, 0.34, 0.26), sens_exp=(0.55, 0.52, 0.58), **common),
+                   sens_coeff=(0.30, 0.34, 0.26), sens_exp=(0.55, 0.52, 0.58)),
         # ethanol-leaning channel
         SensorSpec(id=2, r_air=30.0,
-                   sens_coeff=(0.18, 0.90, 0.12), sens_exp=(0.60, 0.62, 0.58), **common),
+                   sens_coeff=(0.18, 0.90, 0.12), sens_exp=(0.60, 0.62, 0.58)),
         # methanol-leaning channel
         SensorSpec(id=3, r_air=60.0,
-                   sens_coeff=(0.15, 0.20, 0.85), sens_exp=(0.60, 0.55, 0.62), **common),
+                   sens_coeff=(0.15, 0.20, 0.85), sens_exp=(0.60, 0.55, 0.62)),
     )

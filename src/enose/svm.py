@@ -15,9 +15,11 @@ tolerance after the final bias is recomputed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
+from .checks import check_positive
 from .features import default_gamma, rbf_kernel
 
 SMO_TOL = 1e-3          # KKT tolerance of a trained machine
@@ -37,25 +39,16 @@ class SvmParams:
     gamma: float | None = None    # None: 1/(d * median pairwise sq dist)
 
     def __post_init__(self):
-        _check_c_penalty(self.c_penalty)
+        check_positive("c_penalty", self.c_penalty)
         _check_kernel(self.kernel, self.gamma)
-
-
-def _check_c_penalty(c_penalty: float) -> None:
-    if not c_penalty > 0:
-        raise ValueError("c_penalty must be > 0")
-    if not np.isfinite(c_penalty):
-        raise ValueError("c_penalty must be finite")
 
 
 def _check_kernel(kernel: str, gamma: float | None) -> None:
     """A known kernel, and a gamma that is None or finite and > 0."""
     if kernel not in ("linear", "rbf"):
         raise ValueError(f"unknown kernel {kernel!r}")
-    if gamma is not None and not gamma > 0:
-        raise ValueError("gamma must be > 0")
-    if gamma is not None and not np.isfinite(gamma):
-        raise ValueError("gamma must be finite")
+    if gamma is not None:
+        check_positive("gamma", gamma)
 
 
 def kernel_matrix(a, b, kernel: str, gamma: float | None) -> np.ndarray:
@@ -85,7 +78,7 @@ class BinarySvm:
         _check_kernel(self.kernel, self.gamma)
         if self.kernel == "rbf" and self.gamma is None:
             raise ValueError("gamma must be set for the rbf kernel")
-        _check_c_penalty(self.c_penalty)
+        check_positive("c_penalty", self.c_penalty)
         if len(self.support_vectors) != len(self.dual_coef):
             raise ValueError(f"{len(self.support_vectors)} support_vectors rows but "
                              f"{len(self.dual_coef)} dual_coef values")
@@ -281,6 +274,13 @@ class SvmModel:
 
     classes: tuple[int, ...]
     machines: tuple[tuple[tuple[int, int], BinarySvm], ...]
+
+    def __post_init__(self):
+        pairs = tuple(pair for pair, _ in self.machines)
+        if (len(self.classes) < 2 or list(self.classes) != sorted(set(self.classes))
+                or pairs != tuple(combinations(self.classes, 2))):
+            raise ValueError(f"classes {self.classes} must be sorted, unique and at least "
+                             f"2, with one pair per two classes; found pairs {pairs}")
 
 
 def svm_train_multiclass(x, y, params: SvmParams = SvmParams()) -> SvmModel:

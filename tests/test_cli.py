@@ -13,6 +13,7 @@ from enose.features import N_FEATURES, write_features_csv
 from enose.preprocess import FilterConfig
 from enose.sensors import GasMixture
 
+from test_modelio import training_data
 from test_report import read_metrics_csv
 
 
@@ -354,6 +355,40 @@ def failures_of(main_argv, path, cases, capsys, allow_success: bool,
     return failures
 
 
+# (chain, section, edited key, new value) of each model-file edit that
+# parses but contradicts another field of the chain
+EDITS = [
+    ("pca-svm", "svm", "kernel", "poly"),
+    ("pca-svm", "svm", "gamma", "none"),
+    ("pca-svm", "pca", "retained_k", "99"),
+    ("pca-svm", "pca", "retained_k", "0"),
+    ("kpca-svm", "kpca", "retained_k", "99"),
+    ("pca-svm", "svm", "c_penalty", "-5"),
+    ("pca-svm", "svm", "c_penalty", "0"),
+    ("pca-svm", "svm", "dual_coef", "1.0"),
+    ("kpca-svm", "kpca", "gamma", "-1.0"),
+    ("kpca-svm", "kpca", "gamma", "0.0"),
+    ("pca-svm", "standardizer", "std", "each 0.0"),
+    ("pca-svm", "standardizer", "std", "each -1.0"),
+    ("pca-mlp", "mlp", "target_scale", "0.0"),
+    ("pca-svm", "standardizer", "mean", "1.0"),
+    ("pca-svm", "pca", "mean", "1.0 2.0"),
+    ("pca-svm", "pca", "eigenvalues", "1.0"),
+    ("kpca-svm", "kpca", "train_row_means", "1.0"),
+    ("kpca-svm", "kpca", "eigenvalues", "1.0"),
+    ("pca-mlp", "mlp", "bias0", "1.0"),
+    ("pca-mlp", "mlp", "bias1", "1.0 2.0"),
+    ("pca-mlp", "mlp", "hidden", "3"),
+    ("pca-mlp", "mlp", "mean", "1.0"),
+    ("pca-mlp", "mlp", "std", "each 0.0"),
+    ("pca-svm", "svm", "classes", "1 2"),
+    ("kpca-svm", "svm", "classes", "2 1 3"),
+    ("pca-svm", "svm", "pair", "1 9"),
+    ("pca-svm", "pca", "retained_k", "2"),
+    ("pca-mlp", "pca", "retained_k", "2"),
+]
+
+
 class TestModelFileCorruption:
     """Every corrupted chain file ends `classify`/`predict` with exit 2 and
     a stage-tagged message: none loads, and none ends in a traceback."""
@@ -388,34 +423,32 @@ class TestModelFileCorruption:
         assert failures == []
         assert not report.exists()
 
-    @pytest.mark.parametrize("features, key, value", [
-        ("pca", "kernel", "poly"),
-        ("pca", "gamma", "none"),
-        ("pca", "retained_k", "99"),
-        ("pca", "retained_k", "0"),
-        ("kpca", "retained_k", "99"),
-        ("pca", "c_penalty", "-5"),
-        ("pca", "c_penalty", "0"),
-        ("pca", "dual_coef", "1.0"),
-    ])
-    def test_edited_field_is_named(self, tmp_path, capsys, features, key, value):
-        # each edit parses, but contradicts another field of the chain
-        x, y, conc = separable_features(np.random.default_rng(1))
+    @pytest.mark.parametrize("chain, section, key, value", EDITS, ids=[
+        f"{chain.removesuffix('-svm')}-{key}-{value}" for chain, _, key, value in EDITS])
+    def test_edited_field_is_named(self, tmp_path, capsys, chain, section, key, value):
+        # each edit parses, but contradicts another field of the chain;
+        # "each v" sets every number of the field's line to v
+        x, y, t = training_data()
         feat = tmp_path / "features.csv"
-        write_features_csv(feat, x, y, conc)
+        write_features_csv(feat, x, y, np.column_stack([t, 0 * t, 0 * t]))
+        features, head = chain.split("-")
+        train, apply = ("train-svm", "classify") if head == "svm" else ("train-mlp", "predict")
         conf = tmp_path / "run.conf"
-        conf.write_text(f"features = {features}\n")
+        conf.write_text(f"features = {features}\nmlp_epochs = 5\n")
         model = tmp_path / "chain.model"
-        assert main(["train-svm", "--in", str(feat), "--model", str(model),
+        assert main([train, "--in", str(feat), "--model", str(model),
                      "--config", str(conf)]) == 0
         lines = model.read_text().splitlines()
-        i = next(i for i, line in enumerate(lines) if line.startswith(f"{key} "))
+        start = lines.index(f"section {section}")
+        i = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key} "))
+        if value.startswith("each "):
+            value = " ".join(value[5:] for _ in lines[i].split()[1:])
         model.write_text("\n".join([*lines[:i], f"{key} {value}", *lines[i + 1:]]) + "\n")
         capsys.readouterr()
-        rc = main(["classify", "--model", str(model), "--in", str(feat),
+        rc = main([apply, "--model", str(model), "--in", str(feat),
                    "--report", str(tmp_path / "report.csv")])
         err = capsys.readouterr().err
-        assert rc == 2 and err.startswith("error [stage=classify] ") and key in err
+        assert rc == 2 and err.startswith(f"error [stage={apply}] ") and key in err
         assert "Traceback" not in err and "NoneType" not in err
 
 

@@ -34,6 +34,28 @@ mixtures_st = st.builds(
 )
 
 
+# Channel 0's calibration spec: per gas, (s_max, c_half, ppm grid) of the
+# saturating target S - 1 = s_max * c / (c + c_half) that its power law
+# was least-squares fitted to.
+ACETONE_GRID_PPM = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0, 50.0, 100.0, 150.0, 200.0, 300.0)
+INTERFERENT_GRID_PPM = (1.0, 10.0, 20.0, 50.0, 100.0, 200.0)
+TIO2_TARGETS = ((9.0, 60.0, ACETONE_GRID_PPM), (2.2, 90.0, INTERFERENT_GRID_PPM),
+                (1.6, 120.0, INTERFERENT_GRID_PPM))
+TIO2 = sn.default_sensor_array()[0]
+
+
+def saturating_excess(gas: int):
+    """(grid, target excess sensitivity on it) for one gas of the spec."""
+    s_max, c_half, grid = TIO2_TARGETS[gas]
+    return grid, [s_max * c / (c + c_half) for c in grid]
+
+
+def best_amplitude(b: float, grid, excess) -> float:
+    """The least-squares a of excess = a * c**b for a fixed b."""
+    x = np.asarray(grid) ** b
+    return max(0.0, float(x @ np.asarray(excess)) / float(x @ x))
+
+
 class TestSteadySensitivity:
     @given(specs_st)
     def test_clean_air_identity(self, spec):
@@ -52,13 +74,25 @@ class TestSteadySensitivity:
         higher = sn.steady_sensitivity(spec, sn.GasMixture(*conc))
         assert higher >= base
 
+    @pytest.mark.parametrize("gas", range(3), ids=sn.GASES)
+    def test_fitted_channel_is_the_least_squares_power_law(self, gas):
+        # a is the closed-form best amplitude for b, and b a minimum of the
+        # SSE with the amplitude refitted: no lower a step of 1e-6 either way
+        a, b = (arr[gas] for arr in (TIO2.sens_coeff, TIO2.sens_exp))
+        grid, excess = saturating_excess(gas)
+        assert a == best_amplitude(b, grid, excess)
+        sse = power_law_sse(a, b, grid, excess)
+        for db in (-1e-6, 1e-6):
+            b_near = b + db
+            assert power_law_sse(best_amplitude(b_near, grid, excess), b_near,
+                                 grid, excess) >= sse
+
     def test_fitted_calibration_matches_grid_oracle(self):
-        s_max, c_half, grid = sn.TIO2_TARGETS["acetone"]
-        excess = [sn.saturating_target(c, s_max, c_half) for c in grid]
-        a_fit, b_fit = sn.fit_power_law(grid, excess)
+        a_fit, b_fit = TIO2.sens_coeff[0], TIO2.sens_exp[0]
+        grid, excess = saturating_excess(0)
         a_gr, b_gr, sse_gr = grid_min_power_law(grid, excess)
         sse_fit = power_law_sse(a_fit, b_fit, grid, excess)
-        # the 1-D scan with closed-form amplitude must beat (or match) the
+        # the 1-D fit with closed-form amplitude must beat (or match) the
         # coarse 2-D grid minimum, and land in the same basin
         assert sse_fit <= sse_gr + 1e-9
         assert b_fit == pytest.approx(b_gr, abs=0.02)
@@ -67,8 +101,8 @@ class TestSteadySensitivity:
     def test_default_array_uses_the_fitted_channel(self):
         arr = sn.default_sensor_array()
         s50 = sn.steady_sensitivity(arr[0], sn.GasMixture(50, 0, 0))
-        s_max, c_half, _ = sn.TIO2_TARGETS["acetone"]
-        target = 1.0 + sn.saturating_target(50.0, s_max, c_half)
+        s_max, c_half, _ = TIO2_TARGETS[0]
+        target = 1.0 + s_max * 50.0 / (50.0 + c_half)
         assert s50 == pytest.approx(target, rel=0.15)
         # distinct cross-sensitivity profiles
         per_gas = [np.argmax(s.sens_coeff) for s in arr]
@@ -90,11 +124,35 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             sn.GasMixture(math.nan, 0, 0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key, message", [
+        ("r_air", "r_air must be {}"),
+        ("tau_rise", "tau_rise must be {}"),
+        ("tau_fall", "tau_fall must be {}"),
+        ("noise_sigma", "noise_sigma must be finite and >= 0"),
+        ("drift_rate", "drift_rate must be finite"),
+        ("sens_coeff", "coefficients must be finite and >= 0"),
+        ("sens_exp", r"exponents must lie in \(0, 1\]"),
+    ])
+    def test_rejects_non_finite_fields(self, key, message, value):
+        # a positive setting reads "> 0" for nan and -inf, "finite" for inf
+        message = message.format("finite" if value == math.inf else "> 0")
+        if key.startswith("sens_"):
+            value = (0.5, value, 0.5)
+        with pytest.raises(ValueError, match=message):
+            quiet_spec(**{key: value})
+
     def test_protocol_validation(self):
         with pytest.raises(ValueError):
             sn.ExposureProtocol(phases=())
         with pytest.raises(ValueError):
             sn.ExposureProtocol(phases=((sn.CLEAN_AIR, 0.0),))
+        for duration, message in ((math.nan, "> 0"), (math.inf, "finite")):
+            with pytest.raises(ValueError, match=f"phase duration must be {message}"):
+                sn.ExposureProtocol(phases=((sn.CLEAN_AIR, duration),))
+        for rate in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"sample_rate_hz must be in \(0, 1000\]"):
+                sn.ExposureProtocol(phases=((sn.CLEAN_AIR, 1.0),), sample_rate_hz=rate)
         proto = sn.ExposureProtocol(phases=((sn.CLEAN_AIR, 2.5),), sample_rate_hz=10)
         assert proto.n_samples == math.ceil(2.5 * 10)
 
