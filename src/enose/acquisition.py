@@ -14,7 +14,6 @@ lines.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,37 +84,28 @@ class Session:
 
 
 def impute_missing(values) -> np.ndarray:
-    """Fill NaN gaps with the mean of the nearest present neighbours.
+    """Fill NaN gaps along axis 0 with the mean of the nearest present neighbours.
 
-    Interior gap runs take the mean of the closest present value on each
-    side; runs touching a boundary copy the single available neighbour.
-    Present values are never altered.
+    `values` is one series (1-D) or one per column (n x k).  Interior gap
+    runs take the mean of the closest present value on each side; runs
+    touching a boundary copy the single available neighbour.  Present
+    values are never altered.
     """
-    out = np.asarray(values, dtype=float).copy()
-    n = out.size
-    present = np.flatnonzero(~np.isnan(out))
-    if present.size == 0:
+    out = np.array(values, dtype=float)
+    cols = out[:, None] if out.ndim == 1 else out    # a view, so it fills `out`
+    gap = np.isnan(cols)
+    if gap.all(axis=0).any():
         raise ValueError("cannot impute an all-missing series")
-    if present.size == n:
-        return out
-    i = 0
-    while i < n:
-        if not math.isnan(out[i]):
-            i += 1
-            continue
-        j = i
-        while j < n and math.isnan(out[j]):
-            j += 1
-        left = out[i - 1] if i > 0 else None
-        right = out[j] if j < n else None
-        if left is None:
-            fill = right
-        elif right is None:
-            fill = left
-        else:
-            fill = 0.5 * (left + right)
-        out[i:j] = fill
-        i = j
+    n = len(cols)
+    at = np.arange(n)[:, None]
+    # rows of the nearest present values above and below each gap (-1 or n
+    # when there is none); a run at a boundary takes its one neighbour twice
+    above = np.maximum.accumulate(np.where(gap, -1, at), axis=0)[gap]
+    below = np.minimum.accumulate(np.where(gap, n, at)[::-1], axis=0)[::-1][gap]
+    lo, hi = np.where(above < 0, below, above), np.where(below == n, above, below)
+    ch = np.nonzero(gap)[1]
+    left, right = cols[lo, ch], cols[hi, ch]
+    cols[gap] = np.where(lo == hi, left, 0.5 * (left + right))
     return out
 
 
@@ -241,17 +231,12 @@ def parse_stream(lines, label: int = 0, mixture: GasMixture | None = None,
                           n_malformed, n_lines)
 
     if blank.any():
-        raw = counts.astype(float)
-        raw[blank] = math.nan
-        for ch in range(4):
-            col = raw[:, ch]
-            if np.isnan(col).any():
-                if np.isnan(col).all():
-                    raise StreamError(f"channel {ch + 1} has no present values",
-                                      n_malformed, n_lines)
-                raw[:, ch] = np.clip(np.round(impute_missing(col)), 0, ADC_MAX)
+        if (empty := np.flatnonzero(blank.all(axis=0))).size:
+            raise StreamError(f"channel {empty[0] + 1} has no present values",
+                              n_malformed, n_lines)
+        raw = impute_missing(np.where(blank, np.nan, counts))
         # every value is a non-negative whole number, so truncation is exact
-        counts = raw.astype(np.int64)
+        counts = np.clip(np.round(raw), 0, ADC_MAX).astype(np.int64)
     return Session(t_ms=t, counts=counts, label=label,
                    mixture=mixture, sample_rate_hz=sample_rate_hz)
 

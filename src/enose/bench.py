@@ -344,9 +344,12 @@ class FittedFront:
     reducer: PcaModel | KpcaModel
 
     def __post_init__(self):
+        # sizes named by model-file section: only a loaded chain can disagree
         r = self.reducer
-        width = len(r.mean) if isinstance(r, PcaModel) else r.x_train.shape[1]
-        check_sizes({"standardizer mean": len(self.standardizer.mean), "reducer input": width})
+        name, width = (("pca", len(r.mean)) if isinstance(r, PcaModel)
+                       else ("kpca", r.x_train.shape[1]))
+        check_sizes({"section standardizer mean": len(self.standardizer.mean),
+                     f"section {name} input width": width})
 
     def scores(self, x) -> np.ndarray:
         """Reduced scores of raw feature rows."""

@@ -155,9 +155,5 @@ def leading_eigh(a, fraction: float):
 
 def orient_columns(v: np.ndarray) -> np.ndarray:
     """Flip column signs so each column's largest-magnitude entry is positive."""
-    v = v.copy()
-    for j in range(v.shape[1]):
-        i = int(np.argmax(np.abs(v[:, j])))
-        if v[i, j] < 0:
-            v[:, j] = -v[:, j]
-    return v
+    top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return np.where(top < 0, -v, v)

@@ -232,8 +232,11 @@ def read_features_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             continue
         fields = line.split(",")
         if len(fields) != N_FEATURES + 4:
-            raise ValueError(f"bad features row: {line!r}")
-        row = [float(v) for v in fields]
+            raise ValueError(f"line {lineno}: bad features row: {line!r}")
+        try:
+            row = [float(v) for v in fields]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         if not all(map(math.isfinite, row)):
             raise ValueError(f"line {lineno}: non-finite value in features row")
         if not row[N_FEATURES].is_integer():

@@ -13,7 +13,8 @@ body is line oriented: `key value...` scalars, and matrices as a `matrix
 Floats are written with repr() so a save/load round trip reproduces the
 chain bit for bit; a nan or inf is an error.  One table of fields per
 flat section type drives its writing and reading; `svm` and `mlp` nest
-them in code of their own.
+them in code of their own.  A read error names its section, and its line
+where it is about one.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class _Reader:
         line = self.next()
         name, _, rest = line.partition(" ")
         if name != key:
-            raise ValueError(f"expected field {key!r}, found {name!r}")
+            raise ValueError(f"line {self.pos}: expected field {key!r}, found {name!r}")
         return rest
 
     def floats(self, text: str) -> np.ndarray:
@@ -84,17 +85,19 @@ class _Reader:
         return np.array([v == "1" for v in text.split()])
 
     def mat(self, name: str) -> np.ndarray:
+        """A `matrix <name> <rows> <cols>` block, built from the rows it holds."""
         header = self.next().split()
         if len(header) != 4 or header[0] != "matrix" or header[1] != name:
-            raise ValueError(f"expected matrix {name!r}, found {header!r}")
+            raise ValueError(f"line {self.pos}: expected matrix {name!r}, found {header!r}")
+        if not all(v.isascii() and v.isdigit() for v in header[2:]):
+            raise ValueError(f"line {self.pos}: matrix sizes must be non-negative integers")
         rows, cols = int(header[2]), int(header[3])
-        m = np.empty((rows, cols))
-        for i in range(rows):
-            row = self.floats(self.next())
-            if row.size != cols:
+        m = []
+        for _ in range(rows):   # one row at a time, so an overstated count allocates nothing
+            m.append(self.floats(self.next()))
+            if m[-1].size != cols:
                 raise ValueError(f"line {self.pos}: expected {cols} numbers")
-            m[i] = row
-        return m
+        return np.array(m).reshape(rows, cols)
 
 
 def _scalar(write, read):
@@ -207,10 +210,15 @@ def _section_lines(part, sections) -> list[str]:
 
 
 def _read_section(r: _Reader, sections):
+    """(name, fitted part) of the next section, which must be one of `sections`."""
     name = r.field("section")
     if name not in sections:
-        raise ValueError(f"expected a {' or '.join(sections)} section, found {name!r}")
-    return _CODECS[sections[name]][1](r)
+        raise ValueError(f"line {r.pos}: expected a {' or '.join(sections)} section, "
+                         f"found {name!r}")
+    try:
+        return name, _CODECS[sections[name]][1](r)
+    except ValueError as exc:
+        raise ValueError(f"section {name}: {exc}") from None
 
 
 def save_model(front: FittedFront, model: SvmModel | MlpModel, path) -> None:
@@ -228,15 +236,17 @@ def load_model(path) -> tuple[FittedFront, SvmModel | MlpModel]:
     reader = _Reader(lines)
     header = reader.next().split()
     if header[:1] == ["enose-model"] and header[1:2] not in ([], [FORMAT_VERSION]):
-        raise ValueError(f"unsupported model format version {header[1]}")
+        raise ValueError(f"line {reader.pos}: unsupported model format version {header[1]}")
     if header != ["enose-model", FORMAT_VERSION]:
-        raise ValueError(f"{path} is not a model file")
-    front = FittedFront(standardizer=_read_section(reader, _STANDARDIZER),
-                        reducer=_read_section(reader, _REDUCERS))
-    model = _read_section(reader, _MODELS)
+        raise ValueError(f"line {reader.pos}: {path} is not a model file")
+    _, standardizer = _read_section(reader, _STANDARDIZER)
+    reducer_name, reducer = _read_section(reader, _REDUCERS)
+    front = FittedFront(standardizer=standardizer, reducer=reducer)
+    model_name, model = _read_section(reader, _MODELS)
     width = (model.weights[0].shape[0] if isinstance(model, MlpModel)
              else model.machines[0][1].support_vectors.shape[1])
-    check_sizes({"retained_k": front.reducer.retained_k, "model input width": width})
+    check_sizes({f"section {reducer_name} retained_k": reducer.retained_k,
+                 f"section {model_name} input width": width})
     for lineno in range(reader.pos, len(lines)):
         if lines[lineno].strip():
             raise ValueError(f"line {lineno + 1}: unexpected content after the model")

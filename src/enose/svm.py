@@ -290,22 +290,20 @@ def svm_train_multiclass(x, y, params: SvmParams = SvmParams()) -> SvmModel:
     if len(classes) < 2:
         raise ValueError("multiclass training needs at least 2 classes")
     machines = []
-    for a_idx in range(len(classes)):
-        for b_idx in range(a_idx + 1, len(classes)):
-            ci, cj = classes[a_idx], classes[b_idx]
-            mask = (y == ci) | (y == cj)
-            yy = np.where(y[mask] == ci, 1.0, -1.0)
-            machines.append(((ci, cj), svm_train_binary(x[mask], yy, params)))
+    for ci, cj in combinations(classes, 2):
+        mask = (y == ci) | (y == cj)
+        yy = np.where(y[mask] == ci, 1.0, -1.0)
+        machines.append(((ci, cj), svm_train_binary(x[mask], yy, params)))
     return SvmModel(classes=classes, machines=tuple(machines))
 
 
-def svm_decision_table(model: SvmModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample vote counts and signed decision sums per class."""
+def svm_predict(model: SvmModel, x) -> np.ndarray:
+    """Majority vote; ties go to the tied class with the largest signed
+    decision sum, and any residual tie to the smallest class label."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    n_cls = len(model.classes)
     idx = {c: i for i, c in enumerate(model.classes)}
-    votes = np.zeros((x.shape[0], n_cls))
-    margins = np.zeros((x.shape[0], n_cls))
+    votes = np.zeros((x.shape[0], len(model.classes)))
+    margins = np.zeros_like(votes)
     for (ci, cj), machine in model.machines:
         d = machine.decision(x)
         wins_i = d > 0
@@ -313,21 +311,7 @@ def svm_decision_table(model: SvmModel, x) -> tuple[np.ndarray, np.ndarray]:
         votes[~wins_i, idx[cj]] += 1
         margins[:, idx[ci]] += d
         margins[:, idx[cj]] -= d
-    return votes, margins
-
-
-def svm_predict(model: SvmModel, x) -> np.ndarray:
-    """Majority vote; ties go to the tied class with the largest signed
-    decision sum, and any residual tie to the smallest class label."""
-    votes, margins = svm_decision_table(model, x)
-    classes = np.array(model.classes)
-    out = np.empty(votes.shape[0], dtype=np.int64)
-    for i in range(votes.shape[0]):
-        top = votes[i] == votes[i].max()
-        if top.sum() == 1:
-            out[i] = classes[int(np.argmax(votes[i]))]
-            continue
-        tied = np.flatnonzero(top)
-        best = tied[np.argmax(margins[i, tied])]
-        out[i] = classes[int(best)]
-    return out
+    # `classes` is sorted, and argmax takes the first of equal margins
+    top = votes == votes.max(axis=1, keepdims=True)
+    best = np.argmax(np.where(top, margins, -np.inf), axis=1)
+    return np.array(model.classes, dtype=np.int64)[best]

@@ -8,8 +8,9 @@ instead of cumulative sums, one `str.split` per frame line instead of a
 tokenizer over the whole stream, one `loss_and_grads` call per SGD step
 instead of the inlined training loop, one whole simulation per session
 and one baseline fit per channel instead of the front end's shared
-per-row trace and per-session basis, and whole-table lists of sessions
-instead of the streamed front end.
+per-row trace and per-session basis, whole-table lists of sessions
+instead of the streamed front end, and one Python pass per gap run, vote
+row or eigenvector column instead of array expressions over all of them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from enose import bench
 from enose.acquisition import (MALFORMED_FRACTION_LIMIT, SESSION_HEADER, Session,
-                               StreamError, frame_lines, impute_missing, parse_stream)
+                               StreamError, frame_lines, parse_stream)
 from enose.features import extract_features
 from enose.mlp import (LOSS_IMPROVEMENT_FLOOR, MlpConfig, MlpModel, init_layers,
                        loss_and_grads)
@@ -28,6 +29,7 @@ from enose.preprocess import default_anchors, fit_standardizer, process_session
 from enose.sensors import (ADC_MAX, _channel_resistance, clean_traces, divider_voltage,
                            dominant_gas_label, quantize, session_seed, simulate_session,
                            standard_protocol)
+from enose.svm import SvmModel
 
 
 def charpoly_eigvalsh(a) -> np.ndarray:
@@ -72,6 +74,16 @@ def eigvec_3x3(a, lam) -> np.ndarray:
     if norm == 0.0:
         raise ValueError("eigenvalue is not simple")
     return v / norm
+
+
+def orient_columns_per_column(v: np.ndarray) -> np.ndarray:
+    """`eigen.orient_columns` as one Python pass per column."""
+    v = v.copy()
+    for j in range(v.shape[1]):
+        i = int(np.argmax(np.abs(v[:, j])))
+        if v[i, j] < 0:
+            v[:, j] = -v[:, j]
+    return v
 
 
 def brute_moving_average(x, window_m: int) -> np.ndarray:
@@ -161,6 +173,41 @@ def projected_gradient_dual(k, y, c, iters: int = 30000):
     return alpha, obj
 
 
+def svm_decision_table(model: SvmModel, x) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample vote counts and signed decision sums per class."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n_cls = len(model.classes)
+    idx = {c: i for i, c in enumerate(model.classes)}
+    votes = np.zeros((x.shape[0], n_cls))
+    margins = np.zeros((x.shape[0], n_cls))
+    for (ci, cj), machine in model.machines:
+        d = machine.decision(x)
+        wins_i = d > 0
+        votes[wins_i, idx[ci]] += 1
+        votes[~wins_i, idx[cj]] += 1
+        margins[:, idx[ci]] += d
+        margins[:, idx[cj]] -= d
+    return votes, margins
+
+
+def svm_predict_per_row(model: SvmModel, x) -> np.ndarray:
+    """`svm.svm_predict` as one Python pass per row: majority vote; ties go
+    to the tied class with the largest signed decision sum, and any
+    residual tie to the smallest class label."""
+    votes, margins = svm_decision_table(model, x)
+    classes = np.array(model.classes)
+    out = np.empty(votes.shape[0], dtype=np.int64)
+    for i in range(votes.shape[0]):
+        top = votes[i] == votes[i].max()
+        if top.sum() == 1:
+            out[i] = classes[int(np.argmax(votes[i]))]
+            continue
+        tied = np.flatnonzero(top)
+        best = tied[np.argmax(margins[i, tied])]
+        out[i] = classes[int(best)]
+    return out
+
+
 def power_law_sse(a: float, b: float, conc, excess) -> float:
     """sum((a*c**b - excess)^2), summed in Python one point at a time."""
     return sum((a * c**b - e) ** 2 for c, e in zip(conc, excess))
@@ -202,6 +249,41 @@ def parse_frame_line(line: str) -> tuple[int, list[float]] | None:
             return None
         raws.append(float(r))
     return int(fields[0]), raws
+
+
+def impute_missing_per_run(values) -> np.ndarray:
+    """`acquisition.impute_missing` of a 1-D series, one gap run at a time.
+
+    Interior gap runs take the mean of the closest present value on each
+    side; runs touching a boundary copy the single available neighbour.
+    Present values are never altered.
+    """
+    out = np.asarray(values, dtype=float).copy()
+    n = out.size
+    present = np.flatnonzero(~np.isnan(out))
+    if present.size == 0:
+        raise ValueError("cannot impute an all-missing series")
+    if present.size == n:
+        return out
+    i = 0
+    while i < n:
+        if not math.isnan(out[i]):
+            i += 1
+            continue
+        j = i
+        while j < n and math.isnan(out[j]):
+            j += 1
+        left = out[i - 1] if i > 0 else None
+        right = out[j] if j < n else None
+        if left is None:
+            fill = right
+        elif right is None:
+            fill = left
+        else:
+            fill = 0.5 * (left + right)
+        out[i:j] = fill
+        i = j
+    return out
 
 
 def parse_stream_per_line(lines) -> tuple[np.ndarray, np.ndarray]:
@@ -248,7 +330,7 @@ def parse_stream_per_line(lines) -> tuple[np.ndarray, np.ndarray]:
             if np.isnan(col).all():
                 raise StreamError(f"channel {ch + 1} has no present values",
                                   n_malformed, n_lines)
-            raw[:, ch] = np.clip(np.round(impute_missing(col)), 0, ADC_MAX)
+            raw[:, ch] = np.clip(np.round(impute_missing_per_run(col)), 0, ADC_MAX)
     return t, raw.astype(np.int64)
 
 

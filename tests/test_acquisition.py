@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from enose import acquisition as acq
 from enose.sensors import GasMixture
-from oracles import parse_stream_per_line
+from oracles import impute_missing_per_run, parse_stream_per_line
 
 
 def volts_of(raws) -> list[float]:
@@ -231,6 +231,21 @@ class TestCodecAgainstPerLineReference:
             acq.frame_lines([0.5], [[1, 2, 3, 4]])
 
 
+@st.composite
+def gap_matrices(draw):
+    """n x k matrices whose columns mix leading, trailing and interior NaN
+    runs with runs of present values, single ones included."""
+    n, k = draw(st.integers(1, 24)), draw(st.integers(1, 5))
+    values = draw(st.lists(st.floats(-1e6, 1e6) | st.integers(0, 4095).map(float),
+                           min_size=n * k, max_size=n * k))
+    m = np.array(values).reshape(n, k)
+    gap = np.array(draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k))).reshape(n, k)
+    for j, i in enumerate(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))):
+        gap[i, j] = False    # every column keeps a present value
+    m[gap] = np.nan
+    return m
+
+
 class TestImputeMissing:
     def test_midpoint_mean(self):
         assert acq.impute_missing([1.0, np.nan, 3.0]).tolist() == [1.0, 2.0, 3.0]
@@ -245,6 +260,8 @@ class TestImputeMissing:
     def test_all_missing_is_an_error(self):
         with pytest.raises(ValueError):
             acq.impute_missing([np.nan, np.nan])
+        with pytest.raises(ValueError, match="all-missing"):
+            acq.impute_missing([[1.0, np.nan], [2.0, np.nan]])
 
     @given(st.lists(st.one_of(st.floats(-100, 100), st.none()),
                     min_size=1, max_size=40).filter(
@@ -256,6 +273,19 @@ class TestImputeMissing:
         assert not np.isnan(out).any()
         keep = ~np.isnan(arr)
         assert np.array_equal(out[keep], arr[keep])
+
+    @given(gap_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matrix_matches_per_column_oracle(self, m):
+        expected = np.column_stack([impute_missing_per_run(col) for col in m.T])
+        assert acq.impute_missing(m).tobytes() == expected.tobytes()
+        assert acq.impute_missing(m[:, 0]).tobytes() == expected[:, 0].tobytes()
+
+    def test_matrix_runs_and_single_values(self):
+        nan = np.nan
+        m = np.array([[nan, 1.0], [2.0, nan], [nan, nan], [nan, 7.0], [5.0, nan]])
+        assert acq.impute_missing(m).tolist() == [
+            [2.0, 1.0], [2.0, 4.0], [3.5, 4.0], [3.5, 7.0], [5.0, 7.0]]
 
 
 sessions_st = st.lists(

@@ -1,4 +1,5 @@
 import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -389,6 +390,30 @@ EDITS = [
 ]
 
 
+# what one token of a saved chain is replaced with; "" drops the token
+TOKEN_EDITS = ["nan", "-1", "0", "1e308", "none", "poly", str(2**64), ""]
+
+
+@pytest.fixture(scope="module")
+def saved_chains(tmp_path_factory):
+    """(directory, features CSV, chain -> lines of its model file), each
+    chain trained once by the CLI."""
+    out = tmp_path_factory.mktemp("chains")
+    x, y, t = training_data()
+    feat = out / "features.csv"
+    write_features_csv(feat, x, y, np.column_stack([t, 0 * t, 0 * t]))
+    chains = {}
+    for chain in ("pca-svm", "kpca-svm", "pca-mlp"):
+        features, head = chain.split("-")
+        conf = out / "run.conf"
+        conf.write_text(f"features = {features}\nmlp_epochs = 5\n")
+        model = out / f"{chain}.model"
+        assert main([f"train-{head}", "--in", str(feat), "--model", str(model),
+                     "--config", str(conf)]) == 0
+        chains[chain] = model.read_text().splitlines()
+    return out, feat, chains
+
+
 class TestModelFileCorruption:
     """Every corrupted chain file ends `classify`/`predict` with exit 2 and
     a stage-tagged message: none loads, and none ends in a traceback."""
@@ -450,6 +475,31 @@ class TestModelFileCorruption:
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith(f"error [stage={apply}] ") and key in err
         assert "Traceback" not in err and "NoneType" not in err
+
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_token_edit_loads_or_names_its_place(self, saved_chains, data):
+        # one token replaced; a valid edit such as `bias 0` may change the
+        # predictions, so exit 0 is enough
+        out, feat, chains = saved_chains
+        chain = data.draw(st.sampled_from(sorted(chains)))
+        lines = chains[chain]
+        keyed = [i for i, line in enumerate(lines) if line[:1].isalpha()]
+        i = data.draw(st.sampled_from(keyed) | st.integers(0, len(lines) - 1))
+        tokens = lines[i].split(" ")
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(
+            st.sampled_from(TOKEN_EDITS))
+        bad = out / "edited.model"
+        bad.write_text("\n".join([*lines[:i], " ".join(tokens), *lines[i + 1:]]) + "\n")
+        apply = "classify" if chain.endswith("svm") else "predict"
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as stderr:
+            rc = main([apply, "--model", str(bad), "--in", str(feat),
+                       "--report", str(out / "report.csv")])
+        err = stderr.getvalue()
+        named = err.startswith(f"error [stage={apply}] ") and ("section " in err or "line " in err)
+        assert (rc == 0 or (rc == 2 and named)) and "Traceback" not in err, (
+            chain, lines[i][:60], " ".join(tokens)[:60], rc, err)
 
 
 class TestInputCorruption:
@@ -533,6 +583,8 @@ class TestCliErrors:
     @pytest.mark.parametrize("column, value, message", [
         (N_FEATURES, "1.7", "not a whole number"),
         (0, "nan", "non-finite"),
+        (0, "abc", "could not convert string to float: 'abc'"),
+        (slice(-1, None), [], "bad features row: '"),    # the last field dropped
     ])
     def test_bad_features_rows_rejected(self, tmp_path, capsys, column, value, message):
         x, y, conc = separable_features(np.random.default_rng(1))

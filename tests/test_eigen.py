@@ -7,7 +7,7 @@ from enose import eigen
 from enose.eigen import (MAX_ITER, RESIDUAL_TOL, START_BLOCK, jacobi_eigh,
                          leading_eigh, orient_columns)
 from enose.features import default_gamma, rbf_kernel
-from oracles import charpoly_eigvalsh
+from oracles import charpoly_eigvalsh, orient_columns_per_column
 
 
 def random_symmetric(n, seed):
@@ -160,3 +160,13 @@ class TestOrientColumns:
         v, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         once = orient_columns(v)
         assert np.array_equal(orient_columns(once), once)
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from([-3.0, -2.0, -0.0, 0.0, 2.0, 3.0]) | st.floats(-5, 5),
+                 min_size=n, max_size=n), min_size=1, max_size=8)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_column_oracle(self, rows):
+        # entries from a few values, so a column's largest magnitude is
+        # often negative, or shared by a positive and a negative entry
+        v = np.array(rows)
+        assert orient_columns(v).tobytes() == orient_columns_per_column(v).tobytes()

@@ -87,6 +87,34 @@ def test_mlp_input_dim_must_match_first_weights(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("matrix, sizes, message", [
+    # the last matrix of the file: a count beyond it ends at the file's end
+    ("support_vectors", "1000000000000 {cols}", "section svm: unexpected end of model file"),
+    ("support_vectors", "{rows_1} {cols}", "section svm: unexpected end of model file"),
+    ("components", "1000000000000 {cols}",
+     "section pca: line {next}: could not convert string to float: 'section'"),
+    ("components", "-3 {cols}", "section pca: line {at}: matrix sizes must be non-negative"),
+    ("components", "{rows} -3", "section pca: line {at}: matrix sizes must be non-negative"),
+    ("components", "{rows} 1e3", "section pca: line {at}: matrix sizes must be non-negative"),
+    ("components", "{rows} none", "section pca: line {at}: matrix sizes must be non-negative"),
+    ("components", "{rows} 1000000000000", "section pca: line {after}: expected 1000000000000"),
+])
+def test_matrix_header_edits_rejected(tmp_path, matrix, sizes, message):
+    # the sizes come from the header as the file states them; none allocates
+    front, model = fit_chain("pca", "svm")
+    path = tmp_path / "chain.model"
+    save_model(front, model, path)
+    lines = path.read_text().splitlines()
+    at = max(i for i, line in enumerate(lines) if line.startswith(f"matrix {matrix} "))
+    rows, cols = (int(v) for v in lines[at].split()[2:])
+    lines[at] = f"matrix {matrix} " + sizes.format(rows=rows, rows_1=rows + 1, cols=cols)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    assert str(info.value).startswith(
+        message.format(at=at + 1, after=at + 2, next=at + rows + 2))
+
+
 def test_standardizer_round_trip(tmp_path):
     x, _, _ = training_data()
     front, model = fit_chain("pca", "svm")

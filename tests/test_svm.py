@@ -1,11 +1,15 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enose import svm
 from enose.svm import (BinarySvm, ConvergenceError, SvmModel, SvmParams,
                        svm_train_binary, svm_train_binary_with_duals,
                        svm_train_multiclass, svm_predict)
-from oracles import kkt_max_violation, projected_gradient_dual
+from oracles import kkt_max_violation, projected_gradient_dual, svm_predict_per_row
 
 
 def separable_dataset(seed, n_per=4, gap=3.0, d=2):
@@ -192,3 +196,37 @@ class TestMulticlass:
             ((2, 3), constant_machine(+0.5)),
         ))
         assert svm_predict(model, np.zeros((1, 2)))[0] == 3
+
+    def test_equal_decision_sums_go_to_the_smallest_label(self):
+        # votes cycle 1 -> 2 -> 3 -> 1, and every decision sum is 0
+        model = vote_model((4, 7, 9))
+        assert svm_predict(model, [[1.0, -1.0, 1.0]])[0] == 4
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_votes_match_per_row_oracle(self, data):
+        # decisions from a few dyadic values, so vote counts and decision
+        # sums tie often and exactly
+        n_cls = data.draw(st.sampled_from([3, 4]))
+        classes = sorted(data.draw(st.sets(st.integers(-5, 20), min_size=n_cls,
+                                           max_size=n_cls)))
+        n_pairs = n_cls * (n_cls - 1) // 2
+        rows = data.draw(st.lists(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0]),
+                                           min_size=n_pairs, max_size=n_pairs),
+                                  min_size=1, max_size=20))
+        model = vote_model(tuple(classes))
+        x = np.array(rows)
+        got, expected = svm_predict(model, x), svm_predict_per_row(model, x)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def vote_model(classes):
+    """A one-vs-one model of linear machines whose decision on a row x is
+    x[m] for the m-th pair, in `combinations` order."""
+    pairs = list(combinations(classes, 2))
+    unit = np.eye(len(pairs))
+    return SvmModel(classes=classes, machines=tuple(
+        (pair, BinarySvm(support_vectors=unit[m:m + 1], dual_coef=np.ones(1), bias=0.0,
+                         kernel="linear", gamma=None, c_penalty=1.0, n_iter=0,
+                         objective=0.0))
+        for m, pair in enumerate(pairs)))
