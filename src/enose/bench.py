@@ -1,10 +1,12 @@
 """End-to-end experiment harness over the built-in mixture tables.
 
 Each experiment simulates labeled sessions for every mixture row, pushes
-them through the wire-format ingest path, preprocessing, feature
-extraction and PCA/KPCA reduction, then trains a one-vs-one SVM (or an
-MLP for concentration regression) and scores a stratified held-out
-split with exactly the table's train/test counts.
+them through preprocessing, feature extraction and PCA/KPCA reduction,
+then trains a one-vs-one SVM (or an MLP for concentration regression)
+and scores a stratified held-out split with exactly the table's
+train/test counts.  The simulator's sessions are already validated
+`Session`s, so they skip the wire-format codec; `enose ingest` is what
+exercises it.
 
 The base mixture ratios of every table are all acetone-dominant, so a
 classifier would see a single class; every built-in table therefore
@@ -25,7 +27,7 @@ from itertools import islice
 
 import numpy as np
 
-from .acquisition import Session, frame_lines, parse_stream
+from .acquisition import Session
 from .checks import check_sizes
 from .features import (N_FEATURES, KpcaModel, PcaModel, extract_features,
                        kpca_fit, kpca_transform, pca_fit, pca_transform)
@@ -281,12 +283,6 @@ def _simulate_rows(rows, counts, specs, rate: float, seed: int) -> Iterator[Sess
             yield Session(t_ms, raw, label=label, mixture=mix, sample_rate_hz=rate)
 
 
-def reingest(session: Session) -> Session:
-    """Round-trip a session through the wire format parser."""
-    return parse_stream(frame_lines(session.t_ms, session.counts), label=session.label,
-                        mixture=session.mixture, sample_rate_hz=session.sample_rate_hz)
-
-
 def stratified_split(y, n_train: int, n_test: int, seed: int):
     """Disjoint train/test indices with exact totals, stratified by class.
 
@@ -388,11 +384,13 @@ class FeatureSplit:
 
 def prepare_features(table: ExperimentTable, config: PipelineConfig,
                      seed: int) -> FeatureSplit:
-    """Run generate -> ingest -> preprocess -> extract -> split -> reduce.
+    """Run generate -> preprocess -> extract -> split -> reduce.
 
     The front end streams: FRONT_CHUNK sessions at a time are generated,
-    ingested, preprocessed and reduced to feature rows before the next
-    ones are made, so its memory does not grow with the table.  Labels and
+    preprocessed and reduced to feature rows before the next ones are
+    made, so its memory does not grow with the table.  The generated
+    sessions go straight to preprocessing: the wire-format codec that
+    `enose ingest` runs would give them back unchanged.  Labels and
     targets come from the table's rows.  Each stage is logged once, on the
     first chunk, and a failure in any session is tagged with its stage.
     """
@@ -402,7 +400,6 @@ def prepare_features(table: ExperimentTable, config: PipelineConfig,
     for start in range(0, table.n_total, FRONT_CHUNK):
         stage = _stage if start == 0 else _tagged
         chunk = _tagged("generate", list, islice(sessions, FRONT_CHUNK))
-        chunk = stage("ingest", list, map(reingest, chunk))
         chunk = stage("preprocess", list, map(preprocess, chunk))
         x[start:start + len(chunk)] = stage("extract", list, map(extract_features, chunk))
     counts = row_counts(table.n_total, len(table.rows))

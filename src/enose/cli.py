@@ -143,8 +143,14 @@ def cmd_train_mlp(args) -> int:
 def cmd_predict(args) -> int:
     front, model = _load_chain(args.model, "predict")
     x, _, conc = features.read_features_csv(args.infile)
-    preds = mlp_forward(model, front.scores(x))
-    metrics = evaluate_regression(preds, conc[:, 0])
+    # every number of a loaded chain is finite, but a huge one can still
+    # overflow on the way to a prediction or its error
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = mlp_forward(model, front.scores(x))
+        metrics = evaluate_regression(preds, conc[:, 0])
+    if not np.isfinite([*preds, metrics["rmse_ppm"], metrics["mae_ppm"]]).all():
+        raise ValueError(f"{args.model}: predictions or their errors overflow; "
+                         "a value in section mlp or an earlier section is too large")
     r2 = "undefined" if metrics["r2"] is None else repr(metrics["r2"])
     lines = [
         f"# rmse_ppm = {metrics['rmse_ppm']!r}",

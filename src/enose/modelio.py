@@ -79,6 +79,19 @@ class _Reader:
             raise ValueError(f"line {self.pos}: expected one number")
         return float(values[0])
 
+    def ints(self, text: str) -> tuple[int, ...]:
+        """The space-separated integers in `text`, part of the last line read,
+        each spelt as `save_model` writes it: an optional "-", then ASCII digits."""
+        values = text.split(" ")
+        if not all((d := v.removeprefix("-")).isascii() and d.isdigit() for v in values):
+            raise ValueError(f"line {self.pos}: expected integers, found {text!r}")
+        return tuple(int(v) for v in values)
+
+    def integer(self, text: str) -> int:
+        if len(values := self.ints(text)) != 1:
+            raise ValueError(f"line {self.pos}: expected one integer")
+        return values[0]
+
     def flags(self, text: str) -> np.ndarray:
         if any(v not in ("0", "1") for v in text.split()):
             raise ValueError(f"line {self.pos}: flags must be 0 or 1")
@@ -109,7 +122,7 @@ def _scalar(write, read):
 # Value kind -> (write, read): the lines of a named field, and its value
 # read back from them.
 _KINDS = {
-    "int": _scalar(str, lambda r, text: int(text)),
+    "int": _scalar(str, _Reader.integer),
     "float": _scalar(repr, _Reader.number),
     "float|none": _scalar(lambda v: "none" if v is None else repr(v),
                           lambda r, text: None if text == "none" else r.number(text)),
@@ -150,11 +163,11 @@ def _svm_lines(m: SvmModel) -> list[str]:
 
 
 def _read_svm(r: _Reader) -> SvmModel:
-    classes = tuple(int(c) for c in r.field("classes").split())
-    n_pairs = int(r.field("pairs"))
+    classes = r.ints(r.field("classes"))
+    n_pairs = r.integer(r.field("pairs"))
     machines = []
     for _ in range(n_pairs):
-        ci, cj = (int(v) for v in r.field("pair").split())
+        ci, cj = r.ints(r.field("pair"))
         machines.append(((ci, cj), _read_fields(BinarySvm, r)))
     return SvmModel(classes=classes, machines=tuple(machines))
 
@@ -173,17 +186,17 @@ def _mlp_lines(m: MlpModel) -> list[str]:
 
 
 def _read_mlp(r: _Reader) -> MlpModel:
-    input_dim = int(r.field("input_dim"))
-    hidden = tuple(int(h) for h in r.field("hidden").split())
+    input_dim = r.integer(r.field("input_dim"))
+    hidden = r.ints(r.field("hidden"))
     lr = r.number(r.field("lr"))
-    epochs = int(r.field("epochs"))
-    seed = int(r.field("seed"))
+    epochs = r.integer(r.field("epochs"))
+    seed = r.integer(r.field("seed"))
     target_min = r.number(r.field("target_min"))
     target_scale = r.number(r.field("target_scale"))
     std = _read_fields(Standardizer, r)
     loss_trace = r.floats(r.field("loss_trace"))
     layers = [(r.mat(f"weight{i}"), r.floats(r.field(f"bias{i}")))
-              for i in range(int(r.field("layers")))]
+              for i in range(r.integer(r.field("layers")))]
     if not layers or layers[0][0].shape[0] != input_dim:
         raise ValueError(f"input_dim {input_dim} does not match the first weight matrix")
     cfg = MlpConfig(hidden_layers=hidden, lr=lr, epochs=epochs, seed=seed)

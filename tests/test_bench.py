@@ -203,16 +203,6 @@ class TestBuildSessions:
             assert np.array_equal(session.counts, counts)
 
 
-class TestReingest:
-    def test_wire_round_trip_preserves_sessions(self):
-        sessions = list(bench.build_sessions(TINY, FAST, seed=2))
-        again = [bench.reingest(s) for s in sessions]
-        assert len(again) == len(sessions)
-        assert all(np.array_equal(a.t_ms, b.t_ms) and np.array_equal(a.counts, b.counts)
-                   for a, b in zip(sessions, again))
-        assert all(a.label == b.label for a, b in zip(sessions, again))
-
-
 MIXTURES = (GasMixture(100, 0, 0), GasMixture(0, 100, 0), GasMixture(0, 0, 100),
             GasMixture(50, 25, 25), GasMixture(10, 80, 10), GasMixture(0, 0, 0))
 
@@ -263,7 +253,6 @@ class TestStreamedFrontEnd:
 
     @pytest.mark.parametrize("name, stage", [
         ("simulate_session", "generate"),
-        ("parse_stream", "ingest"),
         ("process_session", "preprocess"),
         ("extract_features", "extract"),
     ])
@@ -288,5 +277,5 @@ class TestStreamedFrontEnd:
         with caplog.at_level(logging.INFO, logger="enose.bench"):
             bench.prepare_features(TINY, FAST, seed=0)
         assert [r.getMessage() for r in caplog.records] == [
-            f"stage {name}" for name in ("generate", "ingest", "preprocess", "extract",
+            f"stage {name}" for name in ("generate", "preprocess", "extract",
                                          "split", "standardize", "reduce")]

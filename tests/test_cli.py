@@ -501,6 +501,30 @@ class TestModelFileCorruption:
         assert (rc == 0 or (rc == 2 and named)) and "Traceback" not in err, (
             chain, lines[i][:60], " ".join(tokens)[:60], rc, err)
 
+    @pytest.mark.parametrize("key", ["target_scale", "target_min", "matrix weight1"])
+    def test_overflowing_chain_writes_no_prediction(self, tmp_path, capsys,
+                                                    saved_chains, key):
+        # 1e308 loads, as every number is finite, then overflows on the way
+        # to a prediction or its error; for a weight, the first of the output
+        # layer's, as a hidden layer's sigmoid would absorb it
+        _, feat, chains = saved_chains
+        lines = list(chains["pca-mlp"])
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"{key} "))
+        if key.startswith("matrix"):
+            i += 1
+            lines[i] = " ".join(["1e308", *lines[i].split(" ")[1:]])
+        else:
+            lines[i] = f"{key} 1e308"
+        model, report = tmp_path / "huge.model", tmp_path / "pred.csv"
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model), "--in", str(feat),
+                   "--report", str(report)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith(
+            f"error [stage=predict] {model}: predictions or their errors overflow")
+        assert "Traceback" not in err and not report.exists()
+
 
 class TestInputCorruption:
     """Every corruption of a features CSV, a session CSV or a config file

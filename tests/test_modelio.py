@@ -157,3 +157,32 @@ def test_mlp_round_trip(tmp_path):
         assert np.array_equal(mlp.mlp_forward(model_again, front_again.scores(rows)),
                               mlp.mlp_forward(model, front.scores(rows)))
     assert model_again.config == model.config
+
+
+# (chain, section, key, value): an integer field spelt as `save_model` never
+# writes it, each of which int() would read
+INTEGER_SPELLINGS = [
+    *(("pca-svm", "pca", "retained_k", value) for value in ("0_3", "+3", "٣", "3.0", "")),
+    ("pca-svm", "svm", "pairs", "+3"),
+    ("pca-svm", "svm", "pair", "1 0_2"),
+    ("pca-svm", "svm", "classes", "1 2 ٣"),
+    ("pca-svm", "svm", "n_iter", " 5"),
+    ("pca-mlp", "mlp", "hidden", "1_6"),
+    ("pca-mlp", "mlp", "layers", "2.0"),
+    ("pca-mlp", "mlp", "seed", "+2"),
+]
+
+
+@pytest.mark.parametrize("chain, section, key, value", INTEGER_SPELLINGS)
+def test_integer_fields_are_read_strictly(tmp_path, chain, section, key, value):
+    path = tmp_path / "chain.model"
+    save_model(*fit_chain(*chain.split("-")), path)
+    lines = path.read_text().splitlines()
+    at = next(i for i in range(lines.index(f"section {section}"), len(lines))
+              if lines[i].startswith(f"{key} "))
+    lines[at] = f"{key} {value}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    assert str(info.value) == (f"section {section}: line {at + 1}: "
+                               f"expected integers, found {value!r}")
