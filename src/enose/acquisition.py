@@ -276,13 +276,10 @@ def meta_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".meta")
 
 
-def write_meta(record, csv_path) -> None:
-    """Write the `<name>.meta` sidecar of a session or processed CSV.
-
-    `record` is anything with `label`, `mixture` and `sample_rate_hz`.
-    """
-    mix = record.mixture or GasMixture()
-    values = [record.label, *(repr(c) for c in mix.as_tuple()), repr(record.sample_rate_hz)]
+def write_meta(session: Session, csv_path) -> None:
+    """Write the `<name>.meta` sidecar of a session's CSV or processed CSV."""
+    mix = session.mixture or GasMixture()
+    values = [session.label, *(repr(c) for c in mix.as_tuple()), repr(session.sample_rate_hz)]
     meta_path(csv_path).write_text(
         "".join(f"{key}={value}\n" for key, value in zip(META_KEYS, values)))
 

@@ -22,7 +22,6 @@ import dataclasses
 import logging
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -388,20 +387,22 @@ def prepare_features(table: ExperimentTable, config: PipelineConfig,
 
     The front end streams: FRONT_CHUNK sessions at a time are generated,
     preprocessed and reduced to feature rows before the next ones are
-    made, so its memory does not grow with the table.  The generated
-    sessions go straight to preprocessing: the wire-format codec that
-    `enose ingest` runs would give them back unchanged.  Labels and
-    targets come from the table's rows.  Each stage is logged once, on the
-    first chunk, and a failure in any session is tagged with its stage.
+    made, so its memory does not grow with the table.  Preprocess and
+    extract run once per chunk, on its sessions' voltages side by side
+    (they share `t_ms`).  The wire-format codec that `enose ingest` runs
+    would give the generated sessions back unchanged, so they skip it.
+    Labels and targets come from the table's rows.  Each stage is logged
+    once, on the first chunk, and a failure is tagged with its stage.
     """
     sessions = _stage("generate", build_sessions, table, config, seed)
-    preprocess = partial(process_session, config=config.filter)
     x = np.empty((table.n_total, N_FEATURES))
     for start in range(0, table.n_total, FRONT_CHUNK):
         stage = _stage if start == 0 else _tagged
         chunk = _tagged("generate", list, islice(sessions, FRONT_CHUNK))
-        chunk = stage("preprocess", list, map(preprocess, chunk))
-        x[start:start + len(chunk)] = stage("extract", list, map(extract_features, chunk))
+        volts = np.hstack([s.voltages() for s in chunk])
+        channels = stage("preprocess", process_session, volts, chunk[0].t_ms, config.filter)
+        x[start:start + len(chunk)] = stage("extract", extract_features, channels,
+                                            config.sample_rate_hz)
     counts = row_counts(table.n_total, len(table.rows))
     y = np.repeat(np.array([dominant_gas_label(m) for m in table.rows], dtype=np.int64),
                   counts)

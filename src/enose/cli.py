@@ -84,9 +84,9 @@ def cmd_ingest(args) -> int:
 def cmd_preprocess(args) -> int:
     cfg = _pipeline_config(args)
     session = acquisition.read_session(args.infile)
-    processed = prep.process_session(session, cfg.filter)
-    prep.write_processed(processed, args.out)
-    print(f"processed {processed.n} samples -> {args.out}")
+    channels = prep.process_session(session.voltages(), session.t_ms, cfg.filter)
+    prep.write_processed(session, channels, cfg.filter, args.out)
+    print(f"processed {len(channels)} samples -> {args.out}")
     return 0
 
 
@@ -113,10 +113,25 @@ def cmd_train_svm(args) -> int:
     return 0
 
 
+def _overflow(model_path, what: str, section: str) -> ValueError:
+    return ValueError(f"{model_path}: {what} overflow; a value in section {section} "
+                      "or an earlier section is too large")
+
+
 def cmd_classify(args) -> int:
     front, model = _load_chain(args.model, "classify")
     x, y, _ = features.read_features_csv(args.infile)
-    pred = svm_predict(model, front.scores(x))
+    # every number of a loaded chain is finite, but a huge one can still
+    # overflow on the way to a score or a decision value
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = front.scores(x)
+        if not np.isfinite(z).all():
+            pca = isinstance(front.reducer, features.PcaModel)
+            raise _overflow(args.model, "scores", "pca" if pca else "kpca")
+        try:
+            pred = svm_predict(model, z)
+        except OverflowError:
+            raise _overflow(args.model, "SVM decision values", "svm") from None
     lines = []
     if np.any(y != 0):
         accuracy = float(np.mean(pred == y))
@@ -149,8 +164,7 @@ def cmd_predict(args) -> int:
         preds = mlp_forward(model, front.scores(x))
         metrics = evaluate_regression(preds, conc[:, 0])
     if not np.isfinite([*preds, metrics["rmse_ppm"], metrics["mae_ppm"]]).all():
-        raise ValueError(f"{args.model}: predictions or their errors overflow; "
-                         "a value in section mlp or an earlier section is too large")
+        raise _overflow(args.model, "predictions or their errors", "mlp")
     r2 = "undefined" if metrics["r2"] is None else repr(metrics["r2"])
     lines = [
         f"# rmse_ppm = {metrics['rmse_ppm']!r}",

@@ -1,9 +1,10 @@
-"""Feature extraction from processed sessions, with PCA and RBF kernel PCA.
+"""Feature extraction from processed voltages, with PCA and RBF kernel PCA.
 
 Each session becomes a fixed 12-dim vector: per channel the steady-state
 response level (mean over the last quarter of the exposure window), the
 maximum rise rate, and the area under the response across the exposure
-window.  PCA solves its 12x12 covariance with the dense Jacobi
+window; `extract_features` makes k rows at once from k sessions' channels
+side by side.  PCA solves its 12x12 covariance with the dense Jacobi
 eigensolver.  KPCA needs only the leading eigenpairs of an n x n centred
 Gram matrix, which the top-k subspace-iteration solver finds.
 """
@@ -18,7 +19,6 @@ import numpy as np
 
 from .checks import check_positive, check_sizes
 from .eigen import jacobi_eigh, leading_eigh, orient_columns
-from .preprocess import ProcessedSession
 from .sensors import BASELINE_S, EXPOSURE_S
 
 N_FEATURES = 12
@@ -30,28 +30,28 @@ FEATURES_HEADER = ",".join(
 EIGENVALUE_FLOOR = 1e-10
 
 
-def extract_features(proc: ProcessedSession) -> np.ndarray:
-    """Deterministic 12-dim summary of one processed session.
+def extract_features(channels, sample_rate_hz: float) -> np.ndarray:
+    """Deterministic `(k, 12)` summary of k processed sessions.
 
-    Channel-major (steady, slope, area) over the exposure window of the
+    `channels` is `(n, 4k)`, each group of 4 columns one session.  A row
+    is channel-major (steady, slope, area) over the exposure window of the
     standard protocol, BASELINE_S to BASELINE_S + EXPOSURE_S.
     """
-    rate = proc.sample_rate_hz
-    i0 = int(round(BASELINE_S * rate))
-    i1 = int(round((BASELINE_S + EXPOSURE_S) * rate))
-    if proc.n < i1 or i1 - i0 < 2:
-        raise ValueError(
-            f"session has {proc.n} samples, exposure window needs {i1}")
-    dt = 1.0 / rate
+    n = channels.shape[0]
+    i0 = int(round(BASELINE_S * sample_rate_hz))
+    i1 = int(round((BASELINE_S + EXPOSURE_S) * sample_rate_hz))
+    if n < i1 or i1 - i0 < 2:
+        raise ValueError(f"session has {n} samples, exposure window needs {i1}")
+    dt = 1.0 / sample_rate_hz
     tail = max(1, (i1 - i0) // 4)
 
-    values = np.empty(N_FEATURES)
-    for ch in range(4):
-        window = proc.channels[i0:i1, ch]
-        steady = float(window[-tail:].mean())
-        slope = float(np.max(np.diff(window)) / dt)
-        area = float(np.trapezoid(window, dx=dt))
-        values[3 * ch:3 * ch + 3] = (steady, slope, area)
+    # reductions along a contiguous last axis sum in the order of a 1-D
+    # reduction over each column; along axis 0 they do not
+    window = np.ascontiguousarray(channels[i0:i1].T)
+    steady = window[:, -tail:].mean(axis=1)
+    slope = np.diff(window, axis=1).max(axis=1) / dt
+    area = np.trapezoid(window, dx=dt, axis=1)
+    values = np.column_stack([steady, slope, area]).reshape(-1, N_FEATURES)
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite feature values")
     return values

@@ -1,7 +1,9 @@
 """Baseline drift removal, moving-average smoothing and standardization.
 
-The smoothing window is centred and shrinks at the edges (no values are
-invented beyond the series).  Baseline fitting solves a least-squares
+Each column of an `(n, c)` voltage matrix (one session's 4 channels, or
+k sessions' side by side) is filtered on its own.  The smoothing window
+is centred and shrinks at the edges (no values are invented beyond the
+series).  Baseline fitting solves a least-squares
 polynomial over anchor samples only - by default the leading and
 trailing 10% of the session, which for the standard exposure protocol
 are clean-air stretches - and subtracts its evaluation everywhere, so
@@ -17,7 +19,6 @@ import numpy as np
 
 from .acquisition import SESSION_HEADER, Session, write_meta
 from .checks import check_sizes
-from .sensors import SAMPLE_RATE_HZ, GasMixture
 
 EDGE_FRACTION = 0.10
 
@@ -151,38 +152,20 @@ def fit_standardizer(x) -> Standardizer:
     return Standardizer(mean=mean, std=safe_std, constant=constant)
 
 
-@dataclass(frozen=True)
-class ProcessedSession:
-    """Detrended, smoothed channel voltages with the session's metadata."""
-
-    t_ms: np.ndarray
-    channels: np.ndarray  # n x 4 processed voltages
-    label: int = 0
-    mixture: GasMixture | None = None
-    sample_rate_hz: float = SAMPLE_RATE_HZ
-    config: FilterConfig = FilterConfig()
-
-    @property
-    def n(self) -> int:
-        return int(self.channels.shape[0])
+def process_session(volts, t_ms, config: FilterConfig = FilterConfig()) -> np.ndarray:
+    """Smooth each column of the `(n, c)` voltages sampled at `t_ms`, then
+    remove its polynomial baseline."""
+    smooth = moving_average(volts, config.window_m)
+    return remove_baseline(smooth, np.asarray(t_ms) / 1000.0, config.baseline_degree)
 
 
-def process_session(session: Session, config: FilterConfig = FilterConfig()) -> ProcessedSession:
-    """Smooth each channel, then remove its polynomial baseline."""
-    t_ms = session.t_ms
-    smooth = moving_average(session.voltages(), config.window_m)
-    out = remove_baseline(smooth, t_ms / 1000.0, config.baseline_degree)
-    return ProcessedSession(t_ms=t_ms, channels=out, label=session.label,
-                            mixture=session.mixture,
-                            sample_rate_hz=session.sample_rate_hz, config=config)
-
-
-def write_processed(proc: ProcessedSession, csv_path) -> None:
-    """Processed CSV: same schema as the session CSV plus config comments."""
+def write_processed(session: Session, channels, config: FilterConfig, csv_path) -> None:
+    """Processed CSV of `session`'s `(n, 4)` processed `channels`: the session
+    CSV's schema plus config comments, and the session's `.meta` sidecar."""
     csv_path = Path(csv_path)
-    lines = [f"# {key} = {value}" for key, value in asdict(proc.config).items()]
+    lines = [f"# {key} = {value}" for key, value in asdict(config).items()]
     lines += ["# edge_policy = shrink", SESSION_HEADER]
-    for t, row in zip(proc.t_ms.tolist(), proc.channels.tolist()):
+    for t, row in zip(session.t_ms.tolist(), channels.tolist()):
         lines.append(f"{t},{','.join(map(repr, row))}")
     csv_path.write_text("\n".join(lines) + "\n")
-    write_meta(proc, csv_path)
+    write_meta(session, csv_path)

@@ -311,6 +311,8 @@ def svm_predict(model: SvmModel, x) -> np.ndarray:
         votes[~wins_i, idx[cj]] += 1
         margins[:, idx[ci]] += d
         margins[:, idx[cj]] -= d
+    if not np.isfinite(margins).all():
+        raise OverflowError("one-vs-one decision values overflow")
     # `classes` is sorted, and argmax takes the first of equal margins
     top = votes == votes.max(axis=1, keepdims=True)
     best = np.argmax(np.where(top, margins, -np.inf), axis=1)

@@ -7,9 +7,10 @@ projected gradient ascent instead of SMO, brute-force window means
 instead of cumulative sums, one `str.split` per frame line instead of a
 tokenizer over the whole stream, one `loss_and_grads` call per SGD step
 instead of the inlined training loop, one whole simulation per session
-and one baseline fit per channel instead of the front end's shared
-per-row trace and per-session basis, whole-table lists of sessions
-instead of the streamed front end, and one Python pass per gap run, vote
+instead of the shared per-row trace, one baseline fit and one feature
+reduction per channel instead of the front end's per-chunk basis and
+stacked reductions, whole-table lists of sessions instead of the
+streamed front end, and one Python pass per gap run, vote
 row or eigenvector column instead of array expressions over all of them.
 """
 
@@ -22,13 +23,13 @@ import numpy as np
 from enose import bench
 from enose.acquisition import (MALFORMED_FRACTION_LIMIT, SESSION_HEADER, Session,
                                StreamError, frame_lines, parse_stream)
-from enose.features import extract_features
+from enose.features import N_FEATURES, extract_features
 from enose.mlp import (LOSS_IMPROVEMENT_FLOOR, MlpConfig, MlpModel, init_layers,
                        loss_and_grads)
 from enose.preprocess import default_anchors, fit_standardizer, process_session
-from enose.sensors import (ADC_MAX, _channel_resistance, clean_traces, divider_voltage,
-                           dominant_gas_label, quantize, session_seed, simulate_session,
-                           standard_protocol)
+from enose.sensors import (ADC_MAX, BASELINE_S, EXPOSURE_S, _channel_resistance,
+                           clean_traces, divider_voltage, dominant_gas_label, quantize,
+                           session_seed, simulate_session, standard_protocol)
 from enose.svm import SvmModel
 
 
@@ -447,13 +448,31 @@ def process_session_per_channel(session, window_m: int, degree: int) -> np.ndarr
     return out
 
 
+def extract_features_per_channel(channels_n4, rate: float) -> np.ndarray:
+    """`features.extract_features` of one session's `(n, 4)` channels, one
+    channel at a time, reducing each column as a 1-D array."""
+    i0 = int(round(BASELINE_S * rate))
+    i1 = int(round((BASELINE_S + EXPOSURE_S) * rate))
+    dt = 1.0 / rate
+    tail = max(1, (i1 - i0) // 4)
+    values = np.empty(N_FEATURES)
+    for ch in range(4):
+        window = channels_n4[i0:i1, ch]
+        steady = float(window[-tail:].mean())
+        slope = float(np.max(np.diff(window)) / dt)
+        area = float(np.trapezoid(window, dx=dt))
+        values[3 * ch:3 * ch + 3] = (steady, slope, area)
+    return values
+
+
 def prepare_features_whole_table(table, config, seed: int) -> bench.FeatureSplit:
     """`bench.prepare_features` holding every session of the table at once.
 
     The reference for the streamed front end: a list of all generated
     sessions, then the list of their wire round trips, then the list of
-    processed sessions, then one feature row each, with labels and targets
-    read from the kept sessions.
+    processed channels, preprocessed and extracted one session at a time,
+    then one feature row each, with labels and targets read from the kept
+    sessions.
     """
     specs = bench.sensor_array_for(config)
     sessions = []
@@ -469,8 +488,9 @@ def prepare_features_whole_table(table, config, seed: int) -> bench.FeatureSplit
     sessions = [parse_stream(frame_lines(s.t_ms, s.counts), label=s.label,
                              mixture=s.mixture, sample_rate_hz=s.sample_rate_hz)
                 for s in sessions]
-    processed = [process_session(s, config.filter) for s in sessions]
-    x = np.array([extract_features(p) for p in processed])
+    processed = [process_session(s.voltages(), s.t_ms, config.filter) for s in sessions]
+    x = np.vstack([extract_features(p, s.sample_rate_hz)
+                   for p, s in zip(processed, sessions)])
     y = np.array([s.label for s in sessions], dtype=np.int64)
     conc = np.array([s.mixture.as_tuple() for s in sessions], dtype=float)
     train_idx, test_idx = bench.stratified_split(y, table.n_train, table.n_test, seed)

@@ -257,18 +257,21 @@ class TestStreamedFrontEnd:
         ("extract_features", "extract"),
     ])
     def test_failure_in_a_later_session_keeps_its_stage(self, monkeypatch, name, stage):
-        # TINY has 24 sessions, so session 20 lies past the first chunk
+        # TINY has 24 sessions, so session 20 lies past the first chunk;
+        # preprocess and extract run once per chunk, and their 2nd call
+        # holds sessions 16-23
         assert TINY.n_total > 20 > bench.FRONT_CHUNK
+        failing_call = 20 if name == "simulate_session" else 2
         real = getattr(bench, name)
         calls = []
 
-        def call_20_fails(*args, **kwargs):
+        def later_call_fails(*args, **kwargs):
             calls.append(name)
-            if len(calls) == 20:
+            if len(calls) == failing_call:
                 raise ValueError(f"{name} failed")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(bench, name, call_20_fails)
+        monkeypatch.setattr(bench, name, later_call_fails)
         with pytest.raises(StageError, match=f"{name} failed") as exc:
             bench.prepare_features(TINY, FAST, seed=0)
         assert exc.value.stage == stage

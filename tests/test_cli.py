@@ -525,6 +525,36 @@ class TestModelFileCorruption:
             f"error [stage=predict] {model}: predictions or their errors overflow")
         assert "Traceback" not in err and not report.exists()
 
+    @pytest.mark.parametrize("chain, key, what, section", [
+        ("pca-svm", "matrix components", "scores", "pca"),
+        ("kpca-svm", "matrix x_train", "scores", "kpca"),
+        ("pca-svm", "matrix support_vectors", "SVM decision values", "svm"),
+        ("pca-svm", "dual_coef", "SVM decision values", "svm"),
+        ("pca-svm", "bias", "SVM decision values", "svm"),
+    ])
+    def test_overflowing_chain_writes_no_classification(self, tmp_path, capsys, saved_chains,
+                                                        chain, key, what, section):
+        # every number of each `key` line (of a matrix, its first row) set
+        # to 1e308: it loads, as every number is finite, then overflows on
+        # the way to a score or to a sum of the vote's decision values
+        _, feat, chains = saved_chains
+        lines = list(chains[chain])
+        matrix = key.startswith("matrix")
+        for i, line in enumerate(chains[chain]):
+            if line.startswith(f"{key} "):
+                j, keep = (i + 1, 0) if matrix else (i, 1)
+                tokens = lines[j].split(" ")
+                lines[j] = " ".join(tokens[:keep] + ["1e308"] * (len(tokens) - keep))
+        model, report = tmp_path / "huge.model", tmp_path / "report.csv"
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["classify", "--model", str(model), "--in", str(feat),
+                   "--report", str(report)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith(
+            f"error [stage=classify] {model}: {what} overflow; a value in section {section} ")
+        assert "Traceback" not in err and not report.exists()
+
 
 class TestInputCorruption:
     """Every corruption of a features CSV, a session CSV or a config file

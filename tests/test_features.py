@@ -8,27 +8,23 @@ from hypothesis import strategies as st
 
 from enose import features as ft
 from enose.eigen import jacobi_eigh, orient_columns
-from enose.preprocess import FilterConfig, ProcessedSession, process_session
+from enose.preprocess import FilterConfig, process_session
 from enose.sensors import (BASELINE_S, EXPOSURE_S, GasMixture, SensorSpec,
                            clean_traces, divider_voltage, simulate_session,
                            standard_protocol, steady_sensitivity)
-from oracles import charpoly_eigvalsh, eigvec_3x3
+from oracles import charpoly_eigvalsh, eigvec_3x3, extract_features_per_channel
 
 RATE = 10.0
 
 
-def processed_from(channels, label=1, mixture=None):
-    channels = np.asarray(channels, dtype=float)
-    n = channels.shape[0]
-    return ProcessedSession(
-        t_ms=(np.arange(n) * 100).astype(np.int64),
-        channels=channels, label=label, mixture=mixture, sample_rate_hz=RATE)
+def features_of(channels):
+    """The one feature row of a single session's `(n, 4)` channels."""
+    return ft.extract_features(np.asarray(channels, dtype=float), RATE)[0]
 
 
 class TestExtractFeatures:
     def test_flat_session_gives_zero_features(self):
-        proc = processed_from(np.zeros((700, 4)))
-        values = ft.extract_features(proc)
+        values = features_of(np.zeros((700, 4)))
         assert values == pytest.approx(np.zeros(12), abs=1e-12)
 
     def test_analytic_step_response(self):
@@ -38,8 +34,7 @@ class TestExtractFeatures:
         tau, h = 4.0, 0.8
         rise = np.where(t >= BASELINE_S,
                         h * (1.0 - np.exp(-(t - BASELINE_S) / tau)), 0.0)
-        proc = processed_from(np.column_stack([rise] * 4))
-        steady, slope, area = ft.extract_features(proc)[0:3]
+        steady, slope, area = features_of(np.column_stack([rise] * 4))[0:3]
         assert abs(steady - h) < 0.01 * h
         # max rise rate of the sampled curve is its first step
         expected_slope = h * (1.0 - math.exp(-0.1 / tau)) * RATE
@@ -52,14 +47,32 @@ class TestExtractFeatures:
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         channels = rng.normal(0, 1, (700, 4))
-        a = ft.extract_features(processed_from(channels))
-        b = ft.extract_features(processed_from(channels.copy()))
+        a = features_of(channels)
+        b = features_of(channels.copy())
         assert np.array_equal(a, b)
 
     def test_short_session_rejected(self):
-        proc = processed_from(np.zeros((100, 4)))
         with pytest.raises(ValueError, match="exposure"):
-            ft.extract_features(proc)
+            features_of(np.zeros((100, 4)))
+
+    @given(
+        k=st.integers(1, 20),
+        rate=st.sampled_from([1.0, 4.0, 10.0, 16.0, 50.0]),
+        extra=st.integers(0, 40),
+        scale=st.sampled_from([1e-6, 1.0, 3.3, 1e3]),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_stacked_sessions_match_the_per_channel_oracle(self, k, rate, extra,
+                                                          scale, seed):
+        n = int(round((BASELINE_S + EXPOSURE_S) * rate)) + extra
+        rng = np.random.default_rng(seed)
+        sessions = [scale * rng.normal(0.0, 1.0, (n, 4)).cumsum(axis=0)
+                    for _ in range(k)]
+        got = ft.extract_features(np.hstack(sessions), rate)
+        assert got.shape == (k, ft.N_FEATURES)
+        for row, channels in zip(got, sessions):
+            assert np.array_equal(row, extract_features_per_channel(channels, rate))
 
     def test_end_to_end_simulated_steady_value(self):
         specs = tuple(
@@ -71,7 +84,8 @@ class TestExtractFeatures:
         t_ms, counts = simulate_session(specs, proto, 0, clean_traces(specs, proto))
         from enose.acquisition import Session
         session = Session(t_ms, counts, label=1, mixture=mix, sample_rate_hz=RATE)
-        values = ft.extract_features(process_session(session, FilterConfig()))
+        channels = process_session(session.voltages(), session.t_ms, FilterConfig())
+        values = features_of(channels)
         for ch, spec in enumerate(specs):
             s = steady_sensitivity(spec, mix)
             height = divider_voltage(spec, spec.r_air / s) - divider_voltage(spec, spec.r_air)

@@ -129,6 +129,13 @@ class TestRemoveBaseline:
             assert np.array_equal(resid[:, j], remove_baseline_1d(y[:, j], t, degree))
 
 
+def drifting_counts(rng, n):
+    """(n, 4) noisy ADC counts on a random linear trend per channel."""
+    k = np.arange(n)[:, None]
+    trend = rng.uniform(500, 3500, 4) + rng.uniform(-2, 2, 4) * k
+    return np.clip(np.rint(trend + rng.normal(0, 40, (n, 4))), 0, 4095).astype(np.int64)
+
+
 class TestProcessSessionOracle:
     @given(
         n=st.integers(30, 400),   # 6 anchors at least, for degree 5
@@ -140,14 +147,32 @@ class TestProcessSessionOracle:
     @settings(max_examples=80, deadline=None)
     def test_matches_the_per_channel_oracle(self, n, rate, window_m, degree, seed):
         rng = np.random.default_rng(seed)
-        k = np.arange(n)[:, None]
-        trend = rng.uniform(500, 3500, 4) + rng.uniform(-2, 2, 4) * k
-        counts = np.clip(np.rint(trend + rng.normal(0, 40, (n, 4))), 0, 4095)
         t_ms = np.rint(np.arange(n) * 1000.0 / rate).astype(np.int64)
-        session = Session(t_ms, counts.astype(np.int64), sample_rate_hz=rate)
-        proc = pp.process_session(session, pp.FilterConfig(window_m, degree))
-        assert np.array_equal(proc.channels,
+        session = Session(t_ms, drifting_counts(rng, n), sample_rate_hz=rate)
+        channels = pp.process_session(session.voltages(), t_ms,
+                                      pp.FilterConfig(window_m, degree))
+        assert np.array_equal(channels,
                               process_session_per_channel(session, window_m, degree))
+
+    @given(
+        k=st.integers(1, 20),
+        n=st.integers(30, 200),
+        rate=st.sampled_from([1.0, 4.0, 10.0, 16.0, 50.0]),
+        window_m=st.sampled_from([1, 3, 5, 9, 31]),
+        degree=st.integers(0, 5),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_sessions_match_per_session_calls(self, k, n, rate, window_m,
+                                                      degree, seed):
+        rng = np.random.default_rng(seed)
+        t_ms = np.rint(np.arange(n) * 1000.0 / rate).astype(np.int64)
+        volts = [Session(t_ms, drifting_counts(rng, n)).voltages() for _ in range(k)]
+        config = pp.FilterConfig(window_m, degree)
+        stacked = pp.process_session(np.hstack(volts), t_ms, config)
+        assert stacked.shape == (n, 4 * k)
+        assert np.array_equal(stacked, np.hstack([pp.process_session(v, t_ms, config)
+                                                  for v in volts]))
 
 
 class TestStandardizer:
@@ -201,19 +226,19 @@ def make_session(n=700, rate=10.0):
 class TestProcessedSessionIo:
     def test_process_and_round_trip(self, tmp_path):
         session = make_session()
-        proc = pp.process_session(session, pp.FilterConfig(window_m=3,
-                                                           baseline_degree=1))
+        config = pp.FilterConfig(window_m=3, baseline_degree=1)
+        channels = pp.process_session(session.voltages(), session.t_ms, config)
         path = tmp_path / "processed.csv"
-        pp.write_processed(proc, path)
+        pp.write_processed(session, channels, config, path)
         lines = path.read_text().splitlines()
         assert lines[:4] == ["# window_m = 3", "# baseline_degree = 1",
                              "# edge_policy = shrink", SESSION_HEADER]
 
         rows = np.loadtxt(path, delimiter=",", comments="#", skiprows=4)
-        assert np.array_equal(rows[:, 0], proc.t_ms)
-        assert np.array_equal(rows[:, 1:], proc.channels)  # repr round trip
+        assert np.array_equal(rows[:, 0], session.t_ms)
+        assert np.array_equal(rows[:, 1:], channels)  # repr round trip
         meta = read_meta(path)
-        assert meta == {"label": 1, "mixture": proc.mixture, "sample_rate_hz": 10.0}
+        assert meta == {"label": 1, "mixture": session.mixture, "sample_rate_hz": 10.0}
 
     def test_processing_removes_linear_drift(self):
         # synthetic drifting flat signal: residual should hug zero
@@ -223,6 +248,6 @@ class TestProcessedSessionIo:
         raw = np.clip(np.round(drift), 0, 4095).astype(int)
         session = Session(np.arange(n) * 100, np.repeat(raw[:, None], 4, axis=1),
                           sample_rate_hz=rate)
-        proc = pp.process_session(session, pp.FilterConfig())
+        channels = pp.process_session(session.voltages(), session.t_ms, pp.FilterConfig())
         lsb = 3.3 / 4096
-        assert np.abs(proc.channels).max() < 5 * lsb
+        assert np.abs(channels).max() < 5 * lsb
