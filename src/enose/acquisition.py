@@ -19,8 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import check_positive
 from .config import parse_config_text
-from .sensors import ADC_LEVELS, ADC_MAX, ADC_VREF, GASES, SAMPLE_RATE_HZ, GasMixture
+from .sensors import (ADC_LEVELS, ADC_MAX, ADC_VREF, GASES, LABELS, SAMPLE_RATE_HZ,
+                      GasMixture)
 
 SESSION_HEADER = "t_ms,raw1,raw2,raw3,raw4"
 MALFORMED_FRACTION_LIMIT = 0.10
@@ -67,10 +69,9 @@ class Session:
             raise ValueError("session needs a non-empty 1-D t_ms")
         if counts.shape != (t.size, 4):
             raise ValueError(f"counts must have shape ({t.size}, 4), got {counts.shape}")
-        if self.label not in (0, 1, 2, 3):
+        if self.label not in LABELS:
             raise ValueError(f"label must be 0..3, got {self.label}")
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be > 0")
+        check_positive("sample_rate_hz", self.sample_rate_hz)
         if t[0] < 0:
             raise ValueError("t_ms must be >= 0")
         if np.any(t[1:] <= t[:-1]):

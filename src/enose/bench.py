@@ -48,7 +48,6 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"[stage={stage}] {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 @dataclass(frozen=True)

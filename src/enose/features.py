@@ -19,7 +19,7 @@ import numpy as np
 
 from .checks import check_positive, check_sizes
 from .eigen import jacobi_eigh, leading_eigh, orient_columns
-from .sensors import BASELINE_S, EXPOSURE_S
+from .sensors import BASELINE_S, EXPOSURE_S, LABELS
 
 N_FEATURES = 12
 FEATURES_HEADER = ",".join(
@@ -239,9 +239,9 @@ def read_features_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise ValueError(f"line {lineno}: {exc}") from None
         if not all(map(math.isfinite, row)):
             raise ValueError(f"line {lineno}: non-finite value in features row")
-        if not row[N_FEATURES].is_integer():
+        if row[N_FEATURES] not in LABELS:
             raise ValueError(
-                f"line {lineno}: label {fields[N_FEATURES]} is not a whole number")
+                f"line {lineno}: label {fields[N_FEATURES]} is not a whole number in 0..3")
         rows.append(row)
     if not rows:
         raise ValueError(f"{path} contains no feature rows")

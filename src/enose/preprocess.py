@@ -73,6 +73,7 @@ def fit_baseline(series, t, degree: int, anchors=None):
     coefficients are (degree + 1,) or (degree + 1, k).  They are in the
     scaled coordinate s = (t - t0) / tscale for conditioning; callers
     comparing against an independent solve must use the same basis.
+    `anchors` are sample indices; None means `default_anchors(n)`.
     """
     y = np.asarray(series, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -84,8 +85,6 @@ def fit_baseline(series, t, degree: int, anchors=None):
     if n < degree + 1:
         raise ValueError(f"need at least {degree + 1} samples for degree {degree}")
     anchors = default_anchors(n) if anchors is None else np.asarray(anchors)
-    if anchors.dtype == bool:
-        anchors = np.flatnonzero(anchors)
     if anchors.size < degree + 1:
         raise ValueError("not enough anchor samples for the requested degree")
 

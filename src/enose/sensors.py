@@ -13,7 +13,8 @@ resistance in gas is R_air / S; transitions between phases follow a
 first-order relaxation with separate rise (into gas) and fall (back to
 air) time constants.  A linear baseline drift and multiplicative
 Gaussian noise are applied on top, then the resistance is read out
-through a voltage divider and quantized to 12-bit ADC counts.
+through a voltage divider and quantized to 12-bit ADC counts, all four
+channels at once as an (n, 4) matrix; a channel is its column.
 
 The default array holds one acetone-dominant channel whose power-law
 coefficients were least-squares fitted once to saturating target curves
@@ -37,6 +38,7 @@ LABEL_UNKNOWN = 0
 LABEL_ACETONE = 1
 LABEL_ETHANOL = 2
 LABEL_METHANOL = 3
+LABELS = range(LABEL_UNKNOWN, LABEL_METHANOL + 1)  # every label a session may carry
 
 ADC_VREF = 3.3
 ADC_LEVELS = 4096
@@ -93,7 +95,6 @@ class SensorSpec:
     doubles as the divider load resistance.
     """
 
-    id: int
     r_air: float
     sens_coeff: tuple[float, float, float]
     sens_exp: tuple[float, float, float]
@@ -164,9 +165,10 @@ def steady_sensitivity(spec: SensorSpec, mix: GasMixture) -> float:
     return s
 
 
-def divider_voltage(spec: SensorSpec, resistance: np.ndarray | float) -> np.ndarray | float:
-    """Readout voltage of the sensor in a divider with R_load = r_air."""
-    return ADC_VREF * spec.r_air / (spec.r_air + resistance)
+def divider_voltage(r_air: np.ndarray | float,
+                    resistance: np.ndarray | float) -> np.ndarray | float:
+    """Readout voltage of a sensor in a divider with R_load = r_air."""
+    return ADC_VREF * r_air / (r_air + resistance)
 
 
 def quantize(volts: np.ndarray) -> np.ndarray:
@@ -175,34 +177,35 @@ def quantize(volts: np.ndarray) -> np.ndarray:
     return np.clip(counts, 0, ADC_MAX).astype(np.int64)
 
 
-def _channel_resistance(spec: SensorSpec, proto: ExposureProtocol, t: np.ndarray) -> np.ndarray:
-    """Noise-free, drift-free resistance trace for one channel."""
-    r = np.empty_like(t)
-    r_entry = spec.r_air
-    phase_start = 0.0
-    for mix, duration in proto.phases:
-        target = spec.r_air / steady_sensitivity(spec, mix)
-        tau = spec.tau_rise if target < r_entry else spec.tau_fall
-        mask = (t >= phase_start) & (t < phase_start + duration)
-        r[mask] = target + (r_entry - target) * np.exp(-(t[mask] - phase_start) / tau)
-        r_entry = target + (r_entry - target) * math.exp(-duration / tau)
-        phase_start += duration
-    return r
+def _per_channel(specs: tuple[SensorSpec, ...], key: str) -> np.ndarray:
+    """One field of every channel, as a (4,) vector in channel order."""
+    if len(specs) != 4:
+        raise ValueError("the array has exactly 4 channels")
+    return np.array([getattr(spec, key) for spec in specs])
 
 
 def clean_traces(specs: tuple[SensorSpec, ...], proto: ExposureProtocol) -> np.ndarray:
     """Noise-free, drift-added resistance of every channel, (n, 4), read-only.
 
-    Every session of one mixture row shares this trace; only the noise
-    drawn on top of it differs between them.
+    One relaxation pass per phase covers every channel.  Every session of
+    one mixture row shares this trace; only the noise drawn on top of it
+    differs between them.
     """
-    if len(specs) != 4:
-        raise ValueError("the array has exactly 4 channels")
+    r_air = _per_channel(specs, "r_air")
+    tau_rise, tau_fall = _per_channel(specs, "tau_rise"), _per_channel(specs, "tau_fall")
     t = np.arange(proto.n_samples) * (1.0 / proto.sample_rate_hz)
     clean = np.empty((t.size, 4))
-    for ch, spec in enumerate(specs):
-        clean[:, ch] = (_channel_resistance(spec, proto, t)
-                        + spec.r_air * spec.drift_rate * (t / 3600.0))
+    r_entry = r_air
+    phase_start = 0.0
+    for mix, duration in proto.phases:
+        target = r_air / np.array([steady_sensitivity(spec, mix) for spec in specs])
+        tau = np.where(target < r_entry, tau_rise, tau_fall)
+        mask = (t >= phase_start) & (t < phase_start + duration)
+        clean[mask] = target + (r_entry - target) * np.exp(-(t[mask, None] - phase_start) / tau)
+        # math.exp, not np.exp: the two can differ in the last bit
+        r_entry = target + (r_entry - target) * np.array([math.exp(x) for x in -duration / tau])
+        phase_start += duration
+    clean += r_air * _per_channel(specs, "drift_rate") * (t[:, None] / 3600.0)
     clean.flags.writeable = False
     return clean
 
@@ -216,24 +219,20 @@ def simulate_session(
     """Simulate one acquisition session as (t_ms[n], counts[n, 4]).
 
     `clean` is `clean_traces(specs, proto)`, shared by every session of
-    a mixture row; the session draws its seeded noise on top of it, one
-    channel at a time.  Identical inputs give identical arrays.  Sample
-    k is stamped round(k * 1000 / sample_rate_hz) ms.
+    a mixture row.  The session's seeded noise is one (m, n) draw for its
+    m channels with noise_sigma > 0, in channel order; the whole array is
+    then read out at once.  Identical inputs give identical arrays.
+    Sample k is stamped round(k * 1000 / sample_rate_hz) ms.
     """
-    if len(specs) != 4:
-        raise ValueError("the array has exactly 4 channels")
+    sigma = _per_channel(specs, "noise_sigma")
     n = proto.n_samples
     if clean.shape != (n, 4):
         raise ValueError(f"clean trace must have shape ({n}, 4), got {clean.shape}")
+    noisy = sigma > 0
     rng = np.random.default_rng(seed)
-
-    counts = np.empty((n, 4), dtype=np.int64)
-    for ch, spec in enumerate(specs):
-        r = clean[:, ch]
-        if spec.noise_sigma > 0:
-            r = r * (1.0 + spec.noise_sigma * rng.standard_normal(n))
-        r = np.maximum(r, 1e-9)
-        counts[:, ch] = quantize(divider_voltage(spec, r))
+    r = clean.copy()
+    r[:, noisy] *= 1.0 + sigma[noisy] * rng.standard_normal((np.count_nonzero(noisy), n)).T
+    counts = quantize(divider_voltage(_per_channel(specs, "r_air"), np.maximum(r, 1e-9)))
 
     # rint rounds half to even, as Python's round does
     t_ms = np.rint(np.arange(n) * 1000.0 / proto.sample_rate_hz).astype(np.int64)
@@ -252,16 +251,16 @@ def default_sensor_array() -> tuple[SensorSpec, ...]:
         # acetone-dominant TiO2 channel: the power law least-squares fitted
         # to S - 1 = s_max * c / (c + c_half) with s_max/c_half 9.0/60 ppm
         # (acetone), 2.2/90 ppm (ethanol) and 1.6/120 ppm (methanol)
-        SensorSpec(id=0, r_air=120.0,
+        SensorSpec(r_air=120.0,
                    sens_coeff=(0.5176564179026558, 0.08119565586322176, 0.04062565359181517),
                    sens_exp=(0.4869833517955493, 0.5599716577357634, 0.6105077689145484)),
         # broad-response channel
-        SensorSpec(id=1, r_air=45.0,
+        SensorSpec(r_air=45.0,
                    sens_coeff=(0.30, 0.34, 0.26), sens_exp=(0.55, 0.52, 0.58)),
         # ethanol-leaning channel
-        SensorSpec(id=2, r_air=30.0,
+        SensorSpec(r_air=30.0,
                    sens_coeff=(0.18, 0.90, 0.12), sens_exp=(0.60, 0.62, 0.58)),
         # methanol-leaning channel
-        SensorSpec(id=3, r_air=60.0,
+        SensorSpec(r_air=60.0,
                    sens_coeff=(0.15, 0.20, 0.85), sens_exp=(0.60, 0.55, 0.62)),
     )

@@ -6,12 +6,13 @@ iterative rotations, explicit normal equations instead of lstsq,
 projected gradient ascent instead of SMO, brute-force window means
 instead of cumulative sums, one `str.split` per frame line instead of a
 tokenizer over the whole stream, one `loss_and_grads` call per SGD step
-instead of the inlined training loop, one whole simulation per session
-instead of the shared per-row trace, one baseline fit and one feature
-reduction per channel instead of the front end's per-chunk basis and
-stacked reductions, whole-table lists of sessions instead of the
-streamed front end, and one Python pass per gap run, vote
-row or eigenvector column instead of array expressions over all of them.
+instead of the inlined training loop, one whole simulation per session,
+channel by channel, instead of the shared per-row trace and the (n, 4)
+readout, one baseline fit and one feature reduction per channel instead
+of the front end's per-chunk basis and stacked reductions, whole-table
+lists of sessions instead of the streamed front end, and one Python pass
+per gap run, vote row or eigenvector column instead of array expressions
+over all of them.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from enose.features import N_FEATURES, extract_features
 from enose.mlp import (LOSS_IMPROVEMENT_FLOOR, MlpConfig, MlpModel, init_layers,
                        loss_and_grads)
 from enose.preprocess import default_anchors, fit_standardizer, process_session
-from enose.sensors import (ADC_MAX, BASELINE_S, EXPOSURE_S, _channel_resistance,
-                           clean_traces, divider_voltage, dominant_gas_label, quantize,
-                           session_seed, simulate_session, standard_protocol)
+from enose.sensors import (ADC_MAX, BASELINE_S, EXPOSURE_S, clean_traces, divider_voltage,
+                           dominant_gas_label, quantize, session_seed, simulate_session,
+                           standard_protocol, steady_sensitivity)
 from enose.svm import SvmModel
 
 
@@ -389,11 +390,27 @@ def mlp_train_per_call(x, targets_ppm, config: MlpConfig) -> MlpModel:
                     loss_trace=np.array(trace), config=config)
 
 
+def channel_resistance(spec, proto, t) -> np.ndarray:
+    """Noise-free, drift-free resistance trace of one channel, phase by phase."""
+    r = np.empty_like(t)
+    r_entry = spec.r_air
+    phase_start = 0.0
+    for mix, duration in proto.phases:
+        target = spec.r_air / steady_sensitivity(spec, mix)
+        tau = spec.tau_rise if target < r_entry else spec.tau_fall
+        mask = (t >= phase_start) & (t < phase_start + duration)
+        r[mask] = target + (r_entry - target) * np.exp(-(t[mask] - phase_start) / tau)
+        r_entry = target + (r_entry - target) * math.exp(-duration / tau)
+        phase_start += duration
+    return r
+
+
 def simulate_session_per_session(specs, proto, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """`sensors.simulate_session` rebuilding every channel's clean trace.
 
-    The reference for the shared per-row trace: each channel's resistance,
-    drift, noise draw, floor and readout in turn, one channel at a time.
+    The reference for the shared per-row trace and the whole-array
+    readout: each channel's relaxation, drift, noise draw, floor and
+    readout in turn, one channel at a time.
     """
     n = proto.n_samples
     dt = 1.0 / proto.sample_rate_hz
@@ -401,12 +418,12 @@ def simulate_session_per_session(specs, proto, seed: int) -> tuple[np.ndarray, n
     rng = np.random.default_rng(seed)
     counts = np.empty((n, 4), dtype=np.int64)
     for ch, spec in enumerate(specs):
-        r = _channel_resistance(spec, proto, t)
+        r = channel_resistance(spec, proto, t)
         r = r + spec.r_air * spec.drift_rate * (t / 3600.0)
         if spec.noise_sigma > 0:
             r = r * (1.0 + spec.noise_sigma * rng.standard_normal(n))
         r = np.maximum(r, 1e-9)
-        counts[:, ch] = quantize(divider_voltage(spec, r))
+        counts[:, ch] = quantize(divider_voltage(spec.r_air, r))
     t_ms = np.rint(np.arange(n) * 1000.0 / proto.sample_rate_hz).astype(np.int64)
     return t_ms, counts
 

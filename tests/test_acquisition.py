@@ -389,9 +389,10 @@ class TestSessionInvariants:
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError, match="sample_rate_hz"):
             acq.Session(*one_frame(), sample_rate_hz=0.0)
-        # a sidecar can say nan
-        with pytest.raises(ValueError, match="sample_rate_hz"):
-            acq.Session(*one_frame(), sample_rate_hz=float("nan"))
+        # a sidecar can say nan or inf
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sample_rate_hz"):
+                acq.Session(*one_frame(), sample_rate_hz=rate)
 
     def test_counts_outside_12_bits_rejected(self):
         with pytest.raises(ValueError, match="4095"):

@@ -639,6 +639,8 @@ class TestCliErrors:
         (0, "nan", "non-finite"),
         (0, "abc", "could not convert string to float: 'abc'"),
         (slice(-1, None), [], "bad features row: '"),    # the last field dropped
+        (N_FEATURES, "1e20", "label 1e20 is not a whole number in 0..3"),
+        (N_FEATURES, "4", "label 4 is not a whole number in 0..3"),
     ])
     def test_bad_features_rows_rejected(self, tmp_path, capsys, column, value, message):
         x, y, conc = separable_features(np.random.default_rng(1))

@@ -76,9 +76,9 @@ class TestExtractFeatures:
 
     def test_end_to_end_simulated_steady_value(self):
         specs = tuple(
-            SensorSpec(id=i, r_air=r, sens_coeff=(0.5, 0.1, 0.1),
+            SensorSpec(r_air=r, sens_coeff=(0.5, 0.1, 0.1),
                        sens_exp=(0.6, 0.6, 0.6), noise_sigma=0.0, drift_rate=0.0)
-            for i, r in enumerate((120.0, 45.0, 30.0, 60.0)))
+            for r in (120.0, 45.0, 30.0, 60.0))
         mix = GasMixture(100, 0, 0)
         proto = standard_protocol(mix)
         t_ms, counts = simulate_session(specs, proto, 0, clean_traces(specs, proto))
@@ -88,7 +88,8 @@ class TestExtractFeatures:
         values = features_of(channels)
         for ch, spec in enumerate(specs):
             s = steady_sensitivity(spec, mix)
-            height = divider_voltage(spec, spec.r_air / s) - divider_voltage(spec, spec.r_air)
+            height = (divider_voltage(spec.r_air, spec.r_air / s)
+                      - divider_voltage(spec.r_air, spec.r_air))
             # trailing baseline anchors sit on the recovery tail, which
             # biases the fitted baseline up by a few percent of the height;
             # the bias is identical across sessions of a mixture

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enose import sensors as sn
@@ -13,7 +13,7 @@ QUIET = dict(noise_sigma=0.0, drift_rate=0.0)
 
 
 def quiet_spec(**overrides):
-    kw = dict(id=0, r_air=100.0, sens_coeff=(0.5, 0.1, 0.1),
+    kw = dict(r_air=100.0, sens_coeff=(0.5, 0.1, 0.1),
               sens_exp=(0.6, 0.6, 0.6), **QUIET)
     kw.update(overrides)
     return sn.SensorSpec(**kw)
@@ -159,10 +159,10 @@ class TestSpecValidation:
 
 def quiet_array():
     return tuple(
-        sn.SensorSpec(id=i, r_air=s.r_air, sens_coeff=s.sens_coeff,
+        sn.SensorSpec(r_air=s.r_air, sens_coeff=s.sens_coeff,
                       sens_exp=s.sens_exp, tau_rise=s.tau_rise,
                       tau_fall=s.tau_fall, **QUIET)
-        for i, s in enumerate(sn.default_sensor_array())
+        for s in sn.default_sensor_array()
     )
 
 
@@ -176,7 +176,7 @@ class TestSimulateSession:
         proto = sn.ExposureProtocol(phases=((sn.CLEAN_AIR, 5.0),), sample_rate_hz=10)
         _, counts = simulate(specs, proto, seed=1)
         expected = [
-            int(sn.quantize(np.array([sn.divider_voltage(s, s.r_air)]))[0])
+            int(sn.quantize(np.array([sn.divider_voltage(s.r_air, s.r_air)]))[0])
             for s in specs
         ]
         assert (counts == expected).all()
@@ -193,7 +193,7 @@ class TestSimulateSession:
         assert np.all(np.diff(gas) >= 0)
         # within 5 tau of the phase entry the response is within 1% of R_air/S
         s = sn.steady_sensitivity(spec, mix)
-        v_ss = sn.divider_voltage(spec, spec.r_air / s)
+        v_ss = sn.divider_voltage(spec.r_air, spec.r_air / s)
         k_5tau = 50 + int(5 * spec.tau_rise * 10)
         v_then = counts[k_5tau, 0] * sn.ADC_VREF / sn.ADC_LEVELS
         assert abs(v_then - v_ss) < 0.01 * v_ss
@@ -269,6 +269,9 @@ class TestSimulateSession:
         mix=mixtures_st,
         seed=st.integers(0, 2**63),
     )
+    # noiseless channels between noisy ones
+    @example(sigmas=[0.0, 0.02, 0.0, 0.2], drift=0.05, tau_rise=4.0, tau_fall=10.0,
+             rate=10.0, mix=sn.GasMixture(50, 5, 5), seed=42)
     def test_matches_the_per_session_oracle(self, sigmas, drift, tau_rise, tau_fall,
                                             rate, mix, seed):
         # noise off on no, some or all channels, and time-constant overrides
