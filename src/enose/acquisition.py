@@ -21,7 +21,7 @@ import numpy as np
 
 from .checks import check_positive
 from .config import parse_config_text
-from .sensors import (ADC_LEVELS, ADC_MAX, ADC_VREF, GASES, LABELS, SAMPLE_RATE_HZ,
+from .sensors import (ADC_MAX, GASES, LABELS, SAMPLE_RATE_HZ, VOLTS_PER_COUNT,
                       GasMixture)
 
 SESSION_HEADER = "t_ms,raw1,raw2,raw3,raw4"
@@ -81,7 +81,7 @@ class Session:
 
     def voltages(self) -> np.ndarray:
         """n x 4 matrix of channel voltages via the ADC conversion rule."""
-        return self.counts * ADC_VREF / ADC_LEVELS
+        return self.counts * VOLTS_PER_COUNT
 
 
 def impute_missing(values) -> np.ndarray:

@@ -4,9 +4,9 @@ Each experiment simulates labeled sessions for every mixture row, pushes
 them through preprocessing, feature extraction and PCA/KPCA reduction,
 then trains a one-vs-one SVM (or an MLP for concentration regression)
 and scores a stratified held-out split with exactly the table's
-train/test counts.  The simulator's sessions are already validated
-`Session`s, so they skip the wire-format codec; `enose ingest` is what
-exercises it.
+train/test counts.  The front end simulates sessions as arrays, and only
+`enose simulate` wraps them as `Session`s; neither goes through the
+wire-format codec, which `enose ingest` exercises.
 
 The base mixture ratios of every table are all acetone-dominant, so a
 classifier would see a single class; every built-in table therefore
@@ -22,7 +22,6 @@ import dataclasses
 import logging
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -34,9 +33,9 @@ from .mlp import MlpConfig, evaluate_regression, mlp_forward, mlp_train
 from .preprocess import FilterConfig, Standardizer, fit_standardizer, process_session
 from .report import (RegressionReport, RunReport, classification_metrics)
 from .sensors import (CLEAN_AIR, DEFAULT_DRIFT_RATE, DEFAULT_NOISE_SIGMA, SAMPLE_RATE_HZ,
-                      GasMixture, SensorSpec, clean_traces, default_sensor_array,
-                      dominant_gas_label, session_seed, simulate_session,
-                      standard_protocol)
+                      VOLTS_PER_COUNT, GasMixture, SensorSpec, clean_traces,
+                      default_sensor_array, dominant_gas_label, session_seed,
+                      simulate_session, standard_protocol)
 from .svm import SvmParams, svm_predict, svm_train_multiclass
 
 log = logging.getLogger("enose.bench")
@@ -256,9 +255,8 @@ def build_sessions(table: ExperimentTable, config: PipelineConfig,
     The table's n_total sessions are split over its rows (`row_counts`)
     unless `per_row` gives every row that many.  Labels follow the
     dominant-gas rule; session (row, rep) is seeded by `session_seed`.
-    The settings are checked now; sessions are made one at a time as the
-    returned iterator is read, in row-then-rep order, and only the current
-    row's clean trace is kept between them.
+    The settings are checked now; the sessions come in row-then-rep order
+    as the returned iterator is read, simulated FRONT_CHUNK at a time.
     """
     if per_row is None:
         counts = row_counts(table.n_total, len(table.rows))
@@ -266,19 +264,28 @@ def build_sessions(table: ExperimentTable, config: PipelineConfig,
         raise ValueError("per_row must be >= 1")
     else:
         counts = [per_row] * len(table.rows)
-    specs = sensor_array_for(config)
-    return _simulate_rows(table.rows, counts, specs, config.sample_rate_hz, seed)
+    rows, rate = table.rows, config.sample_rate_hz
+    return (Session(t_ms, raw, label=dominant_gas_label(rows[row]), mixture=rows[row],
+                    sample_rate_hz=rate)
+            for chunk_rows, t_ms, chunk in _simulate_chunks(rows, counts, config, seed)
+            for row, raw in zip(chunk_rows.tolist(), chunk))
 
 
-def _simulate_rows(rows, counts, specs, rate: float, seed: int) -> Iterator[Session]:
-    for row_idx, (mix, count) in enumerate(zip(rows, counts)):
-        proto = standard_protocol(mix, rate)
-        label = dominant_gas_label(mix)
-        clean = clean_traces(specs, proto)
-        for rep in range(count):
-            t_ms, raw = simulate_session(specs, proto,
-                                         session_seed(seed, row_idx, rep), clean)
-            yield Session(t_ms, raw, label=label, mixture=mix, sample_rate_hz=rate)
+def _simulate_chunks(rows, counts, config: PipelineConfig,
+                     seed: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(row of each session, t_ms, counts[k, n, 4]) per FRONT_CHUNK sessions
+    of `counts[r]` reps of each row r, in row-then-rep order; a chunk may
+    span rows.  Each row's clean trace is computed once, for the whole run.
+    """
+    specs, rate = sensor_array_for(config), config.sample_rate_hz
+    clean = np.stack([clean_traces(specs, standard_protocol(mix, rate)) for mix in rows])
+    row_of = np.repeat(np.arange(len(rows)), counts)
+    seeds = [session_seed(seed, row, rep) for row, count in enumerate(counts)
+             for rep in range(count)]
+    for start in range(0, row_of.size, FRONT_CHUNK):
+        chunk = row_of[start:start + FRONT_CHUNK]
+        yield (chunk, *simulate_session(specs, clean[chunk],
+                                        seeds[start:start + FRONT_CHUNK], rate))
 
 
 def stratified_split(y, n_train: int, n_test: int, seed: int):
@@ -360,10 +367,10 @@ def fit_front(x_train, config: PipelineConfig) -> FittedFront:
     return FittedFront(standardizer=std, reducer=reducer)
 
 
-# Sessions go through the front end's stages this many at a time.  A
-# chunk's memory does not grow with the table, and running each stage over
-# a chunk keeps `enose bench` as fast as running it over the whole table;
-# one session at a time made the ternary front end ~14% slower.
+# Sessions are simulated and go through the front end's stages this many at
+# a time.  A chunk's memory does not grow with the table, and running each
+# stage over a chunk keeps `enose bench` as fast as running it over the
+# whole table; one session at a time made the ternary front end ~14% slower.
 FRONT_CHUNK = 16
 
 
@@ -384,29 +391,28 @@ def prepare_features(table: ExperimentTable, config: PipelineConfig,
                      seed: int) -> FeatureSplit:
     """Run generate -> preprocess -> extract -> split -> reduce.
 
-    The front end streams: FRONT_CHUNK sessions at a time are generated,
-    preprocessed and reduced to feature rows before the next ones are
-    made, so its memory does not grow with the table.  Preprocess and
-    extract run once per chunk, on its sessions' voltages side by side
-    (they share `t_ms`).  The wire-format codec that `enose ingest` runs
-    would give the generated sessions back unchanged, so they skip it.
-    Labels and targets come from the table's rows.  Each stage is logged
-    once, on the first chunk, and a failure is tagged with its stage.
+    The front end streams: FRONT_CHUNK sessions at a time are simulated as
+    one (k, n, 4) array, preprocessed and reduced to feature rows before the
+    next ones are made, so its memory does not grow with the table.
+    Preprocess and extract run once per chunk, on its sessions' voltages
+    side by side (they share `t_ms`).  Labels and targets come from each
+    session's row.  Each stage is logged once, on the first chunk, and a
+    failure is tagged with its stage.
     """
-    sessions = _stage("generate", build_sessions, table, config, seed)
+    chunks = _stage("generate", _simulate_chunks, table.rows,
+                    row_counts(table.n_total, len(table.rows)), config, seed)
     x = np.empty((table.n_total, N_FEATURES))
+    row_of = np.empty(table.n_total, dtype=np.int64)
     for start in range(0, table.n_total, FRONT_CHUNK):
         stage = _stage if start == 0 else _tagged
-        chunk = _tagged("generate", list, islice(sessions, FRONT_CHUNK))
-        volts = np.hstack([s.voltages() for s in chunk])
-        channels = stage("preprocess", process_session, volts, chunk[0].t_ms, config.filter)
-        x[start:start + len(chunk)] = stage("extract", extract_features, channels,
-                                            config.sample_rate_hz)
-    counts = row_counts(table.n_total, len(table.rows))
-    y = np.repeat(np.array([dominant_gas_label(m) for m in table.rows], dtype=np.int64),
-                  counts)
-    conc = np.repeat(np.array([m.as_tuple() for m in table.rows], dtype=float),
-                     counts, axis=0)
+        rows, t_ms, counts = _tagged("generate", next, chunks)
+        volts = np.concatenate(counts * VOLTS_PER_COUNT, axis=1)  # (n, 4k)
+        channels = stage("preprocess", process_session, volts, t_ms, config.filter)
+        x[start:start + len(rows)] = stage("extract", extract_features, channels,
+                                           config.sample_rate_hz)
+        row_of[start:start + len(rows)] = rows
+    y = np.array([dominant_gas_label(m) for m in table.rows], dtype=np.int64)[row_of]
+    conc = np.array([m.as_tuple() for m in table.rows], dtype=float)[row_of]
 
     train_idx, test_idx = _stage("split", stratified_split, y,
                                  table.n_train, table.n_test, seed)

@@ -187,7 +187,7 @@ def _mlp_lines(m: MlpModel) -> list[str]:
 
 def _read_mlp(r: _Reader) -> MlpModel:
     input_dim = r.integer(r.field("input_dim"))
-    hidden = r.ints(r.field("hidden"))
+    hidden = r.ints(text) if (text := r.field("hidden")) else ()   # () saves as ""
     lr = r.number(r.field("lr"))
     epochs = r.integer(r.field("epochs"))
     seed = r.integer(r.field("seed"))

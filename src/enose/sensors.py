@@ -13,8 +13,8 @@ resistance in gas is R_air / S; transitions between phases follow a
 first-order relaxation with separate rise (into gas) and fall (back to
 air) time constants.  A linear baseline drift and multiplicative
 Gaussian noise are applied on top, then the resistance is read out
-through a voltage divider and quantized to 12-bit ADC counts, all four
-channels at once as an (n, 4) matrix; a channel is its column.
+through a voltage divider and quantized to 12-bit ADC counts, a whole
+(k, n, 4) stack of sessions at once; a channel is its last index.
 
 The default array holds one acetone-dominant channel whose power-law
 coefficients were least-squares fitted once to saturating target curves
@@ -43,6 +43,7 @@ LABELS = range(LABEL_UNKNOWN, LABEL_METHANOL + 1)  # every label a session may c
 ADC_VREF = 3.3
 ADC_LEVELS = 4096
 ADC_MAX = 4095
+VOLTS_PER_COUNT = ADC_VREF / ADC_LEVELS  # exact: ADC_LEVELS is a power of two
 
 # Session timing (seconds): air baseline, gas exposure, air recovery.
 BASELINE_S = 10.0
@@ -187,9 +188,9 @@ def _per_channel(specs: tuple[SensorSpec, ...], key: str) -> np.ndarray:
 def clean_traces(specs: tuple[SensorSpec, ...], proto: ExposureProtocol) -> np.ndarray:
     """Noise-free, drift-added resistance of every channel, (n, 4), read-only.
 
-    One relaxation pass per phase covers every channel.  Every session of
-    one mixture row shares this trace; only the noise drawn on top of it
-    differs between them.
+    One relaxation pass per phase covers every channel, from the phase's
+    start to the trace's end (the next phase overwrites its own part).
+    Every session of a mixture row shares this trace; only its noise differs.
     """
     r_air = _per_channel(specs, "r_air")
     tau_rise, tau_fall = _per_channel(specs, "tau_rise"), _per_channel(specs, "tau_fall")
@@ -200,7 +201,7 @@ def clean_traces(specs: tuple[SensorSpec, ...], proto: ExposureProtocol) -> np.n
     for mix, duration in proto.phases:
         target = r_air / np.array([steady_sensitivity(spec, mix) for spec in specs])
         tau = np.where(target < r_entry, tau_rise, tau_fall)
-        mask = (t >= phase_start) & (t < phase_start + duration)
+        mask = t >= phase_start
         clean[mask] = target + (r_entry - target) * np.exp(-(t[mask, None] - phase_start) / tau)
         # math.exp, not np.exp: the two can differ in the last bit
         r_entry = target + (r_entry - target) * np.array([math.exp(x) for x in -duration / tau])
@@ -210,32 +211,29 @@ def clean_traces(specs: tuple[SensorSpec, ...], proto: ExposureProtocol) -> np.n
     return clean
 
 
-def simulate_session(
-    specs: tuple[SensorSpec, ...],
-    proto: ExposureProtocol,
-    seed: int,
-    clean: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate one acquisition session as (t_ms[n], counts[n, 4]).
+def simulate_session(specs: tuple[SensorSpec, ...], clean: np.ndarray, seeds: list[int],
+                     sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate k acquisition sessions as (t_ms[n], counts[k, n, 4]).
 
-    `clean` is `clean_traces(specs, proto)`, shared by every session of
-    a mixture row.  The session's seeded noise is one (m, n) draw for its
-    m channels with noise_sigma > 0, in channel order; the whole array is
-    then read out at once.  Identical inputs give identical arrays.
-    Sample k is stamped round(k * 1000 / sample_rate_hz) ms.
+    `clean[i]` is session i's `clean_traces`, shared by its mixture row.
+    Session i's noise is one (m, n) draw from `default_rng(seeds[i])` for
+    its m channels with noise_sigma > 0, in channel order; the whole stack
+    is then read out at once.  Identical inputs give identical arrays.
+    Sample j is stamped round(j * 1000 / sample_rate_hz) ms.
     """
     sigma = _per_channel(specs, "noise_sigma")
-    n = proto.n_samples
-    if clean.shape != (n, 4):
-        raise ValueError(f"clean trace must have shape ({n}, 4), got {clean.shape}")
+    if clean.ndim != 3 or clean.shape != (len(seeds), n := clean.shape[1], 4):
+        raise ValueError(f"clean traces must have shape ({len(seeds)}, n, 4), got {clean.shape}")
     noisy = sigma > 0
-    rng = np.random.default_rng(seed)
-    r = clean.copy()
-    r[:, noisy] *= 1.0 + sigma[noisy] * rng.standard_normal((np.count_nonzero(noisy), n)).T
-    counts = quantize(divider_voltage(_per_channel(specs, "r_air"), np.maximum(r, 1e-9)))
+    gain = np.ones(clean.shape)
+    for i, seed in enumerate(seeds):
+        noise = np.random.default_rng(seed).standard_normal((np.count_nonzero(noisy), n))
+        gain[i][:, noisy] = 1.0 + sigma[noisy] * noise.T
+    counts = quantize(divider_voltage(_per_channel(specs, "r_air"),
+                                      np.maximum(clean * gain, 1e-9)))
 
     # rint rounds half to even, as Python's round does
-    t_ms = np.rint(np.arange(n) * 1000.0 / proto.sample_rate_hz).astype(np.int64)
+    t_ms = np.rint(np.arange(n) * 1000.0 / sample_rate_hz).astype(np.int64)
     return t_ms, counts
 
 

@@ -391,14 +391,15 @@ def mlp_train_per_call(x, targets_ppm, config: MlpConfig) -> MlpModel:
 
 
 def channel_resistance(spec, proto, t) -> np.ndarray:
-    """Noise-free, drift-free resistance trace of one channel, phase by phase."""
+    """Noise-free, drift-free resistance trace of one channel, phase by phase;
+    each phase runs to the end of the trace, and the next overwrites it."""
     r = np.empty_like(t)
     r_entry = spec.r_air
     phase_start = 0.0
     for mix, duration in proto.phases:
         target = spec.r_air / steady_sensitivity(spec, mix)
         tau = spec.tau_rise if target < r_entry else spec.tau_fall
-        mask = (t >= phase_start) & (t < phase_start + duration)
+        mask = t >= phase_start
         r[mask] = target + (r_entry - target) * np.exp(-(t[mask] - phase_start) / tau)
         r_entry = target + (r_entry - target) * math.exp(-duration / tau)
         phase_start += duration
@@ -498,9 +499,9 @@ def prepare_features_whole_table(table, config, seed: int) -> bench.FeatureSplit
         proto = standard_protocol(mix, config.sample_rate_hz)
         clean = clean_traces(specs, proto)
         for rep in range(count):
-            t_ms, raw = simulate_session(specs, proto,
-                                         session_seed(seed, row_idx, rep), clean)
-            sessions.append(Session(t_ms, raw, label=dominant_gas_label(mix), mixture=mix,
+            t_ms, raw = simulate_session(specs, clean[None], [session_seed(seed, row_idx, rep)],
+                                         config.sample_rate_hz)
+            sessions.append(Session(t_ms, raw[0], label=dominant_gas_label(mix), mixture=mix,
                                     sample_rate_hz=config.sample_rate_hz))
     sessions = [parse_stream(frame_lines(s.t_ms, s.counts), label=s.label,
                              mixture=s.mixture, sample_rate_hz=s.sample_rate_hz)

@@ -257,11 +257,10 @@ class TestStreamedFrontEnd:
         ("extract_features", "extract"),
     ])
     def test_failure_in_a_later_session_keeps_its_stage(self, monkeypatch, name, stage):
-        # TINY has 24 sessions, so session 20 lies past the first chunk;
-        # preprocess and extract run once per chunk, and their 2nd call
-        # holds sessions 16-23
-        assert TINY.n_total > 20 > bench.FRONT_CHUNK
-        failing_call = 20 if name == "simulate_session" else 2
+        # TINY has 24 sessions; every stage runs once per chunk, and its
+        # 2nd call holds sessions 16-23
+        assert TINY.n_total > bench.FRONT_CHUNK == 16
+        failing_call = 2
         real = getattr(bench, name)
         calls = []
 
@@ -275,6 +274,17 @@ class TestStreamedFrontEnd:
         with pytest.raises(StageError, match=f"{name} failed") as exc:
             bench.prepare_features(TINY, FAST, seed=0)
         assert exc.value.stage == stage
+
+    def test_builds_no_session(self, monkeypatch):
+        # the front end reads the simulator's arrays; only `enose simulate`
+        # wraps them as sessions
+        def no_session(*args, **kwargs):
+            raise AssertionError("prepare_features built a Session")
+
+        monkeypatch.setattr(bench, "Session", no_session)
+        fs = bench.prepare_features(TINY, FAST, seed=0)
+        assert fs.x.shape == (TINY.n_total, bench.N_FEATURES)
+        assert fs.y.tolist() == [1] * 12 + [2] * 12
 
     def test_each_stage_is_logged_once(self, caplog):
         with caplog.at_level(logging.INFO, logger="enose.bench"):

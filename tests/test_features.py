@@ -81,9 +81,9 @@ class TestExtractFeatures:
             for r in (120.0, 45.0, 30.0, 60.0))
         mix = GasMixture(100, 0, 0)
         proto = standard_protocol(mix)
-        t_ms, counts = simulate_session(specs, proto, 0, clean_traces(specs, proto))
+        t_ms, counts = simulate_session(specs, clean_traces(specs, proto)[None], [0], RATE)
         from enose.acquisition import Session
-        session = Session(t_ms, counts, label=1, mixture=mix, sample_rate_hz=RATE)
+        session = Session(t_ms, counts[0], label=1, mixture=mix, sample_rate_hz=RATE)
         channels = process_session(session.voltages(), session.t_ms, FilterConfig())
         values = features_of(channels)
         for ch, spec in enumerate(specs):

@@ -159,6 +159,19 @@ def test_mlp_round_trip(tmp_path):
     assert model_again.config == model.config
 
 
+def test_mlp_without_hidden_layers_round_trip(tmp_path):
+    # a linear model saves an empty `hidden` list
+    x, _, t = training_data()
+    front = fit_front(x, PipelineConfig())
+    config = dataclasses.replace(PipelineConfig(mlp_epochs=20).mlp_config(seed=2),
+                                 hidden_layers=())
+    model = mlp.mlp_train(front.scores(x), t, config)
+    assert_round_trip(tmp_path, front, model)
+    _, model_again = load_model(tmp_path / "chain.model")
+    probe = front.scores(np.random.default_rng(5).normal(1.5, 2.0, (30, 12)))
+    assert np.array_equal(mlp.mlp_forward(model_again, probe), mlp.mlp_forward(model, probe))
+
+
 # (chain, section, key, value): an integer field spelt as `save_model` never
 # writes it, each of which int() would read
 INTEGER_SPELLINGS = [

@@ -167,7 +167,45 @@ def quiet_array():
 
 
 def simulate(specs, proto, seed):
-    return sn.simulate_session(specs, proto, seed, sn.clean_traces(specs, proto))
+    """One session, as (t_ms, counts[n, 4])."""
+    clean = sn.clean_traces(specs, proto)[None]
+    t_ms, counts = sn.simulate_session(specs, clean, [seed], proto.sample_rate_hz)
+    return t_ms, counts[0]
+
+
+class TestCleanTraces:
+    # 1.1 s at 100 Hz is 110.00000000000001 samples, so sample 110 falls at
+    # t == 1.1 s, exactly the end of the only phase
+    END_SAMPLE = sn.ExposureProtocol(phases=((sn.GasMixture(100, 0, 0), 1.1),),
+                                     sample_rate_hz=100)
+
+    def test_a_sample_at_the_total_duration_stays_in_the_last_phase(self):
+        specs = sn.default_sensor_array()
+        proto = self.END_SAMPLE
+        assert proto.n_samples == 111
+        clean = sn.clean_traces(specs, proto)
+        mix, duration = proto.phases[0]
+        for ch, spec in enumerate(specs):
+            target = spec.r_air / sn.steady_sensitivity(spec, mix)
+            relaxed = target + (spec.r_air - target) * math.exp(-duration / spec.tau_rise)
+            drift = spec.r_air * spec.drift_rate * duration / 3600.0
+            assert clean[-1, ch] == pytest.approx(relaxed + drift, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(duration=st.integers(1, 499).map(lambda d: d / 10),
+           rate=st.integers(3, 1000), mix=mixtures_st)
+    # durations and rates whose last sample falls at the end of the phase
+    @example(duration=1.1, rate=100, mix=sn.GasMixture(100, 0, 0))
+    @example(duration=2.2, rate=50, mix=sn.GasMixture(0, 40, 60))
+    def test_one_gas_phase_stays_above_its_steady_state(self, duration, rate, mix):
+        # from r_air, the trace relaxes down towards the target, and the
+        # default array's drift only adds to it
+        specs = sn.default_sensor_array()
+        proto = sn.ExposureProtocol(phases=((mix, duration),), sample_rate_hz=rate)
+        clean = sn.clean_traces(specs, proto)
+        target = np.array([s.r_air / sn.steady_sensitivity(s, mix) for s in specs])
+        assert clean.shape == (proto.n_samples, 4)
+        assert (clean >= target).all()
 
 
 class TestSimulateSession:
@@ -238,13 +276,14 @@ class TestSimulateSession:
     def test_rejects_bad_array_size(self):
         specs = quiet_array()
         proto = sn.standard_protocol(sn.CLEAN_AIR)
-        clean = sn.clean_traces(specs, proto)
+        clean = sn.clean_traces(specs, proto)[None]
         with pytest.raises(ValueError):
             sn.clean_traces(specs[:3], proto)
         with pytest.raises(ValueError):
-            sn.simulate_session(specs[:3], proto, 0, clean)
-        with pytest.raises(ValueError, match="clean trace"):
-            sn.simulate_session(specs, proto, 0, clean[:-1])
+            sn.simulate_session(specs[:3], clean, [0], proto.sample_rate_hz)
+        for bad in (clean[0], clean[..., :3], np.vstack([clean, clean])):
+            with pytest.raises(ValueError, match="clean traces"):
+                sn.simulate_session(specs, bad, [0], proto.sample_rate_hz)
 
     def test_clean_trace_is_read_only(self):
         noisy = sn.default_sensor_array()
@@ -255,8 +294,8 @@ class TestSimulateSession:
         with pytest.raises(ValueError, match="read-only"):
             clean[0, 0] = 0.0
         # sessions of the row, with noise-free and noisy channels, leave it as it was
-        for seed in (0, 1):
-            sn.simulate_session(specs, proto, seed, clean)
+        sn.simulate_session(specs, np.broadcast_to(clean, (2, *clean.shape)), [0, 1],
+                            proto.sample_rate_hz)
         assert np.array_equal(clean, before)
 
     @settings(max_examples=40, deadline=None)
@@ -282,6 +321,33 @@ class TestSimulateSession:
         t_ms, counts = simulate(specs, proto, seed)
         t_ref, counts_ref = simulate_session_per_session(specs, proto, seed)
         assert np.array_equal(t_ms, t_ref) and np.array_equal(counts, counts_ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sigmas=st.lists(st.sampled_from([0.0, 0.003, 0.02, 0.2]), min_size=4, max_size=4),
+        rate=st.sampled_from([1.0, 10.0, 16.0]),
+        mixes=st.lists(mixtures_st, min_size=1, max_size=4),
+        # (row, seed) per session; the row is taken modulo the number of mixtures
+        sessions=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2**63)),
+                          min_size=1, max_size=20),
+    )
+    # noiseless channels between noisy ones, over rows of different mixtures
+    @example(sigmas=[0.0, 0.02, 0.0, 0.2], rate=10.0,
+             mixes=[sn.GasMixture(100, 0, 0), sn.GasMixture(0, 40, 60)],
+             sessions=[(0, 1), (1, 2), (0, 3), (1, 4)])
+    def test_a_stack_matches_the_per_session_oracle(self, sigmas, rate, mixes, sessions):
+        # one call over k sessions, each from any row, equals k single sessions
+        specs = tuple(dataclasses.replace(s, noise_sigma=sigma)
+                      for s, sigma in zip(sn.default_sensor_array(), sigmas))
+        protos = [sn.standard_protocol(mix, rate) for mix in mixes]
+        rows = [row % len(mixes) for row, _ in sessions]
+        seeds = [seed for _, seed in sessions]
+        clean = np.stack([sn.clean_traces(specs, proto) for proto in protos])
+        t_ms, counts = sn.simulate_session(specs, clean[rows], seeds, rate)
+        assert counts.shape == (len(seeds), protos[0].n_samples, 4)
+        for row, seed, got in zip(rows, seeds, counts):
+            t_ref, counts_ref = simulate_session_per_session(specs, protos[row], seed)
+            assert np.array_equal(t_ms, t_ref) and np.array_equal(got, counts_ref)
 
 
 class TestDominantLabel:
