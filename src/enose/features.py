@@ -4,9 +4,9 @@ Each session becomes a fixed 12-dim vector: per channel the steady-state
 response level (mean over the last quarter of the exposure window), the
 maximum rise rate, and the area under the response across the exposure
 window; `extract_features` makes k rows at once from k sessions' channels
-side by side.  PCA solves its 12x12 covariance with the dense Jacobi
-eigensolver.  KPCA needs only the leading eigenpairs of an n x n centred
-Gram matrix, which the top-k subspace-iteration solver finds.
+side by side.  PCA and KPCA each take their eigenpairs from one LAPACK
+`np.linalg.eigh` call, on the 12x12 covariance or on the n x n centred
+Gram matrix, in descending order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .checks import check_positive, check_sizes
-from .eigen import jacobi_eigh, leading_eigh, orient_columns
 from .sensors import BASELINE_S, EXPOSURE_S, LABELS
 
 N_FEATURES = 12
@@ -57,6 +56,22 @@ def extract_features(channels, sample_rate_hz: float) -> np.ndarray:
     return values
 
 
+# --- eigenpairs -----------------------------------------------------------
+
+def _eigh_descending(a) -> tuple[np.ndarray, np.ndarray]:
+    """`np.linalg.eigh` (which reads the lower triangle of `a`) with the
+    pairs in descending order; a stable sort keeps LAPACK's order of ties."""
+    w, v = np.linalg.eigh(a)
+    order = np.argsort(-w, kind="stable")
+    return w[order], v[:, order]
+
+
+def orient_columns(v: np.ndarray) -> np.ndarray:
+    """Flip column signs so each column's largest-magnitude entry is positive."""
+    top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return np.where(top < 0, -v, v)
+
+
 # --- PCA ------------------------------------------------------------------
 
 def _check_retained_k(k: int, available: int, what: str) -> None:
@@ -89,7 +104,7 @@ def pca_fit(x, variance_threshold: float = 0.95) -> PcaModel:
     mean = x.mean(axis=0)
     xc = x - mean
     cov = xc.T @ xc / n
-    w, v = jacobi_eigh(cov)
+    w, v = _eigh_descending(cov)
     w = np.maximum(w, 0.0)
     v = orient_columns(v)
     total = float(w.sum())
@@ -115,7 +130,7 @@ class KpcaModel:
     x_train: np.ndarray
     gamma: float
     alphas: np.ndarray        # centred-Gram eigenvectors scaled by 1/sqrt(eig)
-    eigenvalues: np.ndarray   # computed leading pairs, descending, above the floor
+    eigenvalues: np.ndarray   # the retained_k leading pairs, descending
     train_row_means: np.ndarray
     train_total_mean: float
     retained_k: int
@@ -160,13 +175,9 @@ def kpca_fit(x, gamma: float | None = None,
              variance_threshold: float = 0.95) -> KpcaModel:
     """RBF kernel PCA on the leading eigenpairs of the double-centred Gram matrix.
 
-    Only the leading pairs that carry `variance_threshold` of trace(Kc)
-    are computed (`eigen.leading_eigh`), and only those are stored.  The
-    variance fractions are taken against trace(Kc), the sum of all
-    eigenvalues.  A full spectrum would let the denominator drop the
-    eigenvalues below the numeric floor instead; those are rounding
-    noise, and on the ternary table the two denominators differ by about
-    1e-9 relative.
+    The pairs above the eigenvalue floor are taken in descending order
+    until their eigenvalues carry `variance_threshold` of trace(Kc), the
+    sum of all eigenvalues; only those `retained_k` pairs are stored.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
@@ -175,16 +186,17 @@ def kpca_fit(x, gamma: float | None = None,
     if gamma is None:
         gamma = default_gamma(x)
 
-    k = rbf_kernel(x, x, gamma)
-    row_means = k.mean(axis=1)
-    total_mean = float(k.mean())
-    kc = k - row_means[:, None] - row_means[None, :] + total_mean
+    # Kc = K - r[:, None] - r[None, :] + m, in place: no second n x n array
+    kc = rbf_kernel(x, x, gamma)
+    row_means = kc.mean(axis=1)
+    total_mean = float(kc.mean())
+    kc -= row_means[:, None]
+    kc -= row_means[None, :]
+    kc += total_mean
 
-    w, v = leading_eigh(kc, variance_threshold)
-    v = orient_columns(v)
+    w, v = _eigh_descending(kc)
     floor = EIGENVALUE_FLOOR * max(float(w[0]), 0.0)
-    keep = w > max(floor, 0.0)
-    w, v = w[keep], v[:, keep]
+    w = w[w > floor]
     if w.size == 0:
         raise ValueError("centred Gram matrix has no positive eigenvalues")
 
@@ -192,7 +204,8 @@ def kpca_fit(x, gamma: float | None = None,
     retained = int(np.searchsorted(cum, variance_threshold - 1e-12) + 1)
     retained = min(retained, w.size)
 
-    alphas = v / np.sqrt(w)[None, :]
+    w = w[:retained]
+    alphas = orient_columns(v[:, :retained]) / np.sqrt(w)[None, :]
     return KpcaModel(x_train=x.copy(), gamma=float(gamma), alphas=alphas,
                      eigenvalues=w, train_row_means=row_means,
                      train_total_mean=total_mean, retained_k=retained)

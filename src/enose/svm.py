@@ -210,16 +210,6 @@ class _Smo:
 
 def svm_train_binary(x, y, params: SvmParams = SvmParams()) -> BinarySvm:
     """Train one two-class machine; labels must be -1/+1 with both present."""
-    model, _, _ = svm_train_binary_with_duals(x, y, params)
-    return model
-
-
-def svm_train_binary_with_duals(x, y, params: SvmParams = SvmParams()):
-    """As svm_train_binary, also returning (full alpha vector, Gram matrix).
-
-    The extras let callers audit the KKT conditions or compare the dual
-    objective against an independent solver.
-    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -255,7 +245,7 @@ def svm_train_binary_with_duals(x, y, params: SvmParams = SvmParams()):
             bias = 0.5 * (lo + hi)
 
     sv = alpha > 1e-12 * params.c_penalty
-    model = BinarySvm(
+    return BinarySvm(
         support_vectors=x[sv].copy(),
         dual_coef=(alpha * y)[sv],
         bias=bias,
@@ -265,7 +255,6 @@ def svm_train_binary_with_duals(x, y, params: SvmParams = SvmParams()):
         n_iter=n_iter,
         objective=dual_objective(k, y, alpha),
     )
-    return model, alpha, k
 
 
 @dataclass(frozen=True)

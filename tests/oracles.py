@@ -1,18 +1,18 @@
 """Independent reference implementations used only by the test suite.
 
 Each oracle deliberately takes a different computational route from the
-code under test: closed-form characteristic polynomials instead of
-iterative rotations, explicit normal equations instead of lstsq,
-projected gradient ascent instead of SMO, brute-force window means
-instead of cumulative sums, one `str.split` per frame line instead of a
-tokenizer over the whole stream, one `loss_and_grads` call per SGD step
-instead of the inlined training loop, one whole simulation per session,
-channel by channel, instead of the shared per-row trace and the (n, 4)
-readout, one baseline fit and one feature reduction per channel instead
-of the front end's per-chunk basis and stacked reductions, whole-table
-lists of sessions instead of the streamed front end, and one Python pass
-per gap run, vote row or eigenvector column instead of array expressions
-over all of them.
+code under test: closed-form characteristic polynomials and cyclic
+Jacobi rotations instead of LAPACK's `eigh`, explicit normal equations
+instead of lstsq, projected gradient ascent instead of SMO, brute-force
+window means instead of cumulative sums, one `str.split` per frame line
+instead of a tokenizer over the whole stream, one `loss_and_grads` call
+per SGD step instead of the inlined training loop, one whole simulation
+per session, channel by channel, instead of the shared per-row trace and
+the (n, 4) readout, one baseline fit and one feature reduction per
+channel instead of the front end's per-chunk basis and stacked
+reductions, whole-table lists of sessions instead of the streamed front
+end, and one Python pass per gap run, vote row or eigenvector column
+instead of array expressions over all of them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from enose.preprocess import default_anchors, fit_standardizer, process_session
 from enose.sensors import (ADC_MAX, BASELINE_S, EXPOSURE_S, clean_traces, divider_voltage,
                            dominant_gas_label, quantize, session_seed, simulate_session,
                            standard_protocol, steady_sensitivity)
-from enose.svm import SvmModel
+from enose.svm import BinarySvm, SvmModel, kernel_matrix
 
 
 def charpoly_eigvalsh(a) -> np.ndarray:
@@ -78,8 +78,105 @@ def eigvec_3x3(a, lam) -> np.ndarray:
     return v / norm
 
 
+# `jacobi_eigh` is a cyclic Jacobi solver, the reference for the LAPACK
+# `eigh` fits.  Pairs are visited in round-robin rounds, so every round
+# rotates n/2 disjoint planes at once; disjoint plane rotations commute,
+# which makes the batched update exactly the sequential cyclic sweep.  It
+# stops once the off-diagonal Frobenius norm is at most JACOBI_TOL times
+# the whole matrix's, and raises after MAX_SWEEPS sweeps.
+JACOBI_TOL = 1e-12
+MAX_SWEEPS = 100
+
+
+def _checked_symmetric(a) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.allclose(a, a.T, atol=1e-10 * (1.0 + np.abs(a).max())):
+        raise ValueError("matrix must be symmetric")
+    return 0.5 * (a + a.T)
+
+
+def _round_robin_rounds(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Tournament schedule: m-1 rounds of m/2 disjoint index pairs (m even)."""
+    players = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        p = np.array([players[k] for k in range(m // 2)])
+        q = np.array([players[m - 1 - k] for k in range(m // 2)])
+        rounds.append((p, q))
+        players = [players[0], players[-1], *players[1:-1]]
+    return rounds
+
+
+def jacobi_eigh(a):
+    """Eigenvalues and eigenvectors of a symmetric matrix.
+
+    Returns (w, v) with eigenvalues descending (ties keep diagonal
+    order) and eigenvectors in the columns of v, so a = v @ diag(w) @ v.T.
+    """
+    a = _checked_symmetric(a)
+    n = a.shape[0]
+    v = np.eye(n)
+    if n == 1:
+        return a[0, :1].copy(), v
+
+    base = float(np.sqrt(np.sum(a * a)))
+    if base == 0.0:
+        return np.zeros(n), v
+    floor_cut = JACOBI_TOL * base / (10.0 * n)
+
+    m = n if n % 2 == 0 else n + 1
+    rounds = _round_robin_rounds(m)
+
+    for _ in range(MAX_SWEEPS):
+        # off-diagonal Frobenius norm, computed directly (a difference of
+        # squared norms cancels catastrophically near convergence)
+        offmat = a - np.diag(np.diag(a))
+        off = float(np.sqrt(np.sum(offmat * offmat)))
+        if off <= JACOBI_TOL * base:
+            break
+        # threshold sweep: skip rotations that are small against the
+        # remaining off-diagonal mass; the cut shrinks with it, so the
+        # final accuracy is still set by JACOBI_TOL alone
+        skip_cut = max(floor_cut, 0.25 * off / n)
+        for p_all, q_all in rounds:
+            real = (p_all < n) & (q_all < n)
+            p, q = p_all[real], q_all[real]
+            apq = a[p, q]
+            active = np.abs(apq) > skip_cut
+            if not active.any():
+                continue
+            p, q, apq = p[active], q[active], apq[active]
+
+            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+            t = np.sign(theta) / (np.abs(theta) + np.hypot(theta, 1.0))
+            t = np.where(theta == 0.0, 1.0, t)  # sign(0) = 0 would stall
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+
+            ap, aq = a[:, p].copy(), a[:, q].copy()
+            a[:, p] = c * ap - s * aq
+            a[:, q] = s * ap + c * aq
+            rp, rq = a[p, :].copy(), a[q, :].copy()
+            a[p, :] = c[:, None] * rp - s[:, None] * rq
+            a[q, :] = s[:, None] * rp + c[:, None] * rq
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+
+            vp, vq = v[:, p].copy(), v[:, q].copy()
+            v[:, p] = c * vp - s * vq
+            v[:, q] = s * vp + c * vq
+    else:
+        raise RuntimeError(f"Jacobi did not converge in {MAX_SWEEPS} sweeps")
+
+    w = np.diag(a).copy()
+    order = np.argsort(-w, kind="stable")
+    return w[order], v[:, order]
+
+
 def orient_columns_per_column(v: np.ndarray) -> np.ndarray:
-    """`eigen.orient_columns` as one Python pass per column."""
+    """`features.orient_columns` as one Python pass per column."""
     v = v.copy()
     for j in range(v.shape[1]):
         i = int(np.argmax(np.abs(v[:, j])))
@@ -118,6 +215,24 @@ def kkt_max_violation(k, y, alpha, bias, c, bound_cut=1e-8):
     viol[at_hi] = np.maximum(0.0, yf[at_hi] - 1.0)
     viol[free] = np.abs(yf[free] - 1.0)
     return float(viol.max()) if viol.size else 0.0
+
+
+def full_duals(model: BinarySvm, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, Gram matrix) of a machine trained on rows (x, y).
+
+    Each support vector is matched to its one equal training row, so the
+    rows must be distinct; there alpha = dual_coef * y, elsewhere 0.  The
+    training alphas below the stored cut of 1e-12 C come back as 0.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float)
+    alpha = np.zeros(y.size)
+    for sv, coef in zip(model.support_vectors, model.dual_coef):
+        rows = np.flatnonzero((x == sv).all(axis=1))
+        if rows.size != 1:
+            raise ValueError(f"support vector matches {rows.size} training rows, not 1")
+        alpha[rows[0]] = coef * y[rows[0]]
+    return alpha, kernel_matrix(x, x, model.kernel, model.gamma)
 
 
 def project_box_hyperplane(z, y, c, tol: float = 1e-14) -> np.ndarray:

@@ -16,8 +16,8 @@ from enose import preprocess as pp
 from enose.acquisition import Session
 from enose.bench import PipelineConfig, run_experiment
 from enose.cli import main as cli_main
-from enose.svm import SvmParams, svm_train_binary_with_duals
-from oracles import charpoly_eigvalsh, kkt_max_violation, projected_gradient_dual
+from enose.svm import SvmParams, svm_train_binary
+from oracles import charpoly_eigvalsh, full_duals, kkt_max_violation, projected_gradient_dual
 
 SEED = 42
 
@@ -117,7 +117,8 @@ def test_criterion_07_svm_oracle():
             y[0] = -y[0]
         c = 5.0
         params = SvmParams(c_penalty=c, kernel="rbf", gamma=0.8)
-        model, alpha, k = svm_train_binary_with_duals(x, y, params)
+        model = svm_train_binary(x, y, params)
+        alpha, k = full_duals(model, x, y)
         alpha_pg, obj_pg = projected_gradient_dual(k, y, c)
         worst_gap = max(worst_gap, abs(model.objective - obj_pg))
 

@@ -3,11 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enose import eigen
-from enose.eigen import (MAX_ITER, RESIDUAL_TOL, START_BLOCK, jacobi_eigh,
-                         leading_eigh, orient_columns)
-from enose.features import default_gamma, rbf_kernel
-from oracles import charpoly_eigvalsh, orient_columns_per_column
+from enose.features import _eigh_descending, default_gamma, orient_columns, rbf_kernel
+from oracles import charpoly_eigvalsh, jacobi_eigh, orient_columns_per_column
 
 
 def random_symmetric(n, seed):
@@ -73,79 +70,27 @@ def random_psd(kind, n, seed):
     return k - k.mean(1)[:, None] - k.mean(0)[None, :] + k.mean()
 
 
-class TestLeadingEigh:
-    """Differential test of the top-k solver against the full Jacobi solve."""
+class TestEighDescending:
+    """Differential test of the fits' LAPACK solve against the Jacobi oracle."""
 
     @pytest.mark.parametrize("kind", ["decaying", "wishart", "rbf"])
     @pytest.mark.parametrize("n", [3, 12, 31, 33, 50, 64, 90, 120])
     def test_matches_full_jacobi(self, kind, n):
         a = random_psd(kind, n, seed=n)
-        w, v = leading_eigh(a, 0.95)
+        w, v = _eigh_descending(a)
         w_ref, v_ref = jacobi_eigh(a)
-        m, scale = w.size, w_ref[0]
-        assert np.abs(w - w_ref[:m]).max() <= 1e-9 * scale
-        assert w.sum() >= 0.95 * np.trace(a)
-        # iterated pairs (m < n) pass the solver's own residual test
-        resid = np.linalg.norm(a @ v - v * w, axis=0)
-        assert resid.max() <= (RESIDUAL_TOL if m < n else 1e-9) * scale
-        assert np.abs(v.T @ v - np.eye(m)).max() < 1e-10
+        scale = w_ref[0]
+        assert np.all(np.diff(w) <= 0)
+        assert np.abs(w - w_ref).max() <= 1e-9 * scale
+        assert np.linalg.norm(a @ v - v * w, axis=0).max() <= 1e-9 * scale
+        assert np.abs(v.T @ v - np.eye(n)).max() < 1e-10
         # eigenvectors agree up to sign wherever the eigenvalue is separated
         gap = np.minimum(np.abs(np.diff(w_ref, prepend=np.inf)),
-                         np.abs(np.diff(w_ref, append=-np.inf)))[:m]
+                         np.abs(np.diff(w_ref, append=-np.inf)))
         for j in np.flatnonzero(gap > 1e-3 * scale):
             err = min(np.abs(v[:, j] - v_ref[:, j]).max(),
                       np.abs(v[:, j] + v_ref[:, j]).max())
             assert err <= 1e-6, (j, err)
-
-    def test_small_input_is_the_dense_solve(self):
-        for n in (1, 5, 2 * START_BLOCK - 1):
-            a = random_psd("wishart", n, seed=n)
-            w, v = leading_eigh(a, 0.95)
-            w_ref, v_ref = jacobi_eigh(a)
-            assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
-
-    @staticmethod
-    def count_dense_solves(monkeypatch):
-        calls = []
-
-        def counted(a, *args, **kwargs):
-            calls.append(np.shape(a)[0])
-            return jacobi_eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(eigen, "jacobi_eigh", counted)
-        return calls
-
-    def test_full_fraction_is_one_dense_solve(self, monkeypatch):
-        a = random_psd("decaying", 64, seed=1)
-        calls = self.count_dense_solves(monkeypatch)
-        w, v = leading_eigh(a, 1.0)
-        assert calls == [64]
-        w_ref, v_ref = jacobi_eigh(a)
-        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
-
-    def test_converged_block_short_of_fraction_stops_early(self, monkeypatch):
-        # the 16 leading pairs are well separated and converge in a few
-        # steps, but carry only ~91% of the trace
-        rng = np.random.default_rng(3)
-        n = 64
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        lam = np.concatenate([np.linspace(20.0, 5.0, START_BLOCK),
-                              rng.uniform(0.3, 0.5, n - START_BLOCK)])
-        a = (q * lam) @ q.T
-        assert lam[:START_BLOCK].sum() < 0.95 * lam.sum()
-        calls = self.count_dense_solves(monkeypatch)
-        w, v = leading_eigh(a, 0.95)
-        assert calls[-1] == n and len(calls) < MAX_ITER // 2
-        w_ref, v_ref = jacobi_eigh(a)
-        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError, match="square"):
-            leading_eigh(np.ones((2, 3)), 0.95)
-        asym = random_psd("decaying", 40, seed=0)
-        asym[0, 1] += 1.0
-        with pytest.raises(ValueError, match="symmetric"):
-            leading_eigh(asym, 0.95)
 
 
 class TestOrientColumns:

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enose import features as ft
-from enose.eigen import jacobi_eigh, orient_columns
 from enose.preprocess import FilterConfig, process_session
 from enose.sensors import (BASELINE_S, EXPOSURE_S, GasMixture, SensorSpec,
                            clean_traces, divider_voltage, simulate_session,
                            standard_protocol, steady_sensitivity)
-from oracles import charpoly_eigvalsh, eigvec_3x3, extract_features_per_channel
+from oracles import (charpoly_eigvalsh, eigvec_3x3, extract_features_per_channel,
+                     jacobi_eigh)
 
 RATE = 10.0
 
@@ -184,15 +184,50 @@ class TestPca:
         assert dataclasses.replace(model, retained_k=3).retained_k == 3
 
 
+def jacobi_pca(x, variance_threshold=0.95):
+    """pca_fit on the Jacobi oracle's spectrum."""
+    mean = x.mean(axis=0)
+    xc = x - mean
+    w, v = jacobi_eigh(xc.T @ xc / x.shape[0])
+    w = np.maximum(w, 0.0)
+    cum = np.cumsum(w) / w.sum()
+    retained = min(int(np.searchsorted(cum, variance_threshold - 1e-12) + 1), w.size)
+    return ft.PcaModel(mean=mean, components=ft.orient_columns(v).T, eigenvalues=w,
+                       retained_k=retained)
+
+
+class TestPcaAgainstJacobi:
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_matches_jacobi_reference(self, d):
+        # data whose covariance is exactly q diag(lam) q.T, with each
+        # eigenvalue twice the next, so every eigenvector is well defined
+        rng = np.random.default_rng(200 + d)
+        n = 40 + 5 * d
+        z = rng.standard_normal((n, d))
+        z, _ = np.linalg.qr(z - z.mean(axis=0))   # orthonormal, zero-mean columns
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        lam = 4.0 * 0.5 ** np.arange(d)
+        x = math.sqrt(n) * z * np.sqrt(lam) @ q.T + rng.normal(0, 3, d)
+        model, ref = ft.pca_fit(x), jacobi_pca(x)
+        assert model.retained_k == ref.retained_k
+        assert model.eigenvalues == pytest.approx(ref.eigenvalues, abs=1e-12 * lam[0])
+        assert model.eigenvalues == pytest.approx(lam, rel=1e-9)
+        assert np.abs(model.components - ref.components).max() < 1e-9
+        probe = rng.normal(0, 3, (15, d))
+        for pts in (x, probe):
+            got, want = ft.pca_transform(model, pts), ft.pca_transform(ref, pts)
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
 def dense_kpca(x, variance_threshold=0.95):
-    """kpca_fit as it was before the top-k solver: the full Jacobi spectrum,
-    with variance fractions against the sum of the eigenvalues kept."""
+    """kpca_fit on the Jacobi oracle's full spectrum, with variance
+    fractions against the sum of the eigenvalues kept."""
     gamma = ft.default_gamma(x)
     k = ft.rbf_kernel(x, x, gamma)
     row_means, total_mean = k.mean(axis=1), float(k.mean())
     kc = k - row_means[:, None] - row_means[None, :] + total_mean
     w, v = jacobi_eigh(kc)
-    v = orient_columns(v)
+    v = ft.orient_columns(v)
     keep = w > ft.EIGENVALUE_FLOOR * max(float(w[0]), 0.0)
     w, v = w[keep], v[:, keep]
     cum = np.cumsum(w) / w.sum()

@@ -2,22 +2,41 @@
 
 Criterion 09 checks that two runs of the same code agree; these digests
 check that a refactor reproduces the bytes the code wrote before it.  They
-cover the synthetic route (`bench`, PCA classification and MLP regression),
-`simulate --per-row`, the lab route (`ingest` then `preprocess`) on a
-small hand-written dirty stream, and the model files `train-svm` and
-`train-mlp` save.  The floating-point artifacts depend on
-numpy's arithmetic; the digests were recorded with numpy 2.4 on x86-64.
+cover the synthetic route (`bench`: PCA classification, KPCA
+classification at one BLAS thread, and MLP regression), `simulate
+--per-row`, the lab route (`ingest` then `preprocess`) on a small
+hand-written dirty stream, and the model files `train-svm` and
+`train-mlp` save.  The floating-point artifacts depend on numpy's
+arithmetic; the digests were recorded with numpy 2.4 (OpenBLAS) on x86-64.
+
+When PCA and KPCA moved from a hand-written Jacobi and subspace
+iteration to LAPACK's `eigh`, the eigenvectors changed in their last
+digits, and six digests were re-recorded: the PCA `predictions.csv`, the
+regression `loss_trace.csv`, `metrics.csv` and `predictions.csv`, and
+both model files (the KPCA section now also holds only its `retained_k`
+pairs).  Scores moved by at most 2.4e-13 of their column's largest
+magnitude, regression predictions by at most 1.6e-11 ppm, and no label
+changed.  Every other digest held.
+
+The KPCA scores still follow the BLAS thread count in their last digits;
+the PCA and regression routes do not, and a test pins that.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from enose.cli import main
 from enose.features import write_features_csv
 
 from test_modelio import training_data
 
+ROOT = Path(__file__).resolve().parent.parent
 SEED = "42"
 
 BENCH_PCA_TERNARY = {
@@ -30,7 +49,7 @@ BENCH_PCA_TERNARY = {
     "metrics.csv":
         "60fbeed04cc63fd5448cbcec83c4a96594c3f548941ef80bac4a67994d9d8d51",
     "predictions.csv":
-        "44662b0f1f44130d47f9c665330f54e38015da796f118e719d9cef7e24e5ab33",
+        "66121ba0b440ca9ee32e679b68f6f49b88575b29ee9e1e0bc188d6e6ce334255",
     "scatter.svg":
         "36a08ac482ef6c81a6c1e6c8e4a6fbad714acfdeea88fb1051d6d9b4faf1396a",
 }
@@ -41,11 +60,27 @@ BENCH_REGRESSION_BINARY_ETHANOL = {
     "features_train.csv":
         "e735d7b22a16165a5312339f902d7d3c3edbe4b7a428c9c0f6766a45a6874602",
     "loss_trace.csv":
-        "6395ca8463e683be11499915e7eac3eac187aab1221b0943c845fc9b6dccb39a",
+        "3c6cdc5347d043bb19744818dd54cbed8a2a265b54c5b2326561cbab3a3fe3aa",
     "metrics.csv":
-        "fed5acc9234ab2081097ce4a9b409edff3a6ca66e1a1df108483958d1c3a7c6f",
+        "d87bbfa336e64d10714e34bc2d2c6064d83bf9c5f2fb7b4bbdd112e0cf4ce87c",
     "predictions.csv":
-        "0c788e8ce978345fb02e3761bb39412b810fe1f5d7afc3fd2fc0c81fa7d3b211",
+        "3fc6747df98c9093796ef9ce0c1046c08544808279890c9a7e1df8d4f0e42285",
+}
+
+# Recorded at one BLAS thread, the only count this route's bytes hold at.
+BENCH_KPCA_TERNARY = {
+    "classification.svg":
+        "327a309ce794e4e35c654a0bf6eb9738e87db060f37e256a0293c0fae9b3b032",
+    "features_test.csv":
+        "eeea734146c8b7efec74ebd8ce51b68675b26abd088e127cf97a5f916cd2388d",
+    "features_train.csv":
+        "67d7a0ba1a125624dd5ffe5e6910458af80e984a98af373287dc36cb4e26473b",
+    "metrics.csv":
+        "9d1d6bc110bce90b399d999fd6602aa7709d28322df5d101fb2de7fe21d3a4e8",
+    "predictions.csv":
+        "ece6f6a1647ed6a12cda612e16fd8ba4cbe8ccef991e52b4246cef16ccfcfd33",
+    "scatter.svg":
+        "dae1c2653eb18381245d214d0927814ffed934109870f63c09d4f1b7cf1d2d18",
 }
 
 # 16 rows x 2 sessions, each a CSV plus its .meta sidecar: one digest over
@@ -68,9 +103,9 @@ INGEST_PREPROCESS = {
 # A pca-svm and a kpca-mlp chain between them hold every section type.
 MODEL_FILES = {
     "kpca-mlp.model":
-        "fcee8034449a8393dc61cb73a8e21c3213e79bd02ea308c4e454e8718a3f0c12",
+        "178307f0ffd6df3a40f005320d6f17e36d5909b2e9af5ddc3419c19358a4ff64",
     "pca-svm.model":
-        "2ca3e3ecc805810b8a96cbc23875dd4e548a9bc4d40031aa3241b7bf7f2238cc",
+        "342ecf9d2d6c0324ae4091df0337cbb60872e0116eb46d2c5ca862fe54092f06",
 }
 
 
@@ -85,6 +120,19 @@ def _digests(directory) -> dict[str, str]:
 def _manifest(digests: dict[str, str]) -> str:
     text = "".join(f"{name} {digest}\n" for name, digest in sorted(digests.items()))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _bench_in_subprocess(out, blas_threads: int, *args: str) -> dict[str, str]:
+    """Digests of `enose bench ... --seed 42 --out out`, run in a fresh
+    interpreter so the BLAS thread count is set before numpy loads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-m", "enose", "bench", *args, "--seed", SEED,
+                          "--out", str(out)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return _digests(out)
 
 
 def dirty_stream() -> list[str]:
@@ -109,6 +157,25 @@ def test_bench_regression_binary_ethanol(tmp_path):
     assert main(["bench", "--table", "binary-ethanol", "--seed", SEED, "--regression",
                  "--config", str(config), "--out", str(out)]) == 0
     assert _digests(out) == BENCH_REGRESSION_BINARY_ETHANOL
+
+
+def test_bench_kpca_ternary_one_blas_thread(tmp_path):
+    digests = _bench_in_subprocess(tmp_path / "out", 1,
+                                   "--table", "ternary", "--features", "kpca")
+    assert digests == BENCH_KPCA_TERNARY
+
+
+@pytest.mark.parametrize("route", ["ternary", "regression"])
+def test_bench_bytes_do_not_depend_on_blas_threads(tmp_path, route):
+    # not the KPCA route: its scores' last digits follow the thread count
+    config = tmp_path / "small.cfg"
+    config.write_text("mlp_epochs = 5\n")
+    args = {"ternary": ("--table", "ternary"),
+            "regression": ("--table", "binary-ethanol", "--regression",
+                           "--config", str(config))}[route]
+    one = _bench_in_subprocess(tmp_path / "one", 1, *args)
+    two = _bench_in_subprocess(tmp_path / "two", 2, *args)
+    assert one == two
 
 
 def test_simulate_per_row(tmp_path):
