@@ -7,7 +7,9 @@ series).  Baseline fitting solves a least-squares
 polynomial over anchor samples only - by default the leading and
 trailing 10% of the session, which for the standard exposure protocol
 are clean-air stretches - and subtracts its evaluation everywhere, so
-the response transient itself is not fitted away.
+the response transient itself is not fitted away.  Each column is
+still its own least-squares problem; all of a matrix's columns are
+solved in one `lstsq` call with a stacked right-hand side.
 """
 
 from __future__ import annotations
@@ -69,10 +71,13 @@ def fit_baseline(series, t, degree: int, anchors=None):
     """Least-squares polynomial over the anchor samples, per column.
 
     `series` is (n,) or (n, k).  Returns (baseline evaluated at every t,
-    coefficients, (t0, tscale)), each column fitted on its own; the
-    coefficients are (degree + 1,) or (degree + 1, k).  They are in the
-    scaled coordinate s = (t - t0) / tscale for conditioning; callers
-    comparing against an independent solve must use the same basis.
+    coefficients, (t0, tscale)); the coefficients are (degree + 1,) or
+    (degree + 1, k).  Each column is its own least-squares problem, but
+    all of them are solved in one `lstsq` call, so a column of a stacked
+    fit may differ from its 1-D fit in the last digits.  The
+    coefficients are in the scaled coordinate s = (t - t0) / tscale for
+    conditioning; callers comparing against an independent solve must
+    use the same basis.
     `anchors` are sample indices; None means `default_anchors(n)`.
     """
     y = np.asarray(series, dtype=float)
@@ -92,20 +97,10 @@ def fit_baseline(series, t, degree: int, anchors=None):
     tscale = float(t.max() - t.min()) or 1.0
     s = (t - t0) / tscale
     vand = np.vander(s[anchors], degree + 1, increasing=True)
-    full = np.vander(s, degree + 1, increasing=True)
-    cols = y.reshape(n, -1)
-    coeffs = np.empty((degree + 1, cols.shape[1]))
-    baseline = np.empty(cols.shape)
-    # one lstsq and one matvec per column: a stacked right-hand side
-    # rounds differently
-    for j in range(cols.shape[1]):
-        c, _, rank, _ = np.linalg.lstsq(vand, cols[anchors, j], rcond=None)
-        if rank < degree + 1:
-            raise ValueError(f"rank-deficient baseline fit (rank {rank} < {degree + 1})")
-        coeffs[:, j] = c
-        baseline[:, j] = full @ c
-    return (baseline.reshape(y.shape), coeffs.reshape(degree + 1, *y.shape[1:]),
-            (t0, tscale))
+    coeffs, _, rank, _ = np.linalg.lstsq(vand, y[anchors], rcond=None)
+    if rank < degree + 1:
+        raise ValueError(f"rank-deficient baseline fit (rank {rank} < {degree + 1})")
+    return np.vander(s, degree + 1, increasing=True) @ coeffs, coeffs, (t0, tscale)
 
 
 def remove_baseline(series, t, degree: int, anchors=None) -> np.ndarray:

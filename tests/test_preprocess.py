@@ -115,18 +115,41 @@ class TestRemoveBaseline:
 
     @given(st.integers(0, 5), st.integers(1, 5), st.integers(0, 2**32))
     @settings(max_examples=60)
-    def test_columns_fitted_one_by_one(self, degree, k, seed):
+    def test_each_column_matches_its_own_fit(self, degree, k, seed):
+        # a column of a stacked solve rounds differently from its 1-D fit
         rng = np.random.default_rng(seed)
         t = np.cumsum(rng.uniform(0.05, 1.0, 60))
         y = rng.normal(0.0, 1.0, (60, k)) + 0.3 * t[:, None]
         baseline, coeffs, _ = pp.fit_baseline(y, t, degree)
         assert baseline.shape == (60, k) and coeffs.shape == (degree + 1, k)
         resid = pp.remove_baseline(y, t, degree)
+
+        def close(got, ref):
+            return np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
         for j in range(k):
             one, one_coeffs, _ = pp.fit_baseline(y[:, j], t, degree)
-            assert np.array_equal(baseline[:, j], one)
-            assert np.array_equal(coeffs[:, j], one_coeffs)
-            assert np.array_equal(resid[:, j], remove_baseline_1d(y[:, j], t, degree))
+            assert close(baseline[:, j], one)
+            assert close(coeffs[:, j], one_coeffs)
+            assert close(resid[:, j], remove_baseline_1d(y[:, j], t, degree))
+
+    def test_one_solve_per_call(self, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(a, b, rcond=None):
+            calls.append(b.shape)
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        rng = np.random.default_rng(5)
+        n, k = 120, 3
+        t_ms = np.arange(n) * 100
+        volts = np.hstack([Session(t_ms, drifting_counts(rng, n)).voltages()
+                           for _ in range(k)])
+        channels = pp.process_session(volts, t_ms, pp.FilterConfig())
+        assert channels.shape == (n, 4 * k)
+        assert calls == [(pp.default_anchors(n).size, 4 * k)]
 
 
 def drifting_counts(rng, n):
@@ -151,8 +174,11 @@ class TestProcessSessionOracle:
         session = Session(t_ms, drifting_counts(rng, n), sample_rate_hz=rate)
         channels = pp.process_session(session.voltages(), t_ms,
                                       pp.FilterConfig(window_m, degree))
-        assert np.array_equal(channels,
-                              process_session_per_channel(session, window_m, degree))
+        # volts; a column of the one stacked baseline solve rounds differently
+        # from the oracle's 1-D fit
+        np.testing.assert_allclose(
+            channels, process_session_per_channel(session, window_m, degree),
+            rtol=0, atol=1e-12)
 
     @given(
         k=st.integers(1, 20),
