@@ -34,7 +34,7 @@ def main():
     print(f"table={table.id} seed={args.seed} epochs={base.mlp_epochs}")
     print(f"{'hidden':>7} {'rmse_ppm':>9} {'mae_ppm':>9} {'r2':>8} {'epochs_run':>11}")
     for width in (int(w) for w in args.widths.split(",")):
-        config = dataclasses.replace(base, mlp_hidden=(width,))
+        config = dataclasses.replace(base, mlp_hidden=width)
         rep = run_regression_experiment(table, config, args.seed,
                                         prepared=prepared)
         r2 = "undef" if rep.r2 is None else f"{rep.r2:8.4f}"

@@ -161,7 +161,7 @@ class PipelineConfig:
     tau_rise: float | None = None    # None: per-sensor defaults
     tau_fall: float | None = None
     sample_rate_hz: float = SAMPLE_RATE_HZ
-    mlp_hidden: tuple[int, ...] = (16,)
+    mlp_hidden: int = 16
     mlp_lr: float = 0.05
     mlp_epochs: int = 150
 
@@ -170,8 +170,6 @@ class PipelineConfig:
             raise ValueError("features must be 'pca' or 'kpca'")
         if not 0 < self.variance_threshold <= 1:
             raise ValueError("variance_threshold must be in (0, 1]")
-        if not self.mlp_hidden:
-            raise ValueError("mlp_hidden needs at least one layer size")
         # each type checks its own settings; the seed and mixture come later
         self.svm_params()
         self.mlp_config(seed=0)
@@ -183,7 +181,7 @@ class PipelineConfig:
                          gamma=self.svm_gamma)
 
     def mlp_config(self, seed: int) -> MlpConfig:
-        return MlpConfig(hidden_layers=self.mlp_hidden,
+        return MlpConfig(hidden=self.mlp_hidden,
                          lr=self.mlp_lr, epochs=self.mlp_epochs, seed=seed)
 
     def settings(self) -> dict[str, object]:
@@ -221,16 +219,12 @@ class PipelineConfig:
 def _spell(key: str, value) -> str:
     if value is None:
         return _NONE_SPELLING[key]
-    if isinstance(value, tuple):
-        return " ".join(str(v) for v in value)
     return value if isinstance(value, str) else repr(value)
 
 
 def _parse(key: str, text: str, default):
     if text == _NONE_SPELLING.get(key):
         return None
-    if isinstance(default, tuple):
-        return tuple(int(v) for v in text.split())
     return float(text) if default is None else type(default)(text)
 
 

@@ -1,6 +1,6 @@
 """Feed-forward network trained by error backpropagation.
 
-Hidden layers use the logistic sigmoid, the single output is linear.
+The one hidden layer uses the logistic sigmoid, the single output is linear.
 Training is plain stochastic gradient descent on squared error with a
 seeded per-epoch shuffle, so a given (data, config, seed) triple always
 produces the bit-identical model.  Inputs are z-scored and the target is
@@ -15,16 +15,16 @@ regression artifact and every saved MLP chain changes.
 
 `mlp_train` runs its per-sample steps inline under one `np.errstate`,
 since numpy's per-call overhead, not arithmetic, bounds a one-row step.
-Each layer keeps one (fan_in + 1, fan_out) block, its weights over its
-bias row, and each layer input sits in a buffer with a trailing 1.0, so
-one outer product, scaled by the rate and subtracted in place, updates
+Each of the two layers keeps one (fan_in + 1, fan_out) block, its
+weights over its bias row, and each layer input (the training row, then
+the hidden activations `h`) sits in a buffer with a trailing 1.0, so one
+outer product, scaled by the rate and subtracted in place, updates
 weights and bias together (exact, since lr * (1.0 * delta) == lr * delta).
-Every buffer is allocated once per fit.  The weights, biases and loss
-trace are bit for bit those of one `loss_and_grads` call per step, the
-batch form the central-difference gradient check covers: every sum over
-more than one product (each forward `a @ W`, each hidden-to-hidden
-`delta @ W.T`) stays the same matmul on the same shapes, and every other
-step is an in-place elementwise ufunc, applied in the batch form's order.
+Every buffer is allocated once per fit.  The weights, biases and loss trace are bit for bit those of one
+`loss_and_grads` call per step, the batch form the central-difference
+gradient check covers: each forward `a @ W` stays the same matmul on the
+same shapes, and every other step is an in-place elementwise ufunc,
+applied in the batch form's order.
 """
 
 from __future__ import annotations
@@ -45,13 +45,13 @@ class MlpConfig:
     the one declaration of the MLP settings.  The input width is the
     training matrix's."""
 
-    hidden_layers: tuple[int, ...]
+    hidden: int   # width of the one hidden layer
     lr: float
     epochs: int
     seed: int
 
     def __post_init__(self):
-        if any(h < 1 for h in self.hidden_layers):
+        if self.hidden < 1:
             raise ValueError("layer sizes must be >= 1")
         check_positive("lr", self.lr)
         if self.epochs < 1:
@@ -60,7 +60,7 @@ class MlpConfig:
 
 @dataclass(frozen=True)
 class MlpModel:
-    weights: tuple[np.ndarray, ...]   # per layer, shape (fan_in, fan_out)
+    weights: tuple[np.ndarray, ...]   # hidden, then output; each (fan_in, fan_out)
     biases: tuple[np.ndarray, ...]
     standardizer: Standardizer
     target_min: float
@@ -70,7 +70,7 @@ class MlpModel:
 
     def __post_init__(self):
         # sizes are named as a model file names them
-        sizes = (len(self.standardizer.mean), *self.config.hidden_layers, 1)
+        sizes = (len(self.standardizer.mean), self.config.hidden, 1)
         shapes = tuple(w.shape for w in self.weights)
         if shapes != tuple(zip(sizes, sizes[1:])):
             raise ValueError(f"standardizer width, hidden and one output {sizes} "
@@ -100,7 +100,7 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def init_layers(input_dim: int, config: MlpConfig):
     """Uniform +-1/sqrt(fan_in) weights, zero biases, from the seeded RNG."""
     rng = np.random.default_rng(config.seed)
-    sizes = (input_dim, *config.hidden_layers, 1)
+    sizes = (input_dim, config.hidden, 1)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         bound = 1.0 / np.sqrt(fan_in)
@@ -171,11 +171,12 @@ def mlp_train(x, targets_ppm, config: MlpConfig) -> MlpModel:
 
     # one (fan_in + 1, fan_out) block per layer, the weights over the bias
     # row, so that one outer product with a trailing-1.0 input updates both
-    blocks = [np.vstack((w, b)) for w, b in zip(*init_layers(x.shape[1], config))]
-    grads = [np.empty_like(blk) for blk in blocks]
-    weights = [blk[:-1] for blk in blocks]
-    weights_t = [w.T for w in weights]
-    biases = [blk[-1:] for blk in blocks]
+    (w0, w1), (b0, b1) = init_layers(x.shape[1], config)
+    block0, block1 = np.vstack((w0, b0)), np.vstack((w1, b1))
+    grad0, grad1 = np.empty_like(block0), np.empty_like(block1)
+    w0, w1 = block0[:-1], block1[:-1]
+    b0, b1 = block0[-1:], block1[-1:]
+    w1_t = w1.T
     # each layer's input with its trailing 1.0, as a row view for the
     # forward matmul and as a column view for the update: the training
     # rows, then the hidden activations, which the logistic writes in place
@@ -184,13 +185,11 @@ def mlp_train(x, targets_ppm, config: MlpConfig) -> MlpModel:
     xs_aug[:, :-1] = xs
     x_rows = [xs_aug[i:i + 1, :-1] for i in range(n)]
     x_cols = [xs_aug[i:i + 1].T for i in range(n)]
-    hidden = [np.ones((1, h + 1)) for h in config.hidden_layers]
-    acts = [h[:, :-1] for h in hidden]
-    cols = [None, *(h.T for h in hidden)]   # cols[0] is set per step
-    deltas = [np.empty((1, h)) for h in config.hidden_layers]
-    slopes = [np.empty((1, h)) for h in config.hidden_layers]
+    h_aug = np.ones((1, config.hidden + 1))
+    h, h_col = h_aug[:, :-1], h_aug.T
+    delta = np.empty((1, config.hidden))
+    slope = np.empty((1, config.hidden))
     z_out = np.empty((1, 1))
-    n_hidden = len(hidden)
     lr = np.array(config.lr)   # a 0-d array skips a per-call scalar conversion
     targets = ys.tolist()
     rng = np.random.default_rng(config.seed)
@@ -202,41 +201,30 @@ def mlp_train(x, targets_ppm, config: MlpConfig) -> MlpModel:
         for epoch in range(config.epochs):
             total = 0.0
             for i in rng.permutation(n).tolist():
-                a = x_rows[i]
-                cols[0] = x_cols[i]
-                for k in range(n_hidden):
-                    z = acts[k]
-                    np.matmul(a, weights[k], out=z)
-                    z += biases[k]
-                    a = sigmoid(z, out=z)
-                np.matmul(a, weights[-1], out=z_out)
-                d = (z_out.item() + biases[-1].item()) - targets[i]
+                np.matmul(x_rows[i], w0, out=h)
+                h += b0
+                sigmoid(h, out=h)
+                np.matmul(h, w1, out=z_out)
+                d = (z_out.item() + b1.item()) - targets[i]
                 # d * d is numpy's square; d ** 2 goes through pow(), which
                 # rounds differently for about 1 in 1000 values
                 total += 0.5 * (d * d)
-                # a layer's delta is passed down before its block is updated
-                g = grads[-1]
-                np.multiply(cols[-1], d, out=g)
-                if n_hidden:
-                    delta = np.multiply(weights_t[-1], d, out=deltas[-1])
-                g *= lr
-                blocks[-1] -= g
-                for k in reversed(range(n_hidden)):
-                    a, s = acts[k], slopes[k]
-                    delta *= a
-                    np.subtract(1.0, a, out=s)
-                    delta *= s
-                    g = grads[k]
-                    np.multiply(cols[k], delta, out=g)
-                    if k:
-                        delta = np.matmul(delta, weights_t[k], out=deltas[k - 1])
-                    g *= lr
-                    blocks[k] -= g
+                # the output delta is passed down before its block is updated
+                np.multiply(h_col, d, out=grad1)
+                np.multiply(w1_t, d, out=delta)
+                grad1 *= lr
+                block1 -= grad1
+                delta *= h
+                np.subtract(1.0, h, out=slope)
+                delta *= slope
+                np.multiply(x_cols[i], delta, out=grad0)
+                grad0 *= lr
+                block0 -= grad0
             epoch_loss = total / n
             if not np.isfinite(epoch_loss):
                 raise RuntimeError(
                     f"training diverged: non-finite loss at epoch {epoch} "
-                    f"(lr={config.lr}, hidden={config.hidden_layers})")
+                    f"(lr={config.lr}, hidden={config.hidden})")
             trace.append(epoch_loss)
             # plateau: epoch-mean loss no longer moving (stochastic jitter on
             # a noisy task keeps |change| above the floor, so this fires on
@@ -246,8 +234,8 @@ def mlp_train(x, targets_ppm, config: MlpConfig) -> MlpModel:
             prev = epoch_loss
 
     return MlpModel(
-        weights=tuple(w.copy() for w in weights),
-        biases=tuple(b[0].copy() for b in biases),
+        weights=(w0.copy(), w1.copy()),
+        biases=(b0[0].copy(), b1[0].copy()),
         standardizer=std,
         target_min=t_min,
         target_scale=t_scale,

@@ -175,7 +175,7 @@ def _read_svm(r: _Reader) -> SvmModel:
 def _mlp_lines(m: MlpModel) -> list[str]:
     cfg = m.config
     lines = [f"input_dim {m.weights[0].shape[0]}",
-             "hidden " + " ".join(str(h) for h in cfg.hidden_layers),
+             f"hidden {cfg.hidden}",
              f"lr {cfg.lr!r}", f"epochs {cfg.epochs}", f"seed {cfg.seed}",
              f"target_min {m.target_min!r}", f"target_scale {m.target_scale!r}",
              *_field_lines(m.standardizer),
@@ -187,7 +187,7 @@ def _mlp_lines(m: MlpModel) -> list[str]:
 
 def _read_mlp(r: _Reader) -> MlpModel:
     input_dim = r.integer(r.field("input_dim"))
-    hidden = r.ints(text) if (text := r.field("hidden")) else ()   # () saves as ""
+    hidden = r.integer(r.field("hidden"))
     lr = r.number(r.field("lr"))
     epochs = r.integer(r.field("epochs"))
     seed = r.integer(r.field("seed"))
@@ -199,7 +199,7 @@ def _read_mlp(r: _Reader) -> MlpModel:
               for i in range(r.integer(r.field("layers")))]
     if not layers or layers[0][0].shape[0] != input_dim:
         raise ValueError(f"input_dim {input_dim} does not match the first weight matrix")
-    cfg = MlpConfig(hidden_layers=hidden, lr=lr, epochs=epochs, seed=seed)
+    cfg = MlpConfig(hidden=hidden, lr=lr, epochs=epochs, seed=seed)
     return MlpModel(weights=tuple(w for w, _ in layers), biases=tuple(b for _, b in layers),
                     standardizer=std, target_min=target_min,
                     target_scale=target_scale, loss_trace=loss_trace, config=cfg)

@@ -34,9 +34,12 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SvmParams:
-    c_penalty: float = 10.0
-    kernel: str = "rbf"           # "linear" or "rbf"
-    gamma: float | None = None    # None: 1/(d * median pairwise sq dist)
+    """No defaults: a run's values come from `bench.PipelineConfig.svm_params`,
+    the one declaration of the SVM settings."""
+
+    c_penalty: float
+    kernel: str           # "linear" or "rbf"
+    gamma: float | None   # None: 1/(d * median pairwise sq dist)
 
     def __post_init__(self):
         check_positive("c_penalty", self.c_penalty)
@@ -208,7 +211,7 @@ class _Smo:
                                self.n_steps)
 
 
-def svm_train_binary(x, y, params: SvmParams = SvmParams()) -> BinarySvm:
+def svm_train_binary(x, y, params: SvmParams) -> BinarySvm:
     """Train one two-class machine; labels must be -1/+1 with both present."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -272,7 +275,7 @@ class SvmModel:
                              f"2, with one pair per two classes; found pairs {pairs}")
 
 
-def svm_train_multiclass(x, y, params: SvmParams = SvmParams()) -> SvmModel:
+def svm_train_multiclass(x, y, params: SvmParams) -> SvmModel:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=np.int64)
     classes = tuple(int(c) for c in np.unique(y))

@@ -495,7 +495,7 @@ def mlp_train_per_call(x, targets_ppm, config: MlpConfig) -> MlpModel:
         if not np.isfinite(epoch_loss):
             raise RuntimeError(
                 f"training diverged: non-finite loss at epoch {epoch} "
-                f"(lr={config.lr}, hidden={config.hidden_layers})")
+                f"(lr={config.lr}, hidden={config.hidden})")
         trace.append(epoch_loss)
         if prev is not None and abs(prev - epoch_loss) < LOSS_IMPROVEMENT_FLOOR:
             break

@@ -5,6 +5,8 @@ import pytest
 
 from enose import mlp
 from enose.bench import PipelineConfig, fit_front
+from enose.cli import main
+from enose.features import write_features_csv
 from enose.modelio import load_model, save_model
 from enose.svm import svm_predict, svm_train_multiclass
 
@@ -159,17 +161,26 @@ def test_mlp_round_trip(tmp_path):
     assert model_again.config == model.config
 
 
-def test_mlp_without_hidden_layers_round_trip(tmp_path):
-    # a linear model saves an empty `hidden` list
-    x, _, t = training_data()
-    front = fit_front(x, PipelineConfig())
-    config = dataclasses.replace(PipelineConfig(mlp_epochs=20).mlp_config(seed=2),
-                                 hidden_layers=())
-    model = mlp.mlp_train(front.scores(x), t, config)
-    assert_round_trip(tmp_path, front, model)
-    _, model_again = load_model(tmp_path / "chain.model")
-    probe = front.scores(np.random.default_rng(5).normal(1.5, 2.0, (30, 12)))
-    assert np.array_equal(mlp.mlp_forward(model_again, probe), mlp.mlp_forward(model, probe))
+@pytest.mark.parametrize("hidden, message", [
+    ("8 4", "expected one integer"),
+    ("", "expected integers, found ''"),
+], ids=["two-widths", "empty"])
+def test_mlp_hidden_must_be_one_width(tmp_path, capsys, hidden, message):
+    # the network has one hidden layer, so `hidden` holds one width
+    x, y, t = training_data()
+    feat = tmp_path / "features.csv"
+    write_features_csv(feat, x, y, np.column_stack([t, 0 * t, 0 * t]))
+    path = tmp_path / "chain.model"
+    save_model(*fit_chain("pca", "mlp"), path)
+    lines = path.read_text().splitlines()
+    at = lines.index("hidden 16")
+    lines[at] = f"hidden {hidden}"
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["predict", "--model", str(path), "--in", str(feat),
+               "--report", str(tmp_path / "report.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2 and "Traceback" not in err
+    assert err.startswith(f"error [stage=predict] section mlp: line {at + 1}: {message}")
 
 
 # (chain, section, key, value): an integer field spelt as `save_model` never

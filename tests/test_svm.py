@@ -25,7 +25,7 @@ class TestBinaryTraining:
     def test_symmetric_two_point_margin(self):
         x = np.array([[-1.0], [1.0]])
         y = np.array([-1.0, 1.0])
-        model = svm_train_binary(x, y, SvmParams(c_penalty=1e6, kernel="linear"))
+        model = svm_train_binary(x, y, SvmParams(c_penalty=1e6, kernel="linear", gamma=None))
         assert model.decision([[0.0]])[0] == pytest.approx(0.0, abs=1e-3)
         f = model.decision(x)
         assert np.sign(f).tolist() == [-1.0, 1.0]
@@ -36,24 +36,24 @@ class TestBinaryTraining:
         y = np.array([-1.0, 1.0, 1.0, -1.0])
         rbf = svm_train_binary(x, y, SvmParams(c_penalty=10.0, kernel="rbf", gamma=1.0))
         assert np.array_equal(np.sign(rbf.decision(x)), y)
-        linear = svm_train_binary(x, y, SvmParams(c_penalty=10.0, kernel="linear"))
+        linear = svm_train_binary(x, y, SvmParams(c_penalty=10.0, kernel="linear", gamma=None))
         assert (np.sign(linear.decision(x)) == y).sum() < 4
 
     def test_single_class_rejected(self):
         x = np.zeros((3, 2))
         with pytest.raises(ValueError):
-            svm_train_binary(x, np.ones(3), SvmParams())
+            svm_train_binary(x, np.ones(3), SvmParams(c_penalty=10.0, kernel="rbf", gamma=None))
 
     def test_non_convergence_carries_iteration_count(self, monkeypatch):
         monkeypatch.setattr(svm, "MAX_STEPS", 1)
         x, y = separable_dataset(0, n_per=6, gap=1.0)
         with pytest.raises(ConvergenceError) as err:
-            svm_train_binary(x, y, SvmParams())
+            svm_train_binary(x, y, SvmParams(c_penalty=10.0, kernel="rbf", gamma=None))
         assert err.value.n_iter == 1
 
     def test_only_positive_duals_stored(self):
         x, y = separable_dataset(1)
-        model = svm_train_binary(x, y, SvmParams())
+        model = svm_train_binary(x, y, SvmParams(c_penalty=10.0, kernel="rbf", gamma=None))
         alpha, _ = full_duals(model, x, y)
         assert np.all(np.abs(model.dual_coef) > 1e-12 * 10.0)
         assert np.all(alpha >= 0) and np.all(alpha <= 10.0)
@@ -117,7 +117,7 @@ class TestDualOptimality:
     @pytest.mark.parametrize("seed", range(6))
     def test_kkt_residuals_within_tol(self, seed):
         x, y = separable_dataset(seed, n_per=8, gap=2.0)
-        params = SvmParams(c_penalty=10.0)
+        params = SvmParams(c_penalty=10.0, kernel="rbf", gamma=None)
         model = svm_train_binary(x, y, params)
         alpha, k = full_duals(model, x, y)
         assert kkt_max_violation(k, y, alpha, model.bias, 10.0) <= 1e-3
@@ -125,14 +125,14 @@ class TestDualOptimality:
     @pytest.mark.parametrize("seed", range(4))
     def test_equality_constraint_preserved(self, seed):
         x, y = separable_dataset(seed, n_per=10, gap=1.5)
-        model = svm_train_binary(x, y, SvmParams())
+        model = svm_train_binary(x, y, SvmParams(c_penalty=10.0, kernel="rbf", gamma=None))
         assert abs(model.dual_coef.sum()) < 1e-8
 
 
 class TestInvariances:
     def test_row_permutation_leaves_predictions_unchanged(self):
         x, y = separable_dataset(3, n_per=10, gap=2.5)
-        params = SvmParams()
+        params = SvmParams(c_penalty=10.0, kernel="rbf", gamma=None)
         probe = np.random.default_rng(0).normal(1.5, 1.0, (20, 2))
         base = svm_train_binary(x, y, params).decision(probe)
         perm = np.random.default_rng(1).permutation(x.shape[0])
@@ -142,10 +142,10 @@ class TestInvariances:
     def test_duplicating_points_with_halved_c_keeps_predictions(self):
         x, y = separable_dataset(5, n_per=8, gap=2.0)
         probe = np.random.default_rng(2).normal(1.5, 1.5, (20, 2))
-        a = svm_train_binary(x, y, SvmParams(c_penalty=10.0, gamma=0.5))
+        a = svm_train_binary(x, y, SvmParams(c_penalty=10.0, kernel="rbf", gamma=0.5))
         x2 = np.vstack([x, x])
         y2 = np.concatenate([y, y])
-        b = svm_train_binary(x2, y2, SvmParams(c_penalty=5.0, gamma=0.5))
+        b = svm_train_binary(x2, y2, SvmParams(c_penalty=5.0, kernel="rbf", gamma=0.5))
         assert np.array_equal(np.sign(a.decision(probe)), np.sign(b.decision(probe)))
 
 
@@ -163,23 +163,24 @@ def three_clusters(seed=0, n_per=15):
 class TestMulticlass:
     def test_separable_clusters_are_perfect(self):
         x, y = three_clusters()
-        model = svm_train_multiclass(x, y, SvmParams())
+        model = svm_train_multiclass(x, y, SvmParams(c_penalty=10.0, kernel="rbf", gamma=None))
         assert (svm_predict(model, x) == y).all()
         assert [pair for pair, _ in model.machines] == [(1, 2), (1, 3), (2, 3)]
 
     def test_two_classes_reduce_to_binary(self):
         x, y = separable_dataset(7, n_per=10)
         labels = np.where(y > 0, 1, 2)
-        multi = svm_train_multiclass(x, labels, SvmParams(gamma=0.5))
-        binary = svm_train_binary(x, np.where(labels == 1, 1.0, -1.0),
-                                  SvmParams(gamma=0.5))
+        params = SvmParams(c_penalty=10.0, kernel="rbf", gamma=0.5)
+        multi = svm_train_multiclass(x, labels, params)
+        binary = svm_train_binary(x, np.where(labels == 1, 1.0, -1.0), params)
         assert len(multi.machines) == 1
         pred = svm_predict(multi, x)
         assert np.array_equal(pred, np.where(binary.decision(x) > 0, 1, 2))
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            svm_train_multiclass(np.zeros((3, 2)), np.ones(3), SvmParams())
+            svm_train_multiclass(np.zeros((3, 2)), np.ones(3),
+                                 SvmParams(c_penalty=10.0, kernel="rbf", gamma=None))
 
     def test_vote_cycle_tie_break_uses_decision_sums(self):
         def constant_machine(value):
