@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import Session
-from .checks import check_sizes
+from .checks import check_sizes, is_integer_text
 from .features import (N_FEATURES, KpcaModel, PcaModel, extract_features,
                        kpca_fit, kpca_transform, pca_fit, pca_transform)
 from .mlp import MlpConfig, evaluate_regression, mlp_forward, mlp_train
@@ -225,6 +225,8 @@ def _spell(key: str, value) -> str:
 def _parse(key: str, text: str, default):
     if text == _NONE_SPELLING.get(key):
         return None
+    if isinstance(default, int) and not is_integer_text(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return float(text) if default is None else type(default)(text)
 
 

@@ -15,16 +15,18 @@ regression artifact and every saved MLP chain changes.
 
 `mlp_train` runs its per-sample steps inline under one `np.errstate`,
 since numpy's per-call overhead, not arithmetic, bounds a one-row step.
-Each of the two layers keeps one (fan_in + 1, fan_out) block, its
-weights over its bias row, and each layer input (the training row, then
-the hidden activations `h`) sits in a buffer with a trailing 1.0, so one
-outer product, scaled by the rate and subtracted in place, updates
-weights and bias together (exact, since lr * (1.0 * delta) == lr * delta).
-Every buffer is allocated once per fit.  The weights, biases and loss trace are bit for bit those of one
-`loss_and_grads` call per step, the batch form the central-difference
-gradient check covers: each forward `a @ W` stays the same matmul on the
-same shapes, and every other step is an in-place elementwise ufunc,
-applied in the batch form's order.
+All parameters sit in one flat vector: the hidden block, stored negated
+as -[W0; b0], then the output block [w1; b1].  Each layer input carries a
+trailing 1.0 (the training row, then the hidden activations), so one
+matmul sums the bias with the weights, one outer product gives the
+weight and bias gradients together, and one in-place subtraction applies
+the whole step.  The stored sign makes the forward matmul give -z, the
+logistic's exp argument, and lets the hidden delta use (h - 1) * h.
+Every buffer is allocated once per fit, and a step costs 11 numpy calls.
+The step is the one `loss_and_grads` takes on a one-row batch, the batch
+form the central-difference gradient check covers, up to rounding: the
+bias is summed inside the matmul, the logistic is 1/(1 + exp(-z)), and
+the rate multiplies the scalar error before the outer products.
 """
 
 from __future__ import annotations
@@ -80,13 +82,12 @@ class MlpModel:
         check_positive("target_scale", self.target_scale)
 
 
-def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: exp is only taken of -|z|.
 
     `minimum(z, -z)` rather than `-abs(z)` keeps the sign of a nan input,
     so every output bit, nan included, equals that of the two-branch form
-    1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) otherwise.  `out` may
-    be `z` itself: the sign mask is taken before anything is written.
+    1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) otherwise.
     """
     pos = z >= 0
     e = np.negative(z)
@@ -94,7 +95,7 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.exp(e, out=e)
     d = np.add(1.0, e)
     np.putmask(e, pos, 1.0)   # numerator: 1 where z >= 0, else e
-    return np.divide(e, d, out=e if out is None else out)
+    return np.divide(e, d, out=e)
 
 
 def init_layers(input_dim: int, config: MlpConfig):
@@ -124,10 +125,9 @@ def _forward(weights, biases, x: np.ndarray):
 def loss_and_grads(weights, biases, x: np.ndarray, y: np.ndarray):
     """Mean squared-error loss 0.5*(yhat-y)^2 over a batch, with gradients.
 
-    On a one-row batch this is the step `mlp_train` inlines, there with
-    preallocated buffers: the weight gradient and the bias gradient come
-    from one outer product of the trailing-1.0 layer input with the delta,
-    applied to the layer's weight-and-bias block in place.
+    On a one-row batch this is the step `mlp_train` inlines, up to
+    rounding: there the weight and bias gradients of a layer come from one
+    outer product of its trailing-1.0 input with the rate-scaled delta.
     """
     x = np.atleast_2d(x)
     y = np.asarray(y, dtype=float).reshape(-1, 1)
@@ -169,28 +169,34 @@ def mlp_train(x, targets_ppm, config: MlpConfig) -> MlpModel:
     t_scale = float(t.max() - t.min()) or 1.0
     ys = (t - t_min) / t_scale
 
-    # one (fan_in + 1, fan_out) block per layer, the weights over the bias
-    # row, so that one outer product with a trailing-1.0 input updates both
+    # one flat parameter vector: the hidden block -[W0; b0], (d + 1, H),
+    # then the output block [w1; b1], (H + 1,)
     (w0, w1), (b0, b1) = init_layers(x.shape[1], config)
-    block0, block1 = np.vstack((w0, b0)), np.vstack((w1, b1))
-    grad0, grad1 = np.empty_like(block0), np.empty_like(block1)
-    w0, w1 = block0[:-1], block1[:-1]
-    b0, b1 = block0[-1:], block1[-1:]
-    w1_t = w1.T
-    # each layer's input with its trailing 1.0, as a row view for the
-    # forward matmul and as a column view for the update: the training
-    # rows, then the hidden activations, which the logistic writes in place
+    hidden = config.hidden
+    params = np.concatenate((-w0.ravel(), -b0, w1[:, 0], b1))
+    size0 = b0.size + w0.size
+    neg0 = params[:size0].reshape(-1, hidden)
+    block1 = params[size0:]
+    # buf is [h, 1.0, ws]: one multiply by lr * d writes the output block's
+    # gradient and the hidden delta into the tail of grads, which follows
+    # the hidden block's gradient; `step` is grads without the delta
+    buf = np.ones(2 * hidden + 1)
+    h, h_aug, ws = buf[:hidden], buf[:hidden + 1], buf[hidden + 1:]
+    grads = np.empty(params.size + hidden)
+    grad0 = grads[:size0].reshape(-1, hidden)
+    tail, delta = grads[size0:], grads[params.size:]
+    step = grads[:params.size]
+    w1 = block1[:-1]
+    slope = np.empty(hidden)
+    ones = np.ones(hidden)   # an array operand skips a per-call scalar conversion
+    # each training row with its trailing 1.0, as a row for the forward
+    # matmul and as a column for the outer product
     n = xs.shape[0]
     xs_aug = np.ones((n, x.shape[1] + 1))
     xs_aug[:, :-1] = xs
-    x_rows = [xs_aug[i:i + 1, :-1] for i in range(n)]
-    x_cols = [xs_aug[i:i + 1].T for i in range(n)]
-    h_aug = np.ones((1, config.hidden + 1))
-    h, h_col = h_aug[:, :-1], h_aug.T
-    delta = np.empty((1, config.hidden))
-    slope = np.empty((1, config.hidden))
-    z_out = np.empty((1, 1))
-    lr = np.array(config.lr)   # a 0-d array skips a per-call scalar conversion
+    x_rows = list(xs_aug)
+    x_cols = [row[:, None] for row in x_rows]
+    lr = config.lr
     targets = ys.tolist()
     rng = np.random.default_rng(config.seed)
     trace = []
@@ -201,25 +207,22 @@ def mlp_train(x, targets_ppm, config: MlpConfig) -> MlpModel:
         for epoch in range(config.epochs):
             total = 0.0
             for i in rng.permutation(n).tolist():
-                np.matmul(x_rows[i], w0, out=h)
-                h += b0
-                sigmoid(h, out=h)
-                np.matmul(h, w1, out=z_out)
-                d = (z_out.item() + b1.item()) - targets[i]
+                x_rows[i].dot(neg0, out=h)   # -z
+                np.exp(h, out=h)
+                h += ones
+                np.divide(ones, h, out=h)
+                d = float(h_aug.dot(block1)) - targets[i]
                 # d * d is numpy's square; d ** 2 goes through pow(), which
                 # rounds differently for about 1 in 1000 values
                 total += 0.5 * (d * d)
+                # minus the logistic's slope, for the negated hidden block;
                 # the output delta is passed down before its block is updated
-                np.multiply(h_col, d, out=grad1)
-                np.multiply(w1_t, d, out=delta)
-                grad1 *= lr
-                block1 -= grad1
-                delta *= h
-                np.subtract(1.0, h, out=slope)
-                delta *= slope
+                np.subtract(h, ones, out=slope)
+                slope *= h
+                np.multiply(w1, slope, out=ws)
+                np.multiply(buf, lr * d, out=tail)
                 np.multiply(x_cols[i], delta, out=grad0)
-                grad0 *= lr
-                block0 -= grad0
+                params -= step
             epoch_loss = total / n
             if not np.isfinite(epoch_loss):
                 raise RuntimeError(
@@ -234,8 +237,8 @@ def mlp_train(x, targets_ppm, config: MlpConfig) -> MlpModel:
             prev = epoch_loss
 
     return MlpModel(
-        weights=(w0.copy(), w1.copy()),
-        biases=(b0[0].copy(), b1[0].copy()),
+        weights=(-neg0[:-1], w1[:, None].copy()),
+        biases=(-neg0[-1], block1[-1:].copy()),
         standardizer=std,
         target_min=t_min,
         target_scale=t_scale,

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import FittedFront
-from .checks import check_sizes
+from .checks import check_sizes, is_integer_text
 from .features import KpcaModel, PcaModel
 from .mlp import MlpConfig, MlpModel
 from .preprocess import Standardizer
@@ -83,7 +83,7 @@ class _Reader:
         """The space-separated integers in `text`, part of the last line read,
         each spelt as `save_model` writes it: an optional "-", then ASCII digits."""
         values = text.split(" ")
-        if not all((d := v.removeprefix("-")).isascii() and d.isdigit() for v in values):
+        if not all(is_integer_text(v) for v in values):
             raise ValueError(f"line {self.pos}: expected integers, found {text!r}")
         return tuple(int(v) for v in values)
 

@@ -710,6 +710,13 @@ class TestCliErrors:
         ("mlp_hidden = 8 4",
          "config key 'mlp_hidden': invalid literal for int() with base 10: '8 4'"),
         ("mlp_hidden =", "config key 'mlp_hidden': invalid literal for int() with base 10: ''"),
+        # integers are spelt as model files spell them: an optional "-", then ASCII digits
+        ("mlp_hidden = 1_6",
+         "config key 'mlp_hidden': invalid literal for int() with base 10: '1_6'"),
+        ("mlp_epochs = \u0661\u0665\u0660",
+         "config key 'mlp_epochs': invalid literal for int() with base 10: "
+         "'\u0661\u0665\u0660'"),
+        ("window_m = +5", "config key 'window_m': invalid literal for int() with base 10: '+5'"),
     ])
     def test_bad_model_setting_stops_bench_before_generate(self, tmp_path, capsys,
                                                            line, message):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -108,6 +109,23 @@ class TestTraining:
             mlp.mlp_train(x, t, mlp.MlpConfig(hidden=16,
                                               lr=1e12, epochs=50, seed=0))
 
+    def test_step_calls_no_python_function(self):
+        """A step is numpy calls only: the Python function calls a fit makes
+        do not grow with the number of rows."""
+        def python_calls(n):
+            rng = np.random.default_rng(0)
+            x, t = rng.normal(0, 1, (n, 3)), rng.uniform(0, 1, n)
+            cfg = mlp.MlpConfig(hidden=4, lr=0.01, epochs=2, seed=0)
+            calls = []
+            sys.setprofile(lambda frame, event, arg: calls.append(event == "call"))
+            try:
+                mlp.mlp_train(x, t, cfg)
+            finally:
+                sys.setprofile(None)
+            return sum(calls)
+
+        assert python_calls(10) == python_calls(200)
+
     def test_shape_validation(self):
         settings = dict(hidden=16, lr=0.01, epochs=200, seed=0)
         with pytest.raises(ValueError):
@@ -123,16 +141,28 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def assert_same_model(model, reference):
-    assert len(model.weights) == len(reference.weights)
-    for got, want in zip(model.weights + model.biases, reference.weights + reference.biases):
-        assert same_bits(got, want)
-    assert same_bits(model.loss_trace, reference.loss_trace)
+# The fused step rounds differently from one `loss_and_grads` per step: it
+# sums the bias inside the matmul, takes the logistic as 1/(1 + exp(-z))
+# and scales the error by the rate before the outer products.  Over the
+# 72 width x dim cases below the weights moved by at most 3.3e-16 and the
+# loss trace by at most 1.3e-15 relative; the bounds leave room above that.
+WEIGHT_ATOL = 1e-12
+LOSS_RTOL = 1e-12
+
+
+def assert_close_model(model, reference):
+    assert len(model.loss_trace) == len(reference.loss_trace)   # same epochs run
+    for got, want in zip(model.weights + model.biases,
+                         reference.weights + reference.biases, strict=True):
+        np.testing.assert_allclose(got, want, rtol=0, atol=WEIGHT_ATOL)
+    np.testing.assert_allclose(model.loss_trace, reference.loss_trace,
+                               rtol=LOSS_RTOL, atol=0)
 
 
 class TestAgainstPerCallLoop:
-    """The buffer-reusing SGD step gives the bits of one `loss_and_grads` per
-    step, for hidden widths from 1 to 32."""
+    """The fused SGD step matches one `loss_and_grads` per step within the
+    bounds above, for hidden widths from 1 to 32, and stops and diverges
+    at the same epoch."""
 
     # explicit ids keep each case's name from when its slot held a tuple of
     # layer sizes: 8, 3 and 4 hold the slots of (8, 4), () and (4, 3, 2)
@@ -145,7 +175,7 @@ class TestAgainstPerCallLoop:
         x = rng.normal(0, 1, (24, dim))
         t = x @ rng.normal(0, 1, dim) * 20.0 + rng.normal(0, 1, 24)
         cfg = mlp.MlpConfig(hidden=hidden, lr=0.05, epochs=8, seed=seed)
-        assert_same_model(mlp.mlp_train(x, t, cfg), mlp_train_per_call(x, t, cfg))
+        assert_close_model(mlp.mlp_train(x, t, cfg), mlp_train_per_call(x, t, cfg))
 
     def test_same_plateau_stop(self):
         rng = np.random.default_rng(2)
@@ -154,7 +184,7 @@ class TestAgainstPerCallLoop:
         cfg = mlp.MlpConfig(hidden=3, lr=0.8, epochs=3000, seed=0)
         model = mlp.mlp_train(x, t, cfg)
         assert len(model.loss_trace) < cfg.epochs
-        assert_same_model(model, mlp_train_per_call(x, t, cfg))
+        assert_close_model(model, mlp_train_per_call(x, t, cfg))
 
     @pytest.mark.parametrize("lr, constant", [(30.0, False), (1e12, False), (1.0, True)])
     def test_same_divergence(self, lr, constant):
