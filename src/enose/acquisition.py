@@ -4,12 +4,12 @@ Wire format: newline-delimited ASCII, one frame per line,
 
     t_ms,raw1,raw2,raw3,raw4
 
-with fields of ASCII decimal digits (surrounding whitespace allowed) and
-raw counts in the 12-bit range.  A blank raw field marks a dropped sample
-(imputed from its neighbours); anything else that does not fit the
-schema is malformed.  Session files use the same lines under a fixed
-header, with metadata in a `<name>.meta` sidecar of flat `key=value`
-lines.
+with fields of ASCII decimal digits (surrounding ASCII whitespace allowed)
+and raw counts in the 12-bit range.  A blank raw field marks a dropped
+sample (imputed from its neighbours); anything else that does not fit
+the schema, any non-ASCII character included, is malformed.  Session
+files use the same lines under a fixed header, with metadata in a
+`<name>.meta` sidecar of flat `key=value` lines.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import check_positive
+from .checks import check_positive, parse_float, parse_int
 from .config import parse_config_text
 from .sensors import (ADC_MAX, GASES, LABELS, SAMPLE_RATE_HZ, VOLTS_PER_COUNT,
                       GasMixture)
@@ -110,14 +110,8 @@ def impute_missing(values) -> np.ndarray:
     return out
 
 
-# Non-ASCII code points for which str.isspace() holds, so str.strip() takes
-# them off a field's edges.  Listed by hand: deriving the set from all 1.1M
-# code points costs ~0.1 s at import.
-_WIDE_SPACES = ("\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
-                "\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
-_WIDE_SPACE_CODES = np.array([ord(c) for c in _WIDE_SPACES], dtype=np.uint32)
-_NOT_ASCII = 0xFF   # the byte for every other non-ASCII character
 _LINE_END = 0x80    # marks the end of a line; no character maps to it
+_ASCII_SPACE = "\t\n\v\f\r\x1c\x1d\x1e\x1f "   # the whitespace of a stream
 
 # 10**p for p = 0..19.  A field's value is summed over its lowest 19
 # places, which is exact in uint64; a non-zero digit above them makes it
@@ -128,33 +122,25 @@ _TOO_BIG = np.iinfo(np.uint64).max
 _INT64_MAX = np.uint64(np.iinfo(np.int64).max)
 
 
-def _stream_bytes(text: str) -> np.ndarray:
-    """One byte per character: ASCII as is, other whitespace as a space."""
-    if text.isascii():
-        return np.frombuffer(text.encode("ascii"), dtype=np.uint8).copy()
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    out = np.where(codes < 0x80, codes, _NOT_ASCII).astype(np.uint8)
-    out[np.isin(codes, _WIDE_SPACE_CODES)] = ord(" ")
-    return out
-
-
 def _scan_frames(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Tokenize stripped data lines; (value, n_digits) of the valid ones.
 
     A line is valid when it has exactly five comma-separated fields, each
-    one run of ASCII digits or none, with whitespace around it, a
+    one run of ASCII digits or none, with ASCII whitespace around it, a
     non-blank `t_ms` and raw counts of at most 4095.  Both arrays are
     5 x n_valid, `t_ms` first: `value` is uint64 and lies above the int64
     range where a `t_ms` does not fit there, and `n_digits` is 0 for a
     blank field.
     """
     # every line ends in a _LINE_END byte, one more leads the stream, and a
-    # "0" after the last is the digit read for a place that a field lacks
+    # "0" after the last is the digit read for a place that a field lacks;
+    # each non-ASCII character becomes one "?" byte, which fails its line
     lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
-    data = _stream_bytes("\n".join(["", *lines, "0"]))
+    text = "\n".join(["", *lines, "0"]).encode("ascii", "replace")
+    data = np.frombuffer(text, dtype=np.uint8).copy()
     data[np.concatenate(([0], np.cumsum(lengths + 1)))] = _LINE_END
 
-    space = ((data - 9) < 5) | ((data - 28) < 5)    # str.isspace(): \t-\r, \x1c-" "
+    space = ((data - 9) < 5) | ((data - 28) < 5)    # _ASCII_SPACE: \t-\r, \x1c-" "
     squeezed = space.any()
     if squeezed:
         kept = np.flatnonzero(~space)
@@ -198,14 +184,14 @@ def parse_stream(lines, label: int = 0, mixture: GasMixture | None = None,
                  sample_rate_hz: float = SAMPLE_RATE_HZ) -> Session:
     """Parse an iterable of frame lines into a Session.
 
-    Each line is stripped; blank lines, `#` comments and the canonical
-    header are skipped.  The data lines are tokenized together as one
-    byte array.  Malformed lines are counted; if they exceed 10% of the
-    data lines, or timestamps are not strictly increasing, the whole
-    stream is rejected.
+    Each line is stripped of ASCII whitespace; blank lines, `#` comments
+    and the canonical header are skipped, and every other line is a data
+    line.  The data lines are tokenized together as one byte array.
+    Malformed lines are counted; if they exceed 10% of the data lines, or
+    timestamps are not strictly increasing, the whole stream is rejected.
     """
-    kept = [s for s in map(str.strip, lines)
-            if s and s[0] != "#" and s != SESSION_HEADER]
+    kept = [s for line in lines if (s := line.strip(_ASCII_SPACE))
+            and s[0] != "#" and s != SESSION_HEADER]
     n_lines = len(kept)
     if n_lines == 0:
         raise StreamError("stream contains no frames", 0, 0)
@@ -303,9 +289,9 @@ def read_meta(csv_path) -> dict:
         for key in META_KEYS:
             if key not in entries:
                 raise ValueError(f"missing key {key!r}")
-        return {"label": int(entries["label"]),
-                "mixture": GasMixture(*(float(entries[f"{gas}_ppm"]) for gas in GASES)),
-                "sample_rate_hz": float(entries["sample_rate_hz"])}
+        return {"label": parse_int(entries["label"]),
+                "mixture": GasMixture(*(parse_float(entries[f"{gas}_ppm"]) for gas in GASES)),
+                "sample_rate_hz": parse_float(entries["sample_rate_hz"])}
     except ValueError as exc:
         raise ValueError(f"{mp}: {exc}") from exc
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import Session
-from .checks import check_sizes, is_integer_text
+from .checks import parse_float, parse_int
 from .features import (N_FEATURES, KpcaModel, PcaModel, extract_features,
                        kpca_fit, kpca_transform, pca_fit, pca_transform)
 from .mlp import MlpConfig, evaluate_regression, mlp_forward, mlp_train
@@ -225,9 +225,9 @@ def _spell(key: str, value) -> str:
 def _parse(key: str, text: str, default):
     if text == _NONE_SPELLING.get(key):
         return None
-    if isinstance(default, int) and not is_integer_text(text):
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return float(text) if default is None else type(default)(text)
+    if isinstance(default, str):
+        return text
+    return parse_int(text) if isinstance(default, int) else parse_float(text)
 
 
 def row_counts(total: int, n_rows: int) -> list[int]:
@@ -339,14 +339,6 @@ class FittedFront:
 
     standardizer: Standardizer
     reducer: PcaModel | KpcaModel
-
-    def __post_init__(self):
-        # sizes named by model-file section: only a loaded chain can disagree
-        r = self.reducer
-        name, width = (("pca", len(r.mean)) if isinstance(r, PcaModel)
-                       else ("kpca", r.x_train.shape[1]))
-        check_sizes({"section standardizer mean": len(self.standardizer.mean),
-                     f"section {name} input width": width})
 
     def scores(self, x) -> np.ndarray:
         """Reduced scores of raw feature rows."""

@@ -24,3 +24,22 @@ def is_integer_text(text: str) -> bool:
     non-ASCII digits and surrounding whitespace."""
     digits = text.removeprefix("-")
     return digits.isascii() and digits.isdigit()
+
+
+def is_float_text(text: str) -> bool:
+    """Whether `text` may spell a float: ASCII, without the "_" float() takes."""
+    return text.isascii() and "_" not in text
+
+
+def parse_int(text: str) -> int:
+    """`int(text)` if `is_integer_text(text)`, else int()'s refusal."""
+    if not is_integer_text(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def parse_float(text: str) -> float:
+    """`float(text)` if `is_float_text(text)`, else float()'s refusal."""
+    if not is_float_text(text):
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)

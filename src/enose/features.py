@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import check_positive, check_sizes
+from .checks import check_positive, check_sizes, parse_float
 from .sensors import BASELINE_S, EXPOSURE_S, LABELS
 
 N_FEATURES = 12
@@ -247,7 +247,7 @@ def read_features_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if len(fields) != N_FEATURES + 4:
             raise ValueError(f"line {lineno}: bad features row: {line!r}")
         try:
-            row = [float(v) for v in fields]
+            row = [parse_float(v) for v in fields]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         if not all(map(math.isfinite, row)):

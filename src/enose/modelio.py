@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import FittedFront
-from .checks import check_sizes, is_integer_text
+from .checks import check_sizes, is_integer_text, parse_float
 from .features import KpcaModel, PcaModel
 from .mlp import MlpConfig, MlpModel
 from .preprocess import Standardizer
@@ -67,7 +67,7 @@ class _Reader:
     def floats(self, text: str) -> np.ndarray:
         """The numbers in `text`, part of the last line read; all finite."""
         try:
-            values = np.array([float(v) for v in text.split()])
+            values = np.array([parse_float(v) for v in text.split()])
         except ValueError as exc:
             raise ValueError(f"line {self.pos}: {exc}") from None
         if not np.isfinite(values).all():
@@ -254,7 +254,9 @@ def load_model(path) -> tuple[FittedFront, SvmModel | MlpModel]:
         raise ValueError(f"line {reader.pos}: {path} is not a model file")
     _, standardizer = _read_section(reader, _STANDARDIZER)
     reducer_name, reducer = _read_section(reader, _REDUCERS)
-    front = FittedFront(standardizer=standardizer, reducer=reducer)
+    width = len(reducer.mean) if reducer_name == "pca" else reducer.x_train.shape[1]
+    check_sizes({"section standardizer mean": len(standardizer.mean),
+                 f"section {reducer_name} input width": width})
     model_name, model = _read_section(reader, _MODELS)
     width = (model.weights[0].shape[0] if isinstance(model, MlpModel)
              else model.machines[0][1].support_vectors.shape[1])
@@ -263,4 +265,4 @@ def load_model(path) -> tuple[FittedFront, SvmModel | MlpModel]:
     for lineno in range(reader.pos, len(lines)):
         if lines[lineno].strip():
             raise ValueError(f"line {lineno + 1}: unexpected content after the model")
-    return front, model
+    return FittedFront(standardizer=standardizer, reducer=reducer), model

@@ -344,6 +344,11 @@ def grid_min_power_law(conc, excess, n_a: int = 120, n_b: int = 120):
     return best[1], best[2], best[0]
 
 
+# The whitespace a frame stream may carry around a line or a field: ASCII
+# only, so a line with any other character is malformed.
+ASCII_SPACE = "\t\n\v\f\r\x1c\x1d\x1e\x1f "
+
+
 def is_decimal(field: str) -> bool:
     """Non-empty ASCII digits only: no sign, underscore or non-ASCII digit."""
     return field.isascii() and field.isdigit()
@@ -351,7 +356,7 @@ def is_decimal(field: str) -> bool:
 
 def parse_frame_line(line: str) -> tuple[int, list[float]] | None:
     """One data line -> (t_ms, 4 raw values, NaN for blank) or None if malformed."""
-    fields = [f.strip() for f in line.split(",")]
+    fields = [f.strip(ASCII_SPACE) for f in line.split(",")]
     if len(fields) != 5 or not is_decimal(fields[0]):
         return None
     raws: list[float] = []
@@ -413,7 +418,7 @@ def parse_stream_per_line(lines) -> tuple[np.ndarray, np.ndarray]:
     n_malformed = 0
     n_lines = 0
     for line in lines:
-        line = line.strip()
+        line = line.strip(ASCII_SPACE)
         if not line or line.startswith("#") or line == SESSION_HEADER:
             continue
         n_lines += 1

@@ -117,6 +117,27 @@ class TestParseStream:
         with pytest.raises(acq.StreamError, match="int64"):
             acq.parse_stream(["0,1,2,3,4", f"{2**63},1,2,3,4"])
 
+    # frame streams are ASCII: a non-ASCII character, whitespace or not,
+    # makes its line malformed, wherever it stands
+    def test_non_ascii_padded_field_is_malformed(self):
+        lines = [frame_line(i * 10, (1, 2, 3, 4)) for i in range(10)]
+        lines[4] = "40,1,\xa02,3,4"
+        session = acq.parse_stream(lines)
+        assert session.t_ms.tolist() == [0, 10, 20, 30, 50, 60, 70, 80, 90]
+
+    def test_unicode_whitespace_at_line_ends_is_malformed(self):
+        lines = [frame_line(i * 10, (1, 2, 3, 4)) for i in range(10)]
+        lines[2] += "\u3000"
+        lines[7] = "\x85" + lines[7]
+        with pytest.raises(acq.StreamError) as err:
+            acq.parse_stream([*lines, "\u2028"])
+        assert (err.value.n_malformed, err.value.n_lines) == (3, 11)
+
+    def test_comment_after_unicode_space_is_a_data_line(self):
+        with pytest.raises(acq.StreamError) as err:
+            acq.parse_stream(["0,1,2,3,4", "# a comment", "\u3000#x"])
+        assert (err.value.n_malformed, err.value.n_lines) == (1, 2)
+
 
 def outcome(parse, lines):
     """What a parser makes of a stream: its arrays, or why it rejected it."""
@@ -132,7 +153,8 @@ def parse_to_arrays(lines):
     return session.t_ms, session.counts
 
 
-# Whitespace str.strip() removes: ASCII (including \x1c-\x1f) and not.
+# Whitespace str.strip() removes: ASCII (including \x1c-\x1f), which the
+# parser strips too, and non-ASCII, which makes a line malformed.
 PADS = ["", " ", "\t", "\r", "\v", "\f", "\x1c", "\x1f", "\xa0", "\u3000", "\u2028",
         "\x85", " \t\xa0"]
 ODD_FIELDS = ["", "  ", "\u0663", "+5", "1_0", "\x00", "7\x008", "-0", "1 2", "x", "\u00b2",
@@ -210,10 +232,6 @@ class TestCodecAgainstPerLineReference:
               suppress_health_check=[HealthCheck.too_slow])
     def test_dirty_streams(self, lines):
         assert outcome(parse_to_arrays, lines) == outcome(parse_stream_per_line, lines)
-
-    def test_wide_spaces_are_every_non_ascii_space(self):
-        assert set(acq._WIDE_SPACES) == {
-            c for c in map(chr, range(0x80, 0x110000)) if c.isspace()}
 
     @given(st.lists(st.tuples(*[st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 99),
                                           st.sampled_from([0, 9, 10, 10**18, 2**63 - 1]))

@@ -592,6 +592,37 @@ class TestModelFileCorruption:
             f"error [stage=classify] {model}: {what} overflow; a value in section {section} ")
         assert "Traceback" not in err and not report.exists()
 
+    def test_misspelt_float_in_chain_is_refused(self, tmp_path, capsys, saved_chains):
+        # floats are spelt as the program writes them: float() would read 0_05
+        _, feat, chains = saved_chains
+        lines = ["lr 0_05" if line.startswith("lr ") else line for line in chains["pca-mlp"]]
+        model = tmp_path / "chain.model"
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model), "--in", str(feat),
+                   "--report", str(tmp_path / "pred.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error [stage=predict] section mlp: line ")
+        assert "could not convert string to float: '0_05'" in err and "Traceback" not in err
+
+    def test_front_widths_that_disagree_name_both_sections(self, tmp_path, capsys,
+                                                          saved_chains):
+        # a standardizer of 11 features in front of a PCA of 12: each
+        # section is sound on its own
+        _, feat, chains = saved_chains
+        lines = list(chains["pca-svm"])
+        for i in range(2, lines.index("section pca")):
+            lines[i] = lines[i].rsplit(" ", 1)[0]
+        model = tmp_path / "chain.model"
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["classify", "--model", str(model), "--in", str(feat),
+                   "--report", str(tmp_path / "report.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error [stage=classify] ")
+        assert ("sizes disagree: section standardizer mean 11, "
+                "section pca input width 12") in err and "Traceback" not in err
+
 
 class TestInputCorruption:
     """Every corruption of a features CSV, a session CSV or a config file
@@ -678,6 +709,7 @@ class TestCliErrors:
         (slice(-1, None), [], "bad features row: '"),    # the last field dropped
         (N_FEATURES, "1e20", "label 1e20 is not a whole number in 0..3"),
         (N_FEATURES, "4", "label 4 is not a whole number in 0..3"),
+        (3, "1_0", "could not convert string to float: '1_0'"),
     ])
     def test_bad_features_rows_rejected(self, tmp_path, capsys, column, value, message):
         x, y, conc = separable_features(np.random.default_rng(1))
@@ -717,6 +749,11 @@ class TestCliErrors:
          "config key 'mlp_epochs': invalid literal for int() with base 10: "
          "'\u0661\u0665\u0660'"),
         ("window_m = +5", "config key 'window_m': invalid literal for int() with base 10: '+5'"),
+        # floats too: ASCII, without the "_" that float() takes
+        ("svm_c = 1_0", "config key 'svm_c': could not convert string to float: '1_0'"),
+        ("noise_sigma = \u0660.\u0660\u0661",
+         "config key 'noise_sigma': could not convert string to float: "
+         "'\u0660.\u0660\u0661'"),
     ])
     def test_bad_model_setting_stops_bench_before_generate(self, tmp_path, capsys,
                                                            line, message):
@@ -808,6 +845,27 @@ class TestCliErrors:
         assert rc == 2
         assert f"[stage=preprocess] {sidecar}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("label", "+2", "invalid literal for int() with base 10: '+2'"),
+        ("label", "1_0", "invalid literal for int() with base 10: '1_0'"),
+        ("label", "\u0662", "invalid literal for int() with base 10: '\u0662'"),
+        ("acetone_ppm", "1_0", "could not convert string to float: '1_0'"),
+    ])
+    def test_misspelt_meta_number_stops_preprocess(self, tmp_path, capsys,
+                                                   key, value, message):
+        # sidecar numbers are spelt as config and model files spell them
+        session_csv = tmp_path / "session.csv"
+        write_session(small_session(), session_csv)
+        sidecar = tmp_path / "session.meta"
+        lines = [f"{key} = {value}" if line.startswith(f"{key}=") else line
+                 for line in sidecar.read_text().splitlines()]
+        sidecar.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "processed.csv"
+        rc = main(["preprocess", "--in", str(session_csv), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and f"[stage=preprocess] {sidecar}: {message}" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_unknown_table(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 
@@ -117,11 +118,16 @@ class TestTraining:
             x, t = rng.normal(0, 1, (n, 3)), rng.uniform(0, 1, n)
             cfg = mlp.MlpConfig(hidden=4, lr=0.01, epochs=2, seed=0)
             calls = []
+            # a collection inside the fit would run finalizers of garbage
+            # that earlier tests left, and count their calls as the fit's
+            gc.collect()
+            gc.disable()
             sys.setprofile(lambda frame, event, arg: calls.append(event == "call"))
             try:
                 mlp.mlp_train(x, t, cfg)
             finally:
                 sys.setprofile(None)
+                gc.enable()
             return sum(calls)
 
         assert python_calls(10) == python_calls(200)
