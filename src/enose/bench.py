@@ -294,7 +294,7 @@ def stratified_split(y, n_train: int, n_test: int, seed: int):
     n = y.size
     if n != n_train + n_test:
         raise ValueError(f"split {n_train}+{n_test} does not cover {n} samples")
-    classes = np.unique(y)
+    classes = sorted(set(y.tolist()))
     counts = {c: int((y == c).sum()) for c in classes}
     quotas = {c: n_test * counts[c] / n for c in classes}
     test_counts = {c: int(quotas[c]) for c in classes}

@@ -31,6 +31,13 @@ def is_float_text(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
+def has_non_ascii_space(text: str) -> bool:
+    """Whether `text` holds whitespace outside ASCII (NBSP, an ideographic
+    space, a Unicode line break), which `str.strip` and `str.split` would
+    take for the ASCII whitespace the program writes."""
+    return not text.isascii() and any(c.isspace() and not c.isascii() for c in text)
+
+
 def parse_int(text: str) -> int:
     """`int(text)` if `is_integer_text(text)`, else int()'s refusal."""
     if not is_integer_text(text):

@@ -6,13 +6,27 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .checks import has_non_ascii_space
+
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Key -> value text; a line without `=`, an empty key or a key given
-    twice raises ValueError naming the line."""
+    """Key -> value text; a line without `=`, an empty key, a key given
+    twice or non-ASCII whitespace outside a `#` comment raises ValueError
+    naming the line.
+
+    Only ASCII whitespace surrounds a key or a value, as in frame streams;
+    `str.strip` would also drop NBSP or an ideographic space, so those are
+    refused, as is a non-ASCII line break.  Other non-ASCII characters
+    fail where the key or its value is read.
+    """
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    # each line with its end too, which may be a non-ASCII line break
+    lines = zip(text.splitlines(), text.splitlines(keepends=True))
+    for lineno, (raw, ended) in enumerate(lines, start=1):
+        line = ended.split("#", 1)[0]
+        if has_non_ascii_space(line):
+            raise ValueError(f"line {lineno}: non-ASCII whitespace in {line!r}")
+        line = line.strip()
         if not line:
             continue
         if "=" not in line:

@@ -7,6 +7,12 @@ window; `extract_features` makes k rows at once from k sessions' channels
 side by side.  PCA and KPCA each take their eigenpairs from one LAPACK
 `np.linalg.eigh` call, on the 12x12 covariance or on the n x n centred
 Gram matrix, in descending order.
+
+A KPCA fit builds one n x n matrix: the pairwise squared distances,
+from which the default gamma's median is taken, and which then becomes
+the RBF Gram matrix and the centred Gram matrix in place.  Each step
+rounds as the whole-array expression it replaces, so the bytes are those
+of `np.exp(-gamma * d)` on a fresh distance matrix and of `np.median`.
 """
 
 from __future__ import annotations
@@ -149,26 +155,55 @@ class KpcaModel:
 
 
 def pairwise_sq_dists(a, b) -> np.ndarray:
+    """max(|a_i|^2 + |b_j|^2 - 2 a_i.b_j, 0), in two (len(a), len(b)) buffers."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    d = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(d, 0.0)
+    d = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+    g = a @ b.T
+    g *= 2.0
+    d -= g
+    return np.maximum(d, 0.0, out=d)
 
 
-def default_gamma(x) -> float:
-    """1 / (d * median pairwise squared distance), guarding degenerate data."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    d = x.shape[1]
-    sq = pairwise_sq_dists(x, x)
-    iu = np.triu_indices(sq.shape[0], k=1)
-    med = float(np.median(sq[iu])) if iu[0].size else 0.0
+def median_gamma(sq, d: int) -> float:
+    """1 / (d * median of the pairwise squared distances above the diagonal
+    of `sq`), or 1 / d when that median is not positive (fewer than two
+    points, or all of them equal).
+
+    The median is `np.median`'s, bit for bit: the middle value, or for an
+    even count the mean (lo + hi) / 2 of the two middle ones, and nan when
+    any value is nan.  One partition of the gathered values finds them.
+    """
+    n = sq.shape[0]
+    vals = sq[~np.tri(n, dtype=bool)]
+    m = vals.size
+    if m == 0:
+        return 1.0 / d
+    mid = [m // 2 - 1, m // 2] if m % 2 == 0 else [m // 2]
+    vals.partition(mid + [-1])   # nan sorts last
+    if np.isnan(vals[-1]):
+        med = math.nan
+    else:
+        med = float(vals[mid].sum()) / len(mid)
     if med <= 0.0:
         return 1.0 / d
     return 1.0 / (d * med)
 
 
+def default_gamma(x) -> float:
+    """1 / (d * median pairwise squared distance), guarding degenerate data."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return median_gamma(pairwise_sq_dists(x, x), x.shape[1])
+
+
+def rbf_from_sq_dists(sq: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma * sq), computed in place in `sq`, which it returns."""
+    sq *= -gamma
+    return np.exp(sq, out=sq)
+
+
 def rbf_kernel(a, b, gamma: float) -> np.ndarray:
-    return np.exp(-gamma * pairwise_sq_dists(a, b))
+    return rbf_from_sq_dists(pairwise_sq_dists(a, b), gamma)
 
 
 def kpca_fit(x, gamma: float | None = None,
@@ -183,18 +218,23 @@ def kpca_fit(x, gamma: float | None = None,
     n = x.shape[0]
     if n < 2:
         raise ValueError("KPCA needs at least 2 samples")
+    sq = pairwise_sq_dists(x, x)
     if gamma is None:
-        gamma = default_gamma(x)
+        gamma = median_gamma(sq, x.shape[1])
 
-    # Kc = K - r[:, None] - r[None, :] + m, in place: no second n x n array
-    kc = rbf_kernel(x, x, gamma)
+    # K, then Kc = K - r[:, None] - r[None, :] + m, in the distance matrix's
+    # buffer: no second n x n array
+    kc = rbf_from_sq_dists(sq, gamma)
     row_means = kc.mean(axis=1)
     total_mean = float(kc.mean())
     kc -= row_means[:, None]
     kc -= row_means[None, :]
     kc += total_mean
 
-    w, v = _eigh_descending(kc)
+    # sorted as `_eigh_descending` sorts, gathering only the retained columns
+    w, v = np.linalg.eigh(kc)
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
     floor = EIGENVALUE_FLOOR * max(float(w[0]), 0.0)
     w = w[w > floor]
     if w.size == 0:
@@ -205,7 +245,7 @@ def kpca_fit(x, gamma: float | None = None,
     retained = min(retained, w.size)
 
     w = w[:retained]
-    alphas = orient_columns(v[:, :retained]) / np.sqrt(w)[None, :]
+    alphas = orient_columns(v[:, order[:retained]]) / np.sqrt(w)[None, :]
     return KpcaModel(x_train=x.copy(), gamma=float(gamma), alphas=alphas,
                      eigenvalues=w, train_row_means=row_means,
                      train_total_mean=total_mean, retained_k=retained)
@@ -214,11 +254,11 @@ def kpca_fit(x, gamma: float | None = None,
 def kpca_transform(model: KpcaModel, x) -> np.ndarray:
     """Project new points on the model's `retained_k` leading components,
     with the centred out-of-sample kernel rows."""
-    kt = rbf_kernel(x, model.x_train, model.gamma)
-    ktc = (kt
-           - kt.mean(axis=1)[:, None]
-           - model.train_row_means[None, :]
-           + model.train_total_mean)
+    # Kt - mean(Kt rows)[:, None] - r[None, :] + m, in the kernel's buffer
+    ktc = rbf_kernel(x, model.x_train, model.gamma)
+    ktc -= ktc.mean(axis=1)[:, None]
+    ktc -= model.train_row_means[None, :]
+    ktc += model.train_total_mean
     return ktc @ model.alphas[:, :model.retained_k]
 
 
@@ -230,10 +270,9 @@ def write_features_csv(path, x, y, conc) -> None:
         raise ValueError(f"feature matrix must have {N_FEATURES} columns")
     conc = np.atleast_2d(np.asarray(conc, dtype=float))
     lines = [FEATURES_HEADER]
-    for i in range(x.shape[0]):
-        feats = ",".join(repr(float(v)) for v in x[i])
-        c = [repr(float(v)) for v in conc[i]]
-        lines.append(f"{feats},{int(y[i])},{c[0]},{c[1]},{c[2]}")
+    # Python floats from tolist(): repr of each is that of float(numpy value)
+    for feats, label, c in zip(x.tolist(), y, conc.tolist(), strict=True):
+        lines.append(f"{','.join(map(repr, feats))},{int(label)},{c[0]!r},{c[1]!r},{c[2]!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -14,7 +14,9 @@ Floats are written with repr() so a save/load round trip reproduces the
 chain bit for bit; a nan or inf is an error.  One table of fields per
 flat section type drives its writing and reading; `svm` and `mlp` nest
 them in code of their own.  A read error names its section, and its line
-where it is about one.
+where it is about one.  Fields are separated by ASCII spaces only:
+whitespace outside ASCII, which `str.split` would also split on, is an
+error naming its line.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import FittedFront
-from .checks import check_sizes, is_integer_text, parse_float
+from .checks import check_sizes, has_non_ascii_space, is_integer_text, parse_float
 from .features import KpcaModel, PcaModel
 from .mlp import MlpConfig, MlpModel
 from .preprocess import Standardizer
@@ -245,7 +247,13 @@ def save_model(front: FittedFront, model: SvmModel | MlpModel, path) -> None:
 
 def load_model(path) -> tuple[FittedFront, SvmModel | MlpModel]:
     """Read a model file back into (front, model)."""
-    lines = Path(path).read_text().splitlines()
+    text = Path(path).read_text()
+    if not text.isascii():
+        # each line with its end, which may be a non-ASCII line break
+        for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
+            if has_non_ascii_space(line):
+                raise ValueError(f"line {lineno}: non-ASCII whitespace in {line!r}")
+    lines = text.splitlines()
     reader = _Reader(lines)
     header = reader.next().split()
     if header[:1] == ["enose-model"] and header[1:2] not in ([], [FORMAT_VERSION]):

@@ -10,6 +10,12 @@ predict by majority vote.
 The solver stops once the violation gap is comfortably inside SMO_TOL,
 so the trained model satisfies the per-point KKT conditions at that
 tolerance after the final bias is recomputed.
+
+An RBF machine builds one n x n matrix: the pairwise squared distances
+give the default gamma, then become the Gram matrix in place.  SMO keeps
+its eligibility masks and updates only the two points a step moved; a
+step's scalars are Python floats, and its array work is the pair search
+and the decision-value update.  Both round as before, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .checks import check_positive
-from .features import default_gamma, rbf_kernel
+from .features import median_gamma, pairwise_sq_dists, rbf_from_sq_dists, rbf_kernel
 
 SMO_TOL = 1e-3          # KKT tolerance of a trained machine
 MAX_STEPS = 200_000     # cap on two-variable updates per machine
@@ -108,14 +114,30 @@ class _Smo:
         # decision values f(x_i); kept incrementally up to date
         self.f = np.full(self.n, 0.0)
         self.n_steps = 0
+        # a step reads a few scalars, as Python floats
+        self._y = y.tolist()
+        self._k_diag = k.diagonal().tolist()
+        # points that may still move up/down without leaving the box; a
+        # step changes two alphas, so it updates those two (`_eligible`)
+        self.up = y > 0       # every alpha starts at 0
+        self.low = y < 0
+        self._buffers = (np.empty(self.n), np.empty(self.n))
+
+    def _eligible(self, i: int) -> tuple[bool, bool]:
+        """Whether point i may still move up, and down, inside the box."""
+        a, y = self.alpha.item(i), self._y[i]
+        near_lo = a <= 1e-12 * self.c
+        near_hi = a >= (1.0 - 1e-12) * self.c
+        return ((y > 0 and not near_hi) or (y < 0 and not near_lo),
+                (y > 0 and not near_lo) or (y < 0 and not near_hi))
 
     def _take_step(self, i1: int, i2: int) -> bool:
         if i1 == i2:
             return False
-        a1, a2 = self.alpha[i1], self.alpha[i2]
-        y1, y2 = self.y[i1], self.y[i2]
-        e1 = self.f[i1] - y1
-        e2 = self.f[i2] - y2
+        a1, a2 = self.alpha.item(i1), self.alpha.item(i2)
+        y1, y2 = self._y[i1], self._y[i2]
+        e1 = self.f.item(i1) - y1
+        e2 = self.f.item(i2) - y2
         s = y1 * y2
         if s > 0:
             lo, hi = max(0.0, a1 + a2 - self.c), min(self.c, a1 + a2)
@@ -124,9 +146,9 @@ class _Smo:
         if hi - lo < 1e-12:
             return False
 
-        k11 = self.k[i1, i1]
-        k22 = self.k[i2, i2]
-        k12 = self.k[i1, i2]
+        k11 = self._k_diag[i1]
+        k22 = self._k_diag[i2]
+        k12 = self.k.item(i1, i2)
         eta = k11 + k22 - 2.0 * k12
         if eta > 0:
             a2_new = a2 + y2 * (e1 - e2) / eta
@@ -162,20 +184,19 @@ class _Smo:
         else:
             bias_new = 0.5 * (b1 + b2)
 
-        self.f += (y1 * d1 * self.k[i1] + y2 * d2 * self.k[i2]
-                   + (bias_new - self.bias))
+        # f += y1 d1 K[i1] + y2 d2 K[i2] + (bias_new - bias), in that order
+        step, other = self._buffers
+        np.multiply(y1 * d1, self.k[i1], out=step)
+        np.multiply(y2 * d2, self.k[i2], out=other)
+        step += other
+        step += bias_new - self.bias
+        self.f += step
         self.alpha[i1] = a1_new
         self.alpha[i2] = a2_new
         self.bias = bias_new
+        for i in (i1, i2):
+            self.up[i], self.low[i] = self._eligible(i)
         return True
-
-    def _eligible(self):
-        """Index sets that may still move up/down without leaving the box."""
-        near_lo = self.alpha <= 1e-12 * self.c
-        near_hi = self.alpha >= (1.0 - 1e-12) * self.c
-        up = ((self.y > 0) & ~near_hi) | ((self.y < 0) & ~near_lo)
-        low = ((self.y > 0) & ~near_lo) | ((self.y < 0) & ~near_hi)
-        return up, low
 
     def solve(self) -> int:
         """Maximal-violating-pair SMO.
@@ -183,27 +204,29 @@ class _Smo:
         Optimality is the bias-free gap criterion: with E_i = f_i - y_i,
         the dual is SMO_TOL-optimal once max(E over the 'low' set) minus
         min(E over the 'up' set) drops below the stop gap.  The selected
-        pair is the one maximizing |E_i - E_j| over eligible pairs.
+        pair is the one maximizing |E_i - E_j| over eligible pairs; of
+        equal E values the first index wins.
         """
         stop_gap = 0.8 * SMO_TOL
+        e = np.empty(self.n)
         while self.n_steps < MAX_STEPS:
-            e = self.f - self.y
-            up, low = self._eligible()
-            if not up.any() or not low.any():
+            np.subtract(self.f, self.y, out=e)
+            i_up = int(np.where(self.up, e, np.inf).argmin())
+            i_low = int(np.where(self.low, e, -np.inf).argmax())
+            if not (self.up[i_up] and self.low[i_low]):
+                # E is finite, so only an empty set gives a point outside it
                 return self.n_steps
-            up_idx = np.flatnonzero(up)
-            low_idx = np.flatnonzero(low)
-            i_up = int(up_idx[np.argmin(e[up_idx])])
-            i_low = int(low_idx[np.argmax(e[low_idx])])
-            if e[i_low] - e[i_up] <= stop_gap:
+            if e.item(i_low) - e.item(i_up) <= stop_gap:
                 return self.n_steps
             if not self._take_step(i_low, i_up):
                 # degenerate geometry on the extreme pair: walk the next
                 # most violating partners in deterministic order
+                low_idx = np.flatnonzero(self.low)
                 order = low_idx[np.argsort(-e[low_idx], kind="stable")]
-                if not any(self._take_step(int(j), i_up) for j in order):
+                if not any(self._take_step(j, i_up) for j in order.tolist()):
+                    up_idx = np.flatnonzero(self.up)
                     order = up_idx[np.argsort(e[up_idx], kind="stable")]
-                    if not any(self._take_step(i_low, int(j)) for j in order):
+                    if not any(self._take_step(i_low, j) for j in order.tolist()):
                         raise ConvergenceError(
                             "SMO stalled on a violating pair", self.n_steps)
             self.n_steps += 1
@@ -217,13 +240,18 @@ def svm_train_binary(x, y, params: SvmParams) -> BinarySvm:
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("training matrix contains non-finite values")
-    if set(np.unique(y)) != {-1.0, 1.0}:
+    if set(y.tolist()) != {-1.0, 1.0}:
         raise ValueError("binary training needs both labels -1 and +1")
 
     gamma = params.gamma
-    if params.kernel == "rbf" and gamma is None:
-        gamma = default_gamma(x)
-    k = kernel_matrix(x, x, params.kernel, gamma)
+    if params.kernel == "rbf":
+        # one distance matrix gives gamma, then becomes the Gram matrix
+        sq = pairwise_sq_dists(x, x)
+        if gamma is None:
+            gamma = median_gamma(sq, x.shape[1])
+        k = rbf_from_sq_dists(sq, gamma)
+    else:
+        k = kernel_matrix(x, x, params.kernel, gamma)
 
     smo = _Smo(k, y, params.c_penalty)
     n_iter = smo.solve()
@@ -278,7 +306,7 @@ class SvmModel:
 def svm_train_multiclass(x, y, params: SvmParams) -> SvmModel:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=np.int64)
-    classes = tuple(int(c) for c in np.unique(y))
+    classes = tuple(sorted(set(y.tolist())))
     if len(classes) < 2:
         raise ValueError("multiclass training needs at least 2 classes")
     machines = []

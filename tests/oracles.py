@@ -11,8 +11,9 @@ per session, channel by channel, instead of the shared per-row trace and
 the (n, 4) readout, one baseline fit and one feature reduction per
 channel instead of the front end's per-chunk basis and stacked
 reductions, whole-table lists of sessions instead of the streamed front
-end, and one Python pass per gap run, vote row or eigenvector column
-instead of array expressions over all of them.
+end, one Python pass per gap run, vote row or eigenvector column
+instead of array expressions over all of them, and SMO's eligibility
+masks and index arrays rebuilt in numpy on every step instead of kept.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from enose.preprocess import default_anchors, fit_standardizer, process_session
 from enose.sensors import (ADC_MAX, BASELINE_S, EXPOSURE_S, clean_traces, divider_voltage,
                            dominant_gas_label, quantize, session_seed, simulate_session,
                            standard_protocol, steady_sensitivity)
-from enose.svm import BinarySvm, SvmModel, kernel_matrix
+from enose.svm import (MAX_STEPS, SMO_TOL, BinarySvm, ConvergenceError, SvmModel,
+                       kernel_matrix)
 
 
 def charpoly_eigvalsh(a) -> np.ndarray:
@@ -288,6 +290,125 @@ def projected_gradient_dual(k, y, c, iters: int = 30000):
             prev_obj = obj
     obj = float(alpha.sum() - 0.5 * alpha @ q @ alpha)
     return alpha, obj
+
+
+class SmoPerStepMasks:
+    """The maximal-violating-pair SMO as `svm._Smo` was before it kept its
+    state: eligibility masks and index arrays rebuilt in numpy on every
+    step, and the step's arithmetic on numpy scalars.  `svm._Smo` must
+    match it bit for bit."""
+
+    def __init__(self, k: np.ndarray, y: np.ndarray, c: float):
+        self.k = k
+        self.y = y
+        self.c = c
+        self.n = y.size
+        self.alpha = np.zeros(self.n)
+        self.bias = 0.0
+        # decision values f(x_i); kept incrementally up to date
+        self.f = np.full(self.n, 0.0)
+        self.n_steps = 0
+
+    def _take_step(self, i1: int, i2: int) -> bool:
+        if i1 == i2:
+            return False
+        a1, a2 = self.alpha[i1], self.alpha[i2]
+        y1, y2 = self.y[i1], self.y[i2]
+        e1 = self.f[i1] - y1
+        e2 = self.f[i2] - y2
+        s = y1 * y2
+        if s > 0:
+            lo, hi = max(0.0, a1 + a2 - self.c), min(self.c, a1 + a2)
+        else:
+            lo, hi = max(0.0, a2 - a1), min(self.c, self.c + a2 - a1)
+        if hi - lo < 1e-12:
+            return False
+
+        k11 = self.k[i1, i1]
+        k22 = self.k[i2, i2]
+        k12 = self.k[i1, i2]
+        eta = k11 + k22 - 2.0 * k12
+        if eta > 0:
+            a2_new = a2 + y2 * (e1 - e2) / eta
+            a2_new = min(hi, max(lo, a2_new))
+        else:
+            # flat or concave direction: test the box ends
+            f1 = y1 * (e1 + self.bias) - a1 * k11 - s * a2 * k12
+            f2 = y2 * (e2 + self.bias) - s * a1 * k12 - a2 * k22
+            l1 = a1 + s * (a2 - lo)
+            h1 = a1 + s * (a2 - hi)
+            obj_lo = (l1 * f1 + lo * f2 + 0.5 * l1 * l1 * k11
+                      + 0.5 * lo * lo * k22 + s * lo * l1 * k12)
+            obj_hi = (h1 * f1 + hi * f2 + 0.5 * h1 * h1 * k11
+                      + 0.5 * hi * hi * k22 + s * hi * h1 * k12)
+            if obj_lo < obj_hi - 1e-12:
+                a2_new = lo
+            elif obj_lo > obj_hi + 1e-12:
+                a2_new = hi
+            else:
+                return False
+        if abs(a2_new - a2) < 1e-12 * (a2_new + a2 + 1e-12):
+            return False
+        a1_new = a1 + s * (a2 - a2_new)
+
+        d1 = a1_new - a1
+        d2 = a2_new - a2
+        b1 = self.bias - e1 - y1 * d1 * k11 - y2 * d2 * k12
+        b2 = self.bias - e2 - y1 * d1 * k12 - y2 * d2 * k22
+        if 0.0 < a1_new < self.c:
+            bias_new = b1
+        elif 0.0 < a2_new < self.c:
+            bias_new = b2
+        else:
+            bias_new = 0.5 * (b1 + b2)
+
+        self.f += (y1 * d1 * self.k[i1] + y2 * d2 * self.k[i2]
+                   + (bias_new - self.bias))
+        self.alpha[i1] = a1_new
+        self.alpha[i2] = a2_new
+        self.bias = bias_new
+        return True
+
+    def _eligible(self):
+        """Index sets that may still move up/down without leaving the box."""
+        near_lo = self.alpha <= 1e-12 * self.c
+        near_hi = self.alpha >= (1.0 - 1e-12) * self.c
+        up = ((self.y > 0) & ~near_hi) | ((self.y < 0) & ~near_lo)
+        low = ((self.y > 0) & ~near_lo) | ((self.y < 0) & ~near_hi)
+        return up, low
+
+    def solve(self) -> int:
+        """Maximal-violating-pair SMO.
+
+        Optimality is the bias-free gap criterion: with E_i = f_i - y_i,
+        the dual is SMO_TOL-optimal once max(E over the 'low' set) minus
+        min(E over the 'up' set) drops below the stop gap.  The selected
+        pair is the one maximizing |E_i - E_j| over eligible pairs.
+        """
+        stop_gap = 0.8 * SMO_TOL
+        while self.n_steps < MAX_STEPS:
+            e = self.f - self.y
+            up, low = self._eligible()
+            if not up.any() or not low.any():
+                return self.n_steps
+            up_idx = np.flatnonzero(up)
+            low_idx = np.flatnonzero(low)
+            i_up = int(up_idx[np.argmin(e[up_idx])])
+            i_low = int(low_idx[np.argmax(e[low_idx])])
+            if e[i_low] - e[i_up] <= stop_gap:
+                return self.n_steps
+            if not self._take_step(i_low, i_up):
+                # degenerate geometry on the extreme pair: walk the next
+                # most violating partners in deterministic order
+                order = low_idx[np.argsort(-e[low_idx], kind="stable")]
+                if not any(self._take_step(int(j), i_up) for j in order):
+                    order = up_idx[np.argsort(e[up_idx], kind="stable")]
+                    if not any(self._take_step(i_low, int(j)) for j in order):
+                        raise ConvergenceError(
+                            "SMO stalled on a violating pair", self.n_steps)
+            self.n_steps += 1
+        raise ConvergenceError("SMO did not satisfy the KKT conditions",
+                               self.n_steps)
 
 
 def svm_decision_table(model: SvmModel, x) -> tuple[np.ndarray, np.ndarray]:

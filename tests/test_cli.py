@@ -74,6 +74,22 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="line 3: key 'svm_c' given twice"):
             cfg.parse_config_text("svm_c = 1\n# tuned\nsvm_c = 2\n")
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("svm_c = \u300012\xa0", 1),
+        ("svm_c\xa0= 12", 1),
+        ("svm_c = 1\n\u3000\n", 2),
+        # a non-ASCII line break ends its line, so it too is refused
+        ("# tuned\nsvm_c = 12\u2028\n", 2),
+    ])
+    def test_non_ascii_whitespace_rejected(self, text, lineno):
+        # str.strip would drop it, and the setting would read as ASCII
+        with pytest.raises(ValueError, match=f"line {lineno}: non-ASCII whitespace"):
+            cfg.parse_config_text(text)
+
+    def test_comment_may_hold_any_character(self):
+        text = "svm_c = 12  # \u00e9t\u00e9\xa0\u3000\n# \u2028\nwindow_m = 7\n"
+        assert cfg.parse_config_text(text) == {"svm_c": "12", "window_m": "7"}
+
     def test_svm_gamma_auto_or_number(self):
         tuned = PipelineConfig(svm_gamma=0.5)
         assert tuned.updated({"svm_gamma": "auto"}).svm_gamma is None
@@ -867,6 +883,68 @@ class TestCliErrors:
         assert rc == 2 and f"[stage=preprocess] {sidecar}: {message}" in err
         assert "Traceback" not in err and not out.exists()
 
+    def test_non_ascii_whitespace_in_config_stops_bench(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("# tuned\nsvm_c = \u300012\xa0\n")
+        out = tmp_path / "results"
+        rc = main(["bench", "--table", "ternary", "--out", str(out),
+                   "--config", str(conf)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "[stage=bench] line 2: non-ASCII whitespace in " in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_non_ascii_whitespace_in_meta_stops_preprocess(self, tmp_path, capsys):
+        session_csv = tmp_path / "session.csv"
+        write_session(small_session(), session_csv)
+        sidecar = tmp_path / "session.meta"
+        lines = sidecar.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("label="))
+        lines[lineno - 1] += "\xa0"
+        sidecar.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "processed.csv"
+        rc = main(["preprocess", "--in", str(session_csv), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"[stage=preprocess] {sidecar}: line {lineno}: non-ASCII whitespace" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_non_ascii_whitespace_in_model_file_stops_classify(self, tmp_path, capsys):
+        x, y, conc = separable_features(np.random.default_rng(1))
+        feat = tmp_path / "features.csv"
+        write_features_csv(feat, x, y, conc)
+        model = tmp_path / "out.svm"
+        assert main(["train-svm", "--in", str(feat), "--model", str(model)]) == 0
+        # an ideographic space between two numbers, which str.split takes
+        lines = model.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("mean "))
+        lines[lineno - 1] = lines[lineno - 1].replace(" ", "\u3000", 2).replace("\u3000", " ", 1)
+        model.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "report.csv"
+        rc = main(["classify", "--model", str(model), "--in", str(feat),
+                   "--report", str(report)])
+        err = capsys.readouterr().err
+        assert rc == 2 and f"[stage=classify] line {lineno}: non-ASCII whitespace in" in err
+        assert "Traceback" not in err and not report.exists()
+
     def test_unknown_table(self, capsys):
         with pytest.raises(SystemExit):
             main(["bench", "--table", "quaternary", "--out", "x"])
+
+
+def test_bench_routes_import_no_numpy_ma(tmp_path):
+    # numpy imports numpy.ma lazily, from np.unique and np.median (~10 ms and
+    # ~1 MB in a fresh process); no bench route needs either
+    code = ("import sys\n"
+            "from enose.cli import main\n"
+            "for i, route in enumerate(sys.argv[2:]):\n"
+            "    assert main(['bench', *route.split(), '--out', f'{sys.argv[1]}/{i}']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path),
+                          "--table ternary", "--table ternary --features kpca",
+                          "--table binary-ethanol --regression"],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"

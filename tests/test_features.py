@@ -323,6 +323,89 @@ class TestKpca:
         assert ft.default_gamma(x) == pytest.approx(0.5)
 
 
+def one_line_sq_dists(a, b):
+    """The distance matrix as one expression, before it was built in two buffers."""
+    d = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(d, 0.0)
+
+
+class TestKernelBuffers:
+    """The in-place distance, gamma and Gram computations against the
+    whole-array expressions they replace, bit for bit."""
+
+    SHAPES = [(1, 1, 1), (2, 3, 1), (5, 5, 12), (7, 4, 3), (40, 40, 12), (3, 9, 2)]
+
+    @pytest.mark.parametrize("n_a, n_b, d", SHAPES)
+    def test_sq_dists_match_the_one_line_expression(self, n_a, n_b, d):
+        rng = np.random.default_rng(n_a * 100 + n_b * 10 + d)
+        # an offset far from 0 makes the expression cancel, often below 0
+        a = rng.normal(50.0, 1.0, (n_a, d))
+        b = np.vstack([a, rng.normal(50.0, 1.0, (n_b, d))])[:n_b]
+        got = ft.pairwise_sq_dists(a, b)
+        assert got.tobytes() == one_line_sq_dists(a, b).tobytes()
+        gamma = 0.37
+        assert (ft.rbf_kernel(a, b, gamma).tobytes()
+                == np.exp(-gamma * one_line_sq_dists(a, b)).tobytes())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 48, 51])
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_gamma_is_np_median_of_the_upper_triangle(self, n, grid):
+        # n points give n(n-1)/2 pairs: odd for n = 2, 3, 7, 51, even for
+        # 4, 5, 48, none for 1; grid points repeat distances and points
+        rng = np.random.default_rng(n)
+        x = (rng.integers(0, 3, (n, 3)).astype(float) if grid
+             else rng.normal(0.0, 1.0, (n, 3)))
+        sq = one_line_sq_dists(x, x)
+        if n == 1:
+            expected = 1.0 / 3
+        else:
+            med = float(np.median(sq[np.triu_indices(n, k=1)]))
+            expected = 1.0 / (3 * med) if med > 0.0 else 1.0 / 3
+        assert ft.default_gamma(x) == expected
+        assert ft.median_gamma(ft.pairwise_sq_dists(x, x), 3) == expected
+
+    def test_gamma_of_a_nan_distance_is_nan(self):
+        x = np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0], [1.0, 1.0]])
+        assert math.isnan(ft.default_gamma(x))
+
+    def test_one_distance_matrix_per_kpca_fit(self, monkeypatch):
+        calls = []
+        sq_dists = ft.pairwise_sq_dists
+
+        def counting(a, b):
+            calls.append((len(a), len(b)))
+            return sq_dists(a, b)
+
+        monkeypatch.setattr(ft, "pairwise_sq_dists", counting)
+        x = np.random.default_rng(8).normal(0, 1, (12, 3))
+        for gamma in (None, 0.4):
+            calls.clear()
+            ft.kpca_fit(x, gamma=gamma)
+            assert calls == [(12, 12)]
+
+    @pytest.mark.parametrize("n", [3, 30, 90])
+    def test_kpca_fit_matches_the_whole_array_route(self, n):
+        x = np.random.default_rng(n).normal(0, 1, (n, 4))
+        model = ft.kpca_fit(x)
+        gamma = 1.0 / (4 * float(np.median(one_line_sq_dists(x, x)[np.triu_indices(n, 1)])))
+        k = np.exp(-gamma * one_line_sq_dists(x, x))
+        row_means = k.mean(axis=1)
+        kc = k - row_means[:, None] - row_means[None, :] + float(k.mean())
+        w, v = ft._eigh_descending(kc)
+        r = model.retained_k
+        assert model.gamma == gamma
+        assert model.train_row_means.tobytes() == row_means.tobytes()
+        assert model.eigenvalues.tobytes() == w[:r].tobytes()
+        alphas = np.asfortranarray(ft.orient_columns(v[:, :r]) / np.sqrt(w[:r])[None, :])
+        assert model.alphas.tobytes() == alphas.tobytes()
+        for pts in (x, x[: n // 3] + 0.1):
+            # against the model's copy of x: `x @ x.T` of one array is a
+            # symmetric product, which BLAS rounds differently
+            kt = np.exp(-gamma * one_line_sq_dists(pts, model.x_train))
+            ktc = kt - kt.mean(axis=1)[:, None] - row_means[None, :] + float(k.mean())
+            assert ft.kpca_transform(model, pts).tobytes() == (ktc @ alphas).tobytes()
+
+
 class TestFeatureCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enose import features as ft
 from enose import svm
 from enose.svm import (BinarySvm, ConvergenceError, SvmModel, SvmParams,
                        svm_train_binary, svm_train_multiclass, svm_predict)
-from oracles import (full_duals, kkt_max_violation, projected_gradient_dual,
-                     svm_predict_per_row)
+from oracles import (SmoPerStepMasks, full_duals, kkt_max_violation,
+                     projected_gradient_dual, svm_predict_per_row)
 
 
 def separable_dataset(seed, n_per=4, gap=3.0, d=2):
@@ -147,6 +148,107 @@ class TestInvariances:
         y2 = np.concatenate([y, y])
         b = svm_train_binary(x2, y2, SvmParams(c_penalty=5.0, kernel="rbf", gamma=0.5))
         assert np.array_equal(np.sign(a.decision(probe)), np.sign(b.decision(probe)))
+
+
+class _RecordingSmo(svm._Smo):
+    """`svm._Smo` that records (step, i1, i2, eta, moved) for each pair it tries."""
+
+    def __init__(self, k, y, c):
+        super().__init__(k, y, c)
+        self.tried = []
+
+    def _take_step(self, i1, i2):
+        moved = super()._take_step(i1, i2)
+        eta = self.k[i1, i1] + self.k[i2, i2] - 2.0 * self.k[i1, i2]
+        self.tried.append((self.n_steps, i1, i2, eta, moved))
+        return moved
+
+
+class TestSmoAgainstPerStepOracle:
+    """`_Smo` keeps its eligibility masks and does its step scalars in
+    Python floats; the oracle rebuilds both in numpy on every step.  The
+    two must agree bit for bit: alpha, bias, f, step count and outcome."""
+
+    @staticmethod
+    def solve_both(k, y, c):
+        solvers = (_RecordingSmo(k, y, c), SmoPerStepMasks(k, y, c))
+        errors = []
+        for smo in solvers:
+            try:
+                smo.solve()
+                errors.append(None)
+            except ConvergenceError as exc:
+                errors.append(str(exc))
+        got, ref = solvers
+        assert got.alpha.tobytes() == ref.alpha.tobytes()
+        assert got.f.tobytes() == ref.f.tobytes()
+        assert got.bias == ref.bias and got.n_steps == ref.n_steps
+        assert errors[0] == errors[1]
+        return got, errors[0]
+
+    @pytest.mark.parametrize("c", [1.0, 10.0])
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_problems(self, seed, kernel, c):
+        rng = np.random.default_rng(seed)
+        n = 60
+        x = rng.normal(0, 1, (n, 3))
+        y = np.where(x[:, 0] - x[:, 2] + rng.normal(0, 0.7, n) > 0, 1.0, -1.0)
+        k = (ft.rbf_kernel(x, x, ft.default_gamma(x)) if kernel == "rbf" else x @ x.T)
+        smo, error = self.solve_both(k, y, c)
+        assert error is None and smo.n_steps > 20
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_duplicate_points(self, kernel):
+        # points on a 3 x 3 grid, so many pairs are one point twice (eta = 0)
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 3, (20, 2)).astype(float)
+        y = np.where(rng.random(20) < 0.5, -1.0, 1.0)
+        k = ft.rbf_kernel(x, x, 0.5) if kernel == "rbf" else x @ x.T
+        smo, error = self.solve_both(k, y, 10.0)
+        assert error is None
+        assert any(eta <= 0 and moved for _, _, _, eta, moved in smo.tried)
+
+    @pytest.mark.parametrize("c, error", [
+        (1.0, None),
+        (10.0, "SMO stalled on a violating pair (after 106 iterations)"),
+    ])
+    def test_stall_fallback(self, c, error):
+        # the 1e26 diagonal entry makes every step with point 1 too small
+        # to take, so the extreme pair fails and the fallback walks on
+        x = np.array([[1.0, 0.0], [0.0, 1e13], [0.0, -1.0], [2.0, 1.0], [-1.0, 0.5]])
+        y = np.array([1.0, -1.0, -1.0, 1.0, -1.0])
+        smo, got_error = self.solve_both(x @ x.T, y, c)
+        assert got_error == error
+        first = [(i1, i2, moved) for step, i1, i2, _, moved in smo.tried if step == 0]
+        assert first == [(1, 0, False), (1, 0, False), (2, 0, True)]
+
+
+class TestOneDistanceMatrix:
+    def test_one_pass_per_machine(self, monkeypatch):
+        calls = []
+        sq_dists = ft.pairwise_sq_dists
+
+        def counting(a, b):
+            calls.append((len(a), len(b)))
+            return sq_dists(a, b)
+
+        # svm imports the name; features' own callers read it from features
+        monkeypatch.setattr(ft, "pairwise_sq_dists", counting)
+        monkeypatch.setattr(svm, "pairwise_sq_dists", counting)
+        x, y = separable_dataset(2, n_per=6)
+        for gamma in (None, 0.5):
+            calls.clear()
+            svm_train_binary(x, y, SvmParams(c_penalty=10.0, kernel="rbf", gamma=gamma))
+            assert calls == [(12, 12)]
+        calls.clear()
+        svm_train_binary(x, y, SvmParams(c_penalty=10.0, kernel="linear", gamma=None))
+        assert calls == []
+
+    def test_default_gamma_from_the_same_matrix(self):
+        x, y = separable_dataset(4, n_per=6)
+        model = svm_train_binary(x, y, SvmParams(c_penalty=10.0, kernel="rbf", gamma=None))
+        assert model.gamma == ft.default_gamma(x)
 
 
 def three_clusters(seed=0, n_per=15):
