@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import check_positive, parse_float, parse_int
+from .checks import ASCII_SPACE, check_positive, parse_float, parse_int
 from .config import parse_config_text
 from .sensors import (ADC_MAX, GASES, LABELS, SAMPLE_RATE_HZ, VOLTS_PER_COUNT,
                       GasMixture)
@@ -111,7 +111,6 @@ def impute_missing(values) -> np.ndarray:
 
 
 _LINE_END = 0x80    # marks the end of a line; no character maps to it
-_ASCII_SPACE = "\t\n\v\f\r\x1c\x1d\x1e\x1f "   # the whitespace of a stream
 
 # 10**p for p = 0..19.  A field's value is summed over its lowest 19
 # places, which is exact in uint64; a non-zero digit above them makes it
@@ -140,7 +139,7 @@ def _scan_frames(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
     data = np.frombuffer(text, dtype=np.uint8).copy()
     data[np.concatenate(([0], np.cumsum(lengths + 1)))] = _LINE_END
 
-    space = ((data - 9) < 5) | ((data - 28) < 5)    # _ASCII_SPACE: \t-\r, \x1c-" "
+    space = ((data - 9) < 5) | ((data - 28) < 5)    # ASCII_SPACE: \t-\r, \x1c-" "
     squeezed = space.any()
     if squeezed:
         kept = np.flatnonzero(~space)
@@ -190,7 +189,7 @@ def parse_stream(lines, label: int = 0, mixture: GasMixture | None = None,
     Malformed lines are counted; if they exceed 10% of the data lines, or
     timestamps are not strictly increasing, the whole stream is rejected.
     """
-    kept = [s for line in lines if (s := line.strip(_ASCII_SPACE))
+    kept = [s for line in lines if (s := line.strip(ASCII_SPACE))
             and s[0] != "#" and s != SESSION_HEADER]
     n_lines = len(kept)
     if n_lines == 0:

@@ -1,7 +1,9 @@
 """Range, size and spelling checks shared by the settings and fitted-model
-types and the files they are read from."""
+types, and the line reader of the text files they are read from."""
 
 import math
+
+ASCII_SPACE = "\t\n\v\f\r\x1c\x1d\x1e\x1f "   # every ASCII character str.isspace takes
 
 
 def check_positive(name: str, value: float) -> None:
@@ -31,11 +33,30 @@ def is_float_text(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-def has_non_ascii_space(text: str) -> bool:
-    """Whether `text` holds whitespace outside ASCII (NBSP, an ideographic
-    space, a Unicode line break), which `str.strip` and `str.split` would
-    take for the ASCII whitespace the program writes."""
-    return not text.isascii() and any(c.isspace() and not c.isascii() for c in text)
+def text_lines(text: str):
+    r"""Yield (line number, content) for each line of `text` that holds more
+    than a `#` comment.  A line ends only at "\n", "\r\n" or "\r"; its
+    content is the part before its first "#", stripped of ASCII_SPACE.
+    That part must be ASCII without \v, \f or \x1c-\x1e (where
+    str.splitlines would also end a line), else ValueError names the line
+    once the lines before it have been yielded.
+    """
+    clean = _is_text(text)   # then no line needs a check of its own
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.partition("#")[0]
+        if not clean and not _is_text(line):
+            c = next(c for c in line if not _is_text(c))
+            kind = "line-break" if c.isascii() else "non-ASCII"
+            raise ValueError(f"line {lineno}: {kind} character {c!r}")
+        if line := line.strip(ASCII_SPACE):
+            yield lineno, line
+
+
+def _is_text(s: str) -> bool:
+    r"""Whether `s` is ASCII without \v, \f or \x1c-\x1e, in a few C scans."""
+    return s.isascii() and not ("\v" in s or "\f" in s or "\x1c" in s
+                                or "\x1d" in s or "\x1e" in s)
 
 
 def parse_int(text: str) -> int:

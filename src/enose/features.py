@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import check_positive, check_sizes, parse_float
+from .checks import check_positive, check_sizes, parse_float, text_lines
 from .sensors import BASELINE_S, EXPOSURE_S, LABELS
 
 N_FEATURES = 12
@@ -278,9 +278,8 @@ def write_features_csv(path, x, y, conc) -> None:
 
 def read_features_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#") or line == FEATURES_HEADER:
+    for lineno, line in text_lines(Path(path).read_text()):
+        if line == FEATURES_HEADER:
             continue
         fields = line.split(",")
         if len(fields) != N_FEATURES + 4:

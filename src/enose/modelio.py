@@ -13,10 +13,11 @@ body is line oriented: `key value...` scalars, and matrices as a `matrix
 Floats are written with repr() so a save/load round trip reproduces the
 chain bit for bit; a nan or inf is an error.  One table of fields per
 flat section type drives its writing and reading; `svm` and `mlp` nest
-them in code of their own.  A read error names its section, and its line
-where it is about one.  Fields are separated by ASCII spaces only:
-whitespace outside ASCII, which `str.split` would also split on, is an
-error naming its line.
+them in code of their own.  The file is read with `checks.text_lines`:
+blank lines and `#` comments are skipped, each line is stripped of ASCII
+whitespace, and a non-ASCII or line-break character outside a comment is
+an error.  A read error names its section, and its line where it is
+about one.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import FittedFront
-from .checks import check_sizes, has_non_ascii_space, is_integer_text, parse_float
+from .checks import check_sizes, is_integer_text, parse_float, text_lines
 from .features import KpcaModel, PcaModel
 from .mlp import MlpConfig, MlpModel
 from .preprocess import Standardizer
@@ -46,17 +47,15 @@ def _mat_lines(name: str, m) -> list[str]:
 
 
 class _Reader:
-    def __init__(self, lines: list[str]):
-        self.lines = lines
-        self.pos = 0   # lines consumed, so the 1-based number of the last one
+    def __init__(self, text: str):
+        self.lines = text_lines(text)
+        self.pos = 0   # the number of the last line read
 
     def next(self) -> str:
-        while self.pos < len(self.lines) and not self.lines[self.pos].strip():
-            self.pos += 1
-        if self.pos >= len(self.lines):
-            raise ValueError("unexpected end of model file")
-        line = self.lines[self.pos]
-        self.pos += 1
+        try:
+            self.pos, line = next(self.lines)
+        except StopIteration:
+            raise ValueError("unexpected end of model file") from None
         return line
 
     def field(self, key: str) -> str:
@@ -247,14 +246,7 @@ def save_model(front: FittedFront, model: SvmModel | MlpModel, path) -> None:
 
 def load_model(path) -> tuple[FittedFront, SvmModel | MlpModel]:
     """Read a model file back into (front, model)."""
-    text = Path(path).read_text()
-    if not text.isascii():
-        # each line with its end, which may be a non-ASCII line break
-        for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
-            if has_non_ascii_space(line):
-                raise ValueError(f"line {lineno}: non-ASCII whitespace in {line!r}")
-    lines = text.splitlines()
-    reader = _Reader(lines)
+    reader = _Reader(Path(path).read_text())
     header = reader.next().split()
     if header[:1] == ["enose-model"] and header[1:2] not in ([], [FORMAT_VERSION]):
         raise ValueError(f"line {reader.pos}: unsupported model format version {header[1]}")
@@ -270,7 +262,6 @@ def load_model(path) -> tuple[FittedFront, SvmModel | MlpModel]:
              else model.machines[0][1].support_vectors.shape[1])
     check_sizes({f"section {reducer_name} retained_k": reducer.retained_k,
                  f"section {model_name} input width": width})
-    for lineno in range(reader.pos, len(lines)):
-        if lines[lineno].strip():
-            raise ValueError(f"line {lineno + 1}: unexpected content after the model")
+    if extra := next(reader.lines, None):
+        raise ValueError(f"line {extra[0]}: unexpected content after the model")
     return FittedFront(standardizer=standardizer, reducer=reducer), model

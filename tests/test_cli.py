@@ -78,12 +78,18 @@ class TestConfigFiles:
         ("svm_c = \u300012\xa0", 1),
         ("svm_c\xa0= 12", 1),
         ("svm_c = 1\n\u3000\n", 2),
-        # a non-ASCII line break ends its line, so it too is refused
+        # a line ends only at \n, \r\n or \r: every other character that
+        # str.splitlines breaks at is refused, ASCII or not
         ("# tuned\nsvm_c = 12\u2028\n", 2),
+        ("svm_c = 1\vwindow_m = 7\n", 1),
+        ("svm_c = 1\fwindow_m = 7\n", 1),
+        ("svm_c = 1\x1cwindow_m = 7\n", 1),
+        # \r\n ends one line and a lone \r another
+        ("svm_c = 1\r\n# tuned\rwindow_m = 7\xa0\r\n", 3),
     ])
     def test_non_ascii_whitespace_rejected(self, text, lineno):
         # str.strip would drop it, and the setting would read as ASCII
-        with pytest.raises(ValueError, match=f"line {lineno}: non-ASCII whitespace"):
+        with pytest.raises(ValueError, match=f"line {lineno}: (non-ASCII|line-break) character"):
             cfg.parse_config_text(text)
 
     def test_comment_may_hold_any_character(self):
@@ -761,15 +767,12 @@ class TestCliErrors:
         # integers are spelt as model files spell them: an optional "-", then ASCII digits
         ("mlp_hidden = 1_6",
          "config key 'mlp_hidden': invalid literal for int() with base 10: '1_6'"),
-        ("mlp_epochs = \u0661\u0665\u0660",
-         "config key 'mlp_epochs': invalid literal for int() with base 10: "
-         "'\u0661\u0665\u0660'"),
+        # a non-ASCII digit is refused with its line, before its key is read
+        ("mlp_epochs = \u0661\u0665\u0660", "line 1: non-ASCII character '\u0661'"),
         ("window_m = +5", "config key 'window_m': invalid literal for int() with base 10: '+5'"),
         # floats too: ASCII, without the "_" that float() takes
         ("svm_c = 1_0", "config key 'svm_c': could not convert string to float: '1_0'"),
-        ("noise_sigma = \u0660.\u0660\u0661",
-         "config key 'noise_sigma': could not convert string to float: "
-         "'\u0660.\u0660\u0661'"),
+        ("noise_sigma = \u0660.\u0660\u0661", "line 1: non-ASCII character '\u0660'"),
     ])
     def test_bad_model_setting_stops_bench_before_generate(self, tmp_path, capsys,
                                                            line, message):
@@ -865,7 +868,7 @@ class TestCliErrors:
     @pytest.mark.parametrize("key, value, message", [
         ("label", "+2", "invalid literal for int() with base 10: '+2'"),
         ("label", "1_0", "invalid literal for int() with base 10: '1_0'"),
-        ("label", "\u0662", "invalid literal for int() with base 10: '\u0662'"),
+        ("label", "\u0662", "line 1: non-ASCII character '\u0662'"),
         ("acetone_ppm", "1_0", "could not convert string to float: '1_0'"),
     ])
     def test_misspelt_meta_number_stops_preprocess(self, tmp_path, capsys,
@@ -890,7 +893,7 @@ class TestCliErrors:
         rc = main(["bench", "--table", "ternary", "--out", str(out),
                    "--config", str(conf)])
         err = capsys.readouterr().err
-        assert rc == 2 and "[stage=bench] line 2: non-ASCII whitespace in " in err
+        assert rc == 2 and "[stage=bench] line 2: non-ASCII character '\\u3000'" in err
         assert "Traceback" not in err and not out.exists()
 
     def test_non_ascii_whitespace_in_meta_stops_preprocess(self, tmp_path, capsys):
@@ -905,7 +908,7 @@ class TestCliErrors:
         rc = main(["preprocess", "--in", str(session_csv), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert f"[stage=preprocess] {sidecar}: line {lineno}: non-ASCII whitespace" in err
+        assert f"[stage=preprocess] {sidecar}: line {lineno}: non-ASCII character '\\xa0'" in err
         assert "Traceback" not in err and not out.exists()
 
     def test_non_ascii_whitespace_in_model_file_stops_classify(self, tmp_path, capsys):
@@ -923,7 +926,55 @@ class TestCliErrors:
         rc = main(["classify", "--model", str(model), "--in", str(feat),
                    "--report", str(report)])
         err = capsys.readouterr().err
-        assert rc == 2 and f"[stage=classify] line {lineno}: non-ASCII whitespace in" in err
+        assert rc == 2 and ("[stage=classify] section standardizer: "
+                            f"line {lineno}: non-ASCII character '\\u3000'") in err
+        assert "Traceback" not in err and not report.exists()
+
+    def test_line_break_character_in_config_stops_bench(self, tmp_path, capsys):
+        # str.splitlines would read two settings from this one line
+        conf = tmp_path / "run.conf"
+        conf.write_text("svm_c = 1\x1cwindow_m = 7\n")
+        out = tmp_path / "results"
+        rc = main(["bench", "--table", "ternary", "--out", str(out),
+                   "--config", str(conf)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "[stage=bench] line 1: line-break character '\\x1c'" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_non_ascii_whitespace_in_features_csv_stops_classify(self, tmp_path, capsys):
+        x, y, conc = separable_features(np.random.default_rng(1))
+        feat = tmp_path / "features.csv"
+        write_features_csv(feat, x, y, conc)
+        model = tmp_path / "out.svm"
+        assert main(["train-svm", "--in", str(feat), "--model", str(model)]) == 0
+        lines = feat.read_text().splitlines()
+        lines[3] += "\xa0"    # str.strip would drop it
+        feat.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "report.csv"
+        rc = main(["classify", "--model", str(model), "--in", str(feat),
+                   "--report", str(report)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "[stage=classify] line 4: non-ASCII character '\\xa0'" in err
+        assert "Traceback" not in err and not report.exists()
+
+    def test_line_break_character_in_model_file_stops_classify(self, tmp_path, capsys):
+        x, y, conc = separable_features(np.random.default_rng(1))
+        feat = tmp_path / "features.csv"
+        write_features_csv(feat, x, y, conc)
+        model = tmp_path / "out.svm"
+        assert main(["train-svm", "--in", str(feat), "--model", str(model)]) == 0
+        # a form feed in place of the newline that ends the `classes` line
+        lines = model.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("classes "))
+        text = "\n".join(lines[:lineno - 1] + ["\f".join(lines[lineno - 1:lineno + 1])]
+                         + lines[lineno + 1:])
+        model.write_text(text + "\n")
+        report = tmp_path / "report.csv"
+        rc = main(["classify", "--model", str(model), "--in", str(feat),
+                   "--report", str(report)])
+        err = capsys.readouterr().err
+        assert rc == 2 and ("[stage=classify] section svm: "
+                            f"line {lineno}: line-break character '\\x0c'") in err
         assert "Traceback" not in err and not report.exists()
 
     def test_unknown_table(self, capsys):

@@ -419,6 +419,16 @@ class TestFeatureCsv:
         assert np.array_equal(y, y2)
         assert np.array_equal(conc, conc2)
 
+    def test_row_may_end_in_a_comment(self, tmp_path):
+        path = tmp_path / "features.csv"
+        ft.write_features_csv(path, np.ones((2, ft.N_FEATURES)), [1, 2], np.zeros((2, 3)))
+        plain = ft.read_features_csv(path)
+        lines = path.read_text().splitlines()
+        lines[1] += "  # r\xe9p\xe9t\xe9"
+        path.write_text("\n".join(lines) + "\n")
+        for a, b in zip(ft.read_features_csv(path), plain, strict=True):
+            assert np.array_equal(a, b)
+
     def test_header_layout(self, tmp_path):
         path = tmp_path / "features.csv"
         ft.write_features_csv(path, np.zeros((1, 12)), [1], np.zeros((1, 3)))

@@ -184,7 +184,8 @@ def test_mlp_hidden_must_be_one_width(tmp_path, capsys, hidden, message):
 
 
 # (chain, section, key, value): an integer field spelt as `save_model` never
-# writes it, each of which int() would read
+# writes it, each of which int() would read; a non-ASCII digit is refused
+# with its line, before the field is read
 INTEGER_SPELLINGS = [
     *(("pca-svm", "pca", "retained_k", value) for value in ("0_3", "+3", "٣", "3.0", "")),
     ("pca-svm", "svm", "pairs", "+3"),
@@ -208,5 +209,7 @@ def test_integer_fields_are_read_strictly(tmp_path, chain, section, key, value):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as info:
         load_model(path)
-    assert str(info.value) == (f"section {section}: line {at + 1}: "
-                               f"expected integers, found {value!r}")
+    digit = next((c for c in value if not c.isascii()), None)
+    problem = (f"non-ASCII character {digit!r}" if digit
+               else f"expected integers, found {value!r}")
+    assert str(info.value) == f"section {section}: line {at + 1}: {problem}"
