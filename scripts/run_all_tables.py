@@ -4,25 +4,22 @@
 Classification accuracy plus the acetone-regression metrics for each
 built-in table, on one seed, with the settings of the --config file (the
 same `key = value` file `enose bench --config` reads).  Reports land in
---out/<table>/ when given.
+--out/<table>/ when given.  A failure exits 2 with an `error [stage=...]`
+line, as `enose` does.
 """
 
 import argparse
+import sys
 import time
 
 from enose.bench import (PipelineConfig, TABLES, run_experiment,
                          run_regression_experiment, prepare_features)
+from enose.cli import parse_seed, run_tagged
 from enose.config import read_config
 from enose.report import emit_report
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--out", default=None, help="directory for report files")
-    ap.add_argument("--config", default=None, help="flat key = value config file")
-    args = ap.parse_args()
-
+def run(args) -> int:
     config = PipelineConfig()
     if args.config:
         config = config.updated(read_config(args.config))
@@ -44,7 +41,16 @@ def main():
         if args.out:
             emit_report(cls, f"{args.out}/{table_id}")
             emit_report(reg, f"{args.out}/{table_id}/regression")
+    return 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--seed", type=parse_seed, default=42)
+    ap.add_argument("--out", default=None, help="directory for report files")
+    ap.add_argument("--config", default=None, help="flat key = value config file")
+    return run_tagged("run_all_tables", run, ap.parse_args())
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,15 +1,18 @@
-"""Ingestion of raw frame streams and the canonical session CSV format.
+r"""Ingestion of raw frame streams and the canonical session CSV format.
 
-Wire format: newline-delimited ASCII, one frame per line,
+Wire format: ASCII lines, each ended by "\n", "\r\n" or "\r", one frame
+per line,
 
     t_ms,raw1,raw2,raw3,raw4
 
 with fields of ASCII decimal digits (surrounding ASCII whitespace allowed)
 and raw counts in the 12-bit range.  A blank raw field marks a dropped
 sample (imputed from its neighbours); anything else that does not fit
-the schema, any non-ASCII character included, is malformed.  Session
-files use the same lines under a fixed header, with metadata in a
-`<name>.meta` sidecar of flat `key=value` lines.
+the schema, any non-ASCII character included, is malformed.  A stream
+is decoded by `checks.decode_text`, so a byte that is not UTF-8 is one
+such character, from a file or from stdin alike.  Session files use the
+same lines under a fixed header, with metadata in a `<name>.meta` sidecar
+of flat `key=value` lines.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import ASCII_SPACE, check_positive, parse_float, parse_int
+from .checks import (ASCII_SPACE, check_positive, parse_float, parse_int, read_text,
+                     split_lines, write_lines)
 from .config import parse_config_text
 from .sensors import (ADC_MAX, GASES, LABELS, SAMPLE_RATE_HZ, VOLTS_PER_COUNT,
                       GasMixture)
@@ -251,7 +255,7 @@ def frame_lines(t_ms, counts) -> list[str]:
         rest, digit = np.divmod(rest, 10)
         chars[..., width - 1 - p] = digit + ord("0")
         keep[..., width - 1 - p] = values >= _PLACES[p] if p else True
-    return chars[keep].tobytes().decode("ascii").splitlines()
+    return split_lines(chars[keep].tobytes().decode("ascii"))
 
 
 # The `<name>.meta` sidecar's keys, in the order `write_meta` writes them.
@@ -266,8 +270,7 @@ def write_meta(session: Session, csv_path) -> None:
     """Write the `<name>.meta` sidecar of a session's CSV or processed CSV."""
     mix = session.mixture or GasMixture()
     values = [session.label, *(repr(c) for c in mix.as_tuple()), repr(session.sample_rate_hz)]
-    meta_path(csv_path).write_text(
-        "".join(f"{key}={value}\n" for key, value in zip(META_KEYS, values)))
+    write_lines(meta_path(csv_path), [f"{key}={value}" for key, value in zip(META_KEYS, values)])
 
 
 def read_meta(csv_path) -> dict:
@@ -281,7 +284,7 @@ def read_meta(csv_path) -> dict:
     if not mp.exists():
         return {"label": 0, "mixture": None, "sample_rate_hz": SAMPLE_RATE_HZ}
     try:
-        entries = parse_config_text(mp.read_text())
+        entries = parse_config_text(read_text(mp))
         for key in entries:
             if key not in META_KEYS:
                 raise ValueError(f"unknown key {key!r}")
@@ -297,13 +300,11 @@ def read_meta(csv_path) -> dict:
 
 def write_session(session: Session, csv_path) -> None:
     """Write the session CSV plus its `<name>.meta` sidecar."""
-    body = "\n".join([SESSION_HEADER, *frame_lines(session.t_ms, session.counts)]) + "\n"
-    Path(csv_path).write_text(body)
+    write_lines(csv_path, [SESSION_HEADER, *frame_lines(session.t_ms, session.counts)])
     write_meta(session, csv_path)
 
 
 def read_session(csv_path) -> Session:
     """Read a session CSV; the .meta sidecar is applied when present."""
     meta = read_meta(csv_path)
-    with Path(csv_path).open() as fh:
-        return parse_stream(fh, **meta)
+    return parse_stream(split_lines(read_text(csv_path)), **meta)

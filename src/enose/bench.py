@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,10 +143,10 @@ _NONE_SPELLING = {"svm_gamma": "auto", "tau_rise": "default", "tau_fall": "defau
 class PipelineConfig:
     """Every setting of a run.
 
-    Its fields, with `filter` flattened, are the config-file keys and the
-    report's echo, so an echo block is a valid config file.  Construction
-    builds the `SvmParams`, `MlpConfig`, sensor array and exposure protocol
-    the settings describe, so the range checks those types own stop a bad
+    Its fields are the config-file keys and the report's echo, so an echo
+    block is a valid config file.  Construction builds the `SvmParams`,
+    `MlpConfig`, `FilterConfig`, sensor array and exposure protocol the
+    settings describe, so the range checks those types own stop a bad
     setting before any stage runs.
     """
 
@@ -155,7 +155,8 @@ class PipelineConfig:
     svm_c: float = 10.0
     svm_kernel: str = "rbf"
     svm_gamma: float | None = None   # None: data-driven heuristic
-    filter: FilterConfig = field(default_factory=FilterConfig)
+    window_m: int = 5
+    baseline_degree: int = 2
     noise_sigma: float = DEFAULT_NOISE_SIGMA
     drift_rate: float = DEFAULT_DRIFT_RATE
     tau_rise: float | None = None    # None: per-sensor defaults
@@ -173,6 +174,7 @@ class PipelineConfig:
         # each type checks its own settings; the seed and mixture come later
         self.svm_params()
         self.mlp_config(seed=0)
+        self.filter_config()
         sensor_array_for(self)
         standard_protocol(CLEAN_AIR, self.sample_rate_hz)
 
@@ -184,26 +186,20 @@ class PipelineConfig:
         return MlpConfig(hidden=self.mlp_hidden,
                          lr=self.mlp_lr, epochs=self.mlp_epochs, seed=seed)
 
-    def settings(self) -> dict[str, object]:
-        """Setting key -> value in field order, with `filter` flattened."""
-        out: dict[str, object] = {}
-        for f in dataclasses.fields(self):
-            if f.name == "filter":
-                out.update(dataclasses.asdict(self.filter))
-            else:
-                out[f.name] = getattr(self, f.name)
-        return out
+    def filter_config(self) -> FilterConfig:
+        return FilterConfig(window_m=self.window_m, baseline_degree=self.baseline_degree)
 
     def echo(self) -> tuple[tuple[str, str], ...]:
-        """(key, text) per setting, spelled as a config file spells it."""
-        return tuple((key, _spell(key, value))
-                     for key, value in self.settings().items())
+        """(key, text) per setting in field order, spelled as a config file
+        spells it."""
+        return tuple((f.name, _spell(f.name, getattr(self, f.name)))
+                     for f in dataclasses.fields(self))
 
     def updated(self, entries: dict[str, str]) -> PipelineConfig:
         """A copy with config-file entries applied, each text parsed by the
         type of its setting's default; unknown keys raise."""
-        defaults = PipelineConfig().settings()
-        values = self.settings()
+        defaults = {f.name: f.default for f in dataclasses.fields(self)}
+        values = {}
         for key, text in entries.items():
             if key not in defaults:
                 raise ValueError(f"unknown config key {key!r}")
@@ -211,9 +207,7 @@ class PipelineConfig:
                 values[key] = _parse(key, text, defaults[key])
             except ValueError as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from exc
-        filter_config = FilterConfig(**{k: values.pop(k)
-                                        for k in dataclasses.asdict(self.filter)})
-        return PipelineConfig(**values, filter=filter_config)
+        return dataclasses.replace(self, **values)
 
 
 def _spell(key: str, value) -> str:
@@ -389,13 +383,14 @@ def prepare_features(table: ExperimentTable, config: PipelineConfig,
     """
     chunks = _stage("generate", _simulate_chunks, table.rows,
                     row_counts(table.n_total, len(table.rows)), config, seed)
+    filter_config = config.filter_config()
     x = np.empty((table.n_total, N_FEATURES))
     row_of = np.empty(table.n_total, dtype=np.int64)
     for start in range(0, table.n_total, FRONT_CHUNK):
         stage = _stage if start == 0 else _tagged
         rows, t_ms, counts = _tagged("generate", next, chunks)
         volts = np.concatenate(counts * VOLTS_PER_COUNT, axis=1)  # (n, 4k)
-        channels = stage("preprocess", process_session, volts, t_ms, config.filter)
+        channels = stage("preprocess", process_session, volts, t_ms, filter_config)
         x[start:start + len(rows)] = stage("extract", extract_features, channels,
                                            config.sample_rate_hz)
         row_of[start:start + len(rows)] = rows

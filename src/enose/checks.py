@@ -1,7 +1,11 @@
-"""Range, size and spelling checks shared by the settings and fitted-model
-types, and the line reader of the text files they are read from."""
+r"""Range, size and spelling checks shared by the settings and fitted-model
+types, and the byte and line rule of every file the program reads or
+writes: inputs are decoded as UTF-8 whatever the locale, lines end only at
+"\n", "\r\n" or "\r", and artifacts are written as ASCII lines ended by
+"\n"."""
 
 import math
+from pathlib import Path
 
 ASCII_SPACE = "\t\n\v\f\r\x1c\x1d\x1e\x1f "   # every ASCII character str.isspace takes
 
@@ -42,8 +46,7 @@ def text_lines(text: str):
     once the lines before it have been yielded.
     """
     clean = _is_text(text)   # then no line needs a check of its own
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         line = line.partition("#")[0]
         if not clean and not _is_text(line):
             c = next(c for c in line if not _is_text(c))
@@ -51,6 +54,33 @@ def text_lines(text: str):
             raise ValueError(f"line {lineno}: {kind} character {c!r}")
         if line := line.strip(ASCII_SPACE):
             yield lineno, line
+
+
+def decode_text(data: bytes) -> str:
+    """`data` decoded as UTF-8.  A byte that is not UTF-8 becomes one
+    non-ASCII character (a lone surrogate), so a reader refuses it outside
+    a `#` comment and a frame stream counts its line as malformed."""
+    return data.decode("utf-8", "surrogateescape")
+
+
+def read_text(path) -> str:
+    return decode_text(Path(path).read_bytes())
+
+
+def split_lines(text: str) -> list[str]:
+    r"""The lines of `text`, each ended only by "\n", "\r\n" or "\r"; a
+    line break that ends the text opens no empty last line."""
+    if "\r" in text:   # else a search for "\r\n" costs about as much as the split
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def write_lines(path, lines) -> None:
+    r"""Write `lines` to `path` as ASCII, each ended by "\n"."""
+    Path(path).write_bytes("\n".join([*lines, ""]).encode("ascii"))
 
 
 def _is_text(s: str) -> bool:

@@ -1,7 +1,7 @@
 """Command line interface.
 
     enose simulate    --table binary-ethanol --seed 42 --out sessions/ [--config run.conf]
-    enose ingest      --in frames.txt --out session.csv
+    enose ingest      --in frames.txt|- --out session.csv
     enose preprocess  --in session.csv --out processed.csv [--config run.conf]
     enose train-svm   --in features.csv --model out.svm [--config run.conf]
     enose classify    --model out.svm --in features.csv --report report.csv
@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import io
 import logging
 import sys
 import time
@@ -35,6 +34,7 @@ from . import preprocess as prep
 from . import report as reportmod
 from . import sensors
 from .bench import PipelineConfig, StageError
+from .checks import decode_text, read_text, split_lines, write_lines
 from .mlp import MlpModel, evaluate_regression, mlp_forward, mlp_train
 from .svm import SvmModel, svm_predict, svm_train_multiclass
 
@@ -67,15 +67,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    if args.infile == "-":
-        # universal newlines, as `read_session` reads a file
-        source = io.StringIO(sys.stdin.read(), newline=None)
-    else:
-        source = Path(args.infile).open()
+    text = (decode_text(sys.stdin.buffer.read()) if args.infile == "-"
+            else read_text(args.infile))
     mixture = sensors.GasMixture(args.acetone, args.ethanol, args.methanol)
-    with source as lines:
-        session = acquisition.parse_stream(lines, label=args.label, mixture=mixture,
-                                           sample_rate_hz=args.rate)
+    session = acquisition.parse_stream(split_lines(text), label=args.label,
+                                       mixture=mixture, sample_rate_hz=args.rate)
     acquisition.write_session(session, args.out)
     print(f"ingested {len(session.t_ms)} frames -> {args.out}")
     return 0
@@ -84,8 +80,9 @@ def cmd_ingest(args) -> int:
 def cmd_preprocess(args) -> int:
     cfg = _pipeline_config(args)
     session = acquisition.read_session(args.infile)
-    channels = prep.process_session(session.voltages(), session.t_ms, cfg.filter)
-    prep.write_processed(session, channels, cfg.filter, args.out)
+    filter_config = cfg.filter_config()
+    channels = prep.process_session(session.voltages(), session.t_ms, filter_config)
+    prep.write_processed(session, channels, filter_config, args.out)
     print(f"processed {len(channels)} samples -> {args.out}")
     return 0
 
@@ -138,7 +135,7 @@ def cmd_classify(args) -> int:
         lines.append(f"# accuracy = {accuracy!r}")
     lines.append("index,label,predicted")
     lines += [f"{i},{int(t)},{int(p)}" for i, (t, p) in enumerate(zip(y, pred))]
-    Path(args.report).write_text("\n".join(lines) + "\n")
+    write_lines(args.report, lines)
     print(f"classified {pred.size} samples -> {args.report}")
     return 0
 
@@ -174,7 +171,7 @@ def cmd_predict(args) -> int:
     ]
     lines += [f"{i},{float(t)!r},{float(p)!r}"
               for i, (t, p) in enumerate(zip(conc[:, 0], preds))]
-    Path(args.report).write_text("\n".join(lines) + "\n")
+    write_lines(args.report, lines)
     print(f"predicted {preds.size} samples -> {args.report}")
     return 0
 
@@ -210,6 +207,14 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def parse_seed(text: str) -> int:
+    """The `--seed` argument type: an integer >= 0."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `enose` argument parser, built once per process."""
@@ -221,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate labeled sessions for a table")
     p.add_argument("--table", required=True, choices=TABLE_CHOICES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--per-row", type=int, default=None,
                    help="sessions per mixture row (default: table split sizes)")
@@ -260,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--config", default=None, help="flat key = value config file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=parse_seed, default=0)
     p.set_defaults(fn=cmd_train_mlp)
 
     p = sub.add_parser("predict", help="predict acetone ppm with a trained MLP chain")
@@ -271,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a full experiment end to end")
     p.add_argument("--table", required=True, choices=TABLE_CHOICES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--features", choices=("pca", "kpca"), default=None)
     p.add_argument("--regression", action="store_true",
@@ -287,13 +292,19 @@ def main(argv=None) -> int:
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(name)s: %(message)s", stream=sys.stderr)
+    return run_tagged(args.command, args.fn, args)
+
+
+def run_tagged(stage: str, fn, *args) -> int:
+    """`fn(*args)`, or exit code 2 after an `error [stage=...] message` line
+    on stderr: a StageError names its own stage, any other failure `stage`."""
     try:
-        return args.fn(args)
+        return fn(*args)
     except StageError as exc:
         print(f"error {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - tag CLI-level failures too
-        print(f"error [stage={args.command}] {exc}", file=sys.stderr)
+        print(f"error [stage={stage}] {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,12 +1,12 @@
 """Flat `key = value` files (one setting per line, # comments): run
-configs and session `.meta` sidecars.  `bench.PipelineConfig.updated` and
-`acquisition.read_meta` know their keys and parse the values."""
+configs and session `.meta` sidecars, read by the `checks` byte and line
+rule, so a comment may hold any byte.  `bench.PipelineConfig.updated`
+(whose fields are the config keys) and `acquisition.read_meta` know
+their keys and parse the values."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from .checks import ASCII_SPACE, text_lines
+from .checks import ASCII_SPACE, read_text, text_lines
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -28,4 +28,4 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def read_config(path) -> dict[str, str]:
-    return parse_config_text(Path(path).read_text())
+    return parse_config_text(read_text(path))

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .checks import check_positive, check_sizes, parse_float, text_lines
+from .checks import (check_positive, check_sizes, parse_float, read_text, text_lines,
+                     write_lines)
 from .sensors import BASELINE_S, EXPOSURE_S, LABELS
 
 N_FEATURES = 12
@@ -273,12 +273,12 @@ def write_features_csv(path, x, y, conc) -> None:
     # Python floats from tolist(): repr of each is that of float(numpy value)
     for feats, label, c in zip(x.tolist(), y, conc.tolist(), strict=True):
         lines.append(f"{','.join(map(repr, feats))},{int(label)},{c[0]!r},{c[1]!r},{c[2]!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def read_features_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows = []
-    for lineno, line in text_lines(Path(path).read_text()):
+    for lineno, line in text_lines(read_text(path)):
         if line == FEATURES_HEADER:
             continue
         fields = line.split(",")

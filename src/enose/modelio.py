@@ -23,12 +23,12 @@ about one.
 from __future__ import annotations
 
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
 from .bench import FittedFront
-from .checks import check_sizes, is_integer_text, parse_float, text_lines
+from .checks import (check_sizes, is_integer_text, parse_float, read_text, text_lines,
+                     write_lines)
 from .features import KpcaModel, PcaModel
 from .mlp import MlpConfig, MlpModel
 from .preprocess import Standardizer
@@ -241,12 +241,12 @@ def save_model(front: FittedFront, model: SvmModel | MlpModel, path) -> None:
              *_section_lines(front.standardizer, _STANDARDIZER),
              *_section_lines(front.reducer, _REDUCERS),
              *_section_lines(model, _MODELS)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_model(path) -> tuple[FittedFront, SvmModel | MlpModel]:
     """Read a model file back into (front, model)."""
-    reader = _Reader(Path(path).read_text())
+    reader = _Reader(read_text(path))
     header = reader.next().split()
     if header[:1] == ["enose-model"] and header[1:2] not in ([], [FORMAT_VERSION]):
         raise ValueError(f"line {reader.pos}: unsupported model format version {header[1]}")

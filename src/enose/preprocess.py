@@ -15,20 +15,19 @@ solved in one `lstsq` call with a stacked right-hand side.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .acquisition import SESSION_HEADER, Session, write_meta
-from .checks import check_sizes
+from .checks import check_sizes, write_lines
 
 EDGE_FRACTION = 0.10
 
 
 @dataclass(frozen=True)
 class FilterConfig:
-    window_m: int = 5
-    baseline_degree: int = 2
+    window_m: int
+    baseline_degree: int
 
     def __post_init__(self):
         if self.window_m < 1 or self.window_m % 2 == 0:
@@ -146,7 +145,7 @@ def fit_standardizer(x) -> Standardizer:
     return Standardizer(mean=mean, std=safe_std, constant=constant)
 
 
-def process_session(volts, t_ms, config: FilterConfig = FilterConfig()) -> np.ndarray:
+def process_session(volts, t_ms, config: FilterConfig) -> np.ndarray:
     """Smooth each column of the `(n, c)` voltages sampled at `t_ms`, then
     remove its polynomial baseline."""
     smooth = moving_average(volts, config.window_m)
@@ -156,10 +155,9 @@ def process_session(volts, t_ms, config: FilterConfig = FilterConfig()) -> np.nd
 def write_processed(session: Session, channels, config: FilterConfig, csv_path) -> None:
     """Processed CSV of `session`'s `(n, 4)` processed `channels`: the session
     CSV's schema plus config comments, and the session's `.meta` sidecar."""
-    csv_path = Path(csv_path)
     lines = [f"# {key} = {value}" for key, value in asdict(config).items()]
     lines += ["# edge_policy = shrink", SESSION_HEADER]
     for t, row in zip(session.t_ms.tolist(), channels.tolist()):
         lines.append(f"{t},{','.join(map(repr, row))}")
-    csv_path.write_text("\n".join(lines) + "\n")
+    write_lines(csv_path, lines)
     write_meta(session, csv_path)

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import write_lines
+
 CLASS_COLORS = {0: "#7f7f7f", 1: "#1f77b4", 2: "#d62728", 3: "#2ca02c"}
 CLASS_NAMES = {0: "unknown", 1: "acetone", 2: "ethanol", 3: "methanol"}
 
@@ -103,8 +105,7 @@ def _metrics_rows(report) -> list[str]:
 
 
 def write_metrics_csv(report, path) -> None:
-    lines = _echo_lines(report) + ["metric,value"] + _metrics_rows(report)
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, _echo_lines(report) + ["metric,value"] + _metrics_rows(report))
 
 
 def write_predictions_csv(report, path) -> None:
@@ -117,13 +118,13 @@ def write_predictions_csv(report, path) -> None:
         lines = ["index,true_ppm,pred_ppm"]
         for i, (t, p) in enumerate(zip(report.y_true, report.y_pred)):
             lines.append(f"{i},{float(t)!r},{float(p)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_loss_trace_csv(report: RegressionReport, path) -> None:
     lines = ["epoch,loss"]
     lines += [f"{i},{float(v)!r}" for i, v in enumerate(report.loss_trace)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 # --- SVG ------------------------------------------------------------------
@@ -140,7 +141,7 @@ def _axis_map(lo: float, hi: float, pix_lo: float, pix_hi: float):
     return lambda v: pix_lo + (v - lo) * scale
 
 
-def _svg_doc(title: str, body: list[str]) -> str:
+def _svg_doc(title: str, body: list[str]) -> list[str]:
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
@@ -150,7 +151,7 @@ def _svg_doc(title: str, body: list[str]) -> str:
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_W - 2 * _MARGIN}" '
         f'height="{_H - 2 * _MARGIN}" fill="none" stroke="black"/>',
     ]
-    return "\n".join(head + body + ["</svg>"]) + "\n"
+    return head + body + ["</svg>"]
 
 
 def _legend(classes, x: float, y: float) -> list[str]:
@@ -165,7 +166,7 @@ def _legend(classes, x: float, y: float) -> list[str]:
     return parts
 
 
-def scatter_svg(report: RunReport) -> str:
+def scatter_svg(report: RunReport) -> list[str]:
     """First two feature-space components of the test set, colored by class."""
     s = report.scores_2d
     fx = _axis_map(float(s[:, 0].min()), float(s[:, 0].max()),
@@ -180,7 +181,7 @@ def scatter_svg(report: RunReport) -> str:
     return _svg_doc(f"{report.table_id}: first two components", body)
 
 
-def classification_svg(report: RunReport) -> str:
+def classification_svg(report: RunReport) -> list[str]:
     """Predicted class per test sample index; misclassified markers ringed."""
     n = report.y_pred.size
     classes = report.classes
@@ -215,8 +216,8 @@ def emit_report(report, out_dir) -> list[Path]:
     write_predictions_csv(report, written[1])
     if isinstance(report, RunReport):
         written += [out / "scatter.svg", out / "classification.svg"]
-        written[2].write_text(scatter_svg(report))
-        written[3].write_text(classification_svg(report))
+        write_lines(written[2], scatter_svg(report))
+        write_lines(written[3], classification_svg(report))
     else:
         written.append(out / "loss_trace.csv")
         write_loss_trace_csv(report, written[2])

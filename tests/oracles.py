@@ -747,7 +747,7 @@ def prepare_features_whole_table(table, config, seed: int) -> bench.FeatureSplit
     sessions = [parse_stream(frame_lines(s.t_ms, s.counts), label=s.label,
                              mixture=s.mixture, sample_rate_hz=s.sample_rate_hz)
                 for s in sessions]
-    processed = [process_session(s.voltages(), s.t_ms, config.filter) for s in sessions]
+    processed = [process_session(s.voltages(), s.t_ms, config.filter_config()) for s in sessions]
     x = np.vstack([extract_features(p, s.sample_rate_hz)
                    for p, s in zip(processed, sessions)])
     y = np.array([s.label for s in sessions], dtype=np.int64)

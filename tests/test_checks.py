@@ -1,8 +1,11 @@
+import io
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enose.checks import ASCII_SPACE, text_lines
+from enose.checks import (ASCII_SPACE, decode_text, read_text, split_lines, text_lines,
+                          write_lines)
 
 
 @pytest.mark.parametrize("char, kind", [
@@ -29,3 +32,29 @@ def test_agrees_with_splitlines_on_clean_text(text):
     expected = [(lineno, body) for lineno, line in enumerate(text.splitlines(), start=1)
                 if (body := line.partition("#")[0].strip(ASCII_SPACE))]
     assert list(text_lines(text)) == expected
+
+
+@given(st.text(alphabet="ab\n\r\x1c\x85 "))
+def test_split_lines_agrees_with_universal_newlines(text):
+    # the rule a text-mode file read had, by which frame files were split
+    expected = [line.removesuffix("\n") for line in io.StringIO(text, newline=None)]
+    assert split_lines(text) == expected
+
+
+@pytest.mark.parametrize("data, text", [
+    (b"a = 1\n", "a = 1\n"),
+    ("µ 　".encode(), "µ 　"),
+    # each byte that is not UTF-8 is one character, even inside a sequence
+    (b"\xff1\xb5\xe2\x80", "\udcff1\udcb5\udce2\udc80"),
+])
+def test_decode_text(data, text):
+    assert decode_text(data) == text
+
+
+def test_write_lines_ends_every_line_in_newline(tmp_path):
+    path = tmp_path / "out.csv"
+    write_lines(path, ["a,b", "", "1,2"])
+    assert path.read_bytes() == b"a,b\n\n1,2\n"
+    assert split_lines(read_text(path)) == ["a,b", "", "1,2"]
+    write_lines(path, [])
+    assert path.read_bytes() == b""

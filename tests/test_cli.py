@@ -15,7 +15,6 @@ from enose.acquisition import Session, read_session, write_session
 from enose.bench import PipelineConfig
 from enose.cli import main
 from enose.features import N_FEATURES, write_features_csv
-from enose.preprocess import FilterConfig
 from enose.sensors import GasMixture
 
 from test_modelio import training_data
@@ -34,8 +33,8 @@ pipeline_configs = st.builds(
     svm_c=positive,
     svm_kernel=st.sampled_from(["linear", "rbf"]),
     svm_gamma=st.none() | positive,
-    filter=st.builds(FilterConfig, window_m=st.integers(0, 50).map(lambda k: 2 * k + 1),
-                     baseline_degree=st.integers(0, 5)),
+    window_m=st.integers(0, 50).map(lambda k: 2 * k + 1),
+    baseline_degree=st.integers(0, 5),
     noise_sigma=non_negative,
     drift_rate=finite,
     tau_rise=st.none() | positive,
@@ -60,7 +59,7 @@ class TestConfigFiles:
         assert entries == {"noise_sigma": "0.01", "window_m": "7",
                            "features": "kpca"}
         assert PipelineConfig().updated(entries) == PipelineConfig(
-            noise_sigma=0.01, filter=FilterConfig(window_m=7), features="kpca")
+            noise_sigma=0.01, window_m=7, features="kpca")
 
     def test_bad_lines_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
@@ -95,6 +94,11 @@ class TestConfigFiles:
     def test_comment_may_hold_any_character(self):
         text = "svm_c = 12  # \u00e9t\u00e9\xa0\u3000\n# \u2028\nwindow_m = 7\n"
         assert cfg.parse_config_text(text) == {"svm_c": "12", "window_m": "7"}
+
+    def test_comment_may_hold_a_byte_that_is_not_utf8(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"svm_c = 12  # \xb5 tuned in latin-1\n# \xff\nwindow_m = 7\n")
+        assert cfg.read_config(conf) == {"svm_c": "12", "window_m": "7"}
 
     def test_svm_gamma_auto_or_number(self):
         tuned = PipelineConfig(svm_gamma=0.5)
@@ -211,15 +215,25 @@ class TestCliWorkflows:
         text = processed_csv.read_text()
         assert text.startswith("# window_m = 3\n# baseline_degree = 1\n")
 
-    @pytest.mark.parametrize("source", ["file", "stdin"])
-    def test_ingest_splits_lines_as_read_session_does(self, tmp_path, monkeypatch,
-                                                      source):
+    @pytest.mark.parametrize("source, data, n_frames", [
         # \x1c is whitespace inside a field, not a line break
+        *[(source, b"0,1,2,3,4\n10,1,2\x1c,3,4\r\n20,1,2,3,4\r30,1,2,3,4\n", 4)
+          for source in ("file", "stdin")],
+        # a byte that is not UTF-8, as a noisy serial link may deliver,
+        # makes its line malformed whatever the locale
+        *[(source, b"".join(b"%d,1,2%s,3,4\n" % (10 * i, b"\xff" * (i == 5))
+                            for i in range(20)), 19)
+          for source in ("file", "stdin")],
+    ], ids=["file", "stdin", "file-non-utf8", "stdin-non-utf8"])
+    def test_ingest_splits_lines_as_read_session_does(self, tmp_path, monkeypatch,
+                                                      source, data, n_frames):
         raw = tmp_path / "frames.txt"
-        raw.write_text("0,1,2,3,4\n10,1,2\x1c,3,4\r\n20,1,2,3,4\r30,1,2,3,4\n")
-        write_session(read_session(raw), tmp_path / "expected.csv")
+        raw.write_bytes(data)
+        expected = read_session(raw)
+        assert len(expected.t_ms) == n_frames
+        write_session(expected, tmp_path / "expected.csv")
         if source == "stdin":
-            monkeypatch.setattr("sys.stdin", io.StringIO(raw.read_bytes().decode()))
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
         infile = str(raw) if source == "file" else "-"
         assert main(["ingest", "--in", infile,
                      "--out", str(tmp_path / "session.csv")]) == 0
@@ -977,9 +991,59 @@ class TestCliErrors:
                             f"line {lineno}: line-break character '\\x0c'") in err
         assert "Traceback" not in err and not report.exists()
 
+    @pytest.mark.parametrize("target, lineno, command, prefix", [
+        ("run.conf", 2, "bench", ""),
+        ("session.meta", 1, "preprocess", "{path}: "),
+        ("features.csv", 4, "classify", ""),
+        ("out.svm", 3, "classify", "section standardizer: "),
+    ])
+    def test_byte_that_is_not_utf8_stops_its_reader(self, tmp_path, capsys,
+                                                    target, lineno, command, prefix):
+        x, y, conc = separable_features(np.random.default_rng(1))
+        write_features_csv(tmp_path / "features.csv", x, y, conc)
+        assert main(["train-svm", "--in", str(tmp_path / "features.csv"),
+                     "--model", str(tmp_path / "out.svm")]) == 0
+        write_session(small_session(), tmp_path / "session.csv")
+        (tmp_path / "run.conf").write_text("# tuned\nsvm_c = 12\n")
+        path = tmp_path / target
+        lines = path.read_bytes().split(b"\n")
+        lines[lineno - 1] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        out = tmp_path / "out"
+        argv = {"bench": ["bench", "--table", "ternary", "--out", str(out),
+                          "--config", str(tmp_path / "run.conf")],
+                "preprocess": ["preprocess", "--in", str(tmp_path / "session.csv"),
+                               "--out", str(out)],
+                "classify": ["classify", "--model", str(tmp_path / "out.svm"),
+                             "--in", str(tmp_path / "features.csv"), "--report", str(out)]}
+        rc = main(argv[command])
+        err = capsys.readouterr().err
+        message = (f"[stage={command}] {prefix.format(path=path)}"
+                   f"line {lineno}: non-ASCII character '\\udcff'")
+        assert rc == 2 and message in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_unknown_table(self, capsys):
         with pytest.raises(SystemExit):
             main(["bench", "--table", "quaternary", "--out", "x"])
+
+
+def test_bench_reads_config_whatever_the_locale(tmp_path):
+    # an ASCII locale with UTF-8 mode off: the locale's codec would refuse
+    # the comment's "\xb5", and the file is read as UTF-8 regardless
+    conf = tmp_path / "run.conf"
+    conf.write_text("# \u00b5 tuned\nsvm_c = 12\n", encoding="utf-8")
+    metrics = []
+    for name, env in [("default", {}), ("ascii", {"PYTHONUTF8": "0", "LC_ALL": "C"})]:
+        env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+        out = tmp_path / name
+        run = subprocess.run([sys.executable, "-m", "enose", "bench", "--table", "ternary",
+                              "--out", str(out), "--config", str(conf)],
+                             capture_output=True, env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+        metrics.append((out / "metrics.csv").read_bytes())
+    assert metrics[0] == metrics[1] and b"# svm_c = 12.0\n" in metrics[0]
 
 
 def test_bench_routes_import_no_numpy_ma(tmp_path):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enose import features as ft
-from enose.preprocess import FilterConfig, process_session
+from enose.bench import PipelineConfig
+from enose.preprocess import process_session
 from enose.sensors import (BASELINE_S, EXPOSURE_S, GasMixture, SensorSpec,
                            clean_traces, divider_voltage, simulate_session,
                            standard_protocol, steady_sensitivity)
@@ -84,7 +85,8 @@ class TestExtractFeatures:
         t_ms, counts = simulate_session(specs, clean_traces(specs, proto)[None], [0], RATE)
         from enose.acquisition import Session
         session = Session(t_ms, counts[0], label=1, mixture=mix, sample_rate_hz=RATE)
-        channels = process_session(session.voltages(), session.t_ms, FilterConfig())
+        channels = process_session(session.voltages(), session.t_ms,
+                                   PipelineConfig().filter_config())
         values = features_of(channels)
         for ch, spec in enumerate(specs):
             s = steady_sensitivity(spec, mix)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from enose import preprocess as pp
 from enose.acquisition import SESSION_HEADER, Session, read_meta
+from enose.bench import PipelineConfig
 from enose.sensors import GasMixture
 from oracles import (brute_moving_average, moving_average_1d, normal_eq_polyfit,
                      process_session_per_channel, remove_baseline_1d)
@@ -147,7 +148,7 @@ class TestRemoveBaseline:
         t_ms = np.arange(n) * 100
         volts = np.hstack([Session(t_ms, drifting_counts(rng, n)).voltages()
                            for _ in range(k)])
-        channels = pp.process_session(volts, t_ms, pp.FilterConfig())
+        channels = pp.process_session(volts, t_ms, PipelineConfig().filter_config())
         assert channels.shape == (n, 4 * k)
         assert calls == [(pp.default_anchors(n).size, 4 * k)]
 
@@ -236,9 +237,9 @@ class TestStandardizer:
 class TestFilterConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            pp.FilterConfig(window_m=4)
+            pp.FilterConfig(window_m=4, baseline_degree=2)
         with pytest.raises(ValueError):
-            pp.FilterConfig(baseline_degree=6)
+            pp.FilterConfig(window_m=5, baseline_degree=6)
 
 
 def make_session(n=700, rate=10.0):
@@ -274,6 +275,7 @@ class TestProcessedSessionIo:
         raw = np.clip(np.round(drift), 0, 4095).astype(int)
         session = Session(np.arange(n) * 100, np.repeat(raw[:, None], 4, axis=1),
                           sample_rate_hz=rate)
-        channels = pp.process_session(session.voltages(), session.t_ms, pp.FilterConfig())
+        channels = pp.process_session(session.voltages(), session.t_ms,
+                                      PipelineConfig().filter_config())
         lsb = 3.3 / 4096
         assert np.abs(channels).max() < 5 * lsb

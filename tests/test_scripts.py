@@ -3,15 +3,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=300)
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    return run_python(str(ROOT / "scripts" / name), *args)
 
 
 def test_sweep_mlp_hidden_prints_one_row_per_width(tmp_path):
@@ -42,3 +48,33 @@ def test_run_all_tables_prints_one_row_per_table(tmp_path):
         echo = (out / table / "regression" / "metrics.csv").read_text()
         assert "# mlp_epochs = 3\n" in echo and "# noise_sigma = 0.01\n" in echo
         assert (out / table / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("name, config, args, message", [
+    ("sweep_mlp_hidden.py", "svm_c = -1", (),
+     "[stage=sweep_mlp_hidden] c_penalty must be > 0"),
+    ("sweep_mlp_hidden.py", "mlp_epochs = 3", ("--widths", "4,0"),
+     "[stage=sweep_mlp_hidden] layer sizes must be >= 1"),
+    ("run_all_tables.py", "svm_c = -1", (),
+     "[stage=run_all_tables] c_penalty must be > 0"),
+], ids=["sweep_mlp_hidden", "sweep_mlp_hidden-widths", "run_all_tables"])
+def test_bad_setting_ends_in_a_stage_error(tmp_path, name, config, args, message):
+    conf = tmp_path / "run.conf"
+    conf.write_text(config + "\n")
+    run = run_script(name, "--config", str(conf), *args)
+    assert run.returncode == 2
+    assert run.stderr == f"error {message}\n" and run.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("-m", "enose", "simulate", "--table", "ternary", "--out", "sessions"),
+    ("-m", "enose", "train-mlp", "--in", "features.csv", "--model", "out.mlp"),
+    ("-m", "enose", "bench", "--table", "ternary", "--out", "results"),
+    (str(ROOT / "scripts" / "run_all_tables.py"),),
+    (str(ROOT / "scripts" / "sweep_mlp_hidden.py"),),
+], ids=["simulate", "train-mlp", "bench", "run_all_tables", "sweep_mlp_hidden"])
+def test_negative_seed_is_a_usage_error(tmp_path, argv):
+    run = run_python(*argv, "--seed", "-1", cwd=tmp_path)
+    assert run.returncode == 2
+    assert "error: argument --seed: must be >= 0, got -1" in run.stderr
+    assert "Traceback" not in run.stderr and not any(tmp_path.iterdir())
