@@ -12,18 +12,14 @@ import argparse
 import sys
 import time
 
-from enose.bench import (PipelineConfig, TABLES, run_experiment,
-                         run_regression_experiment, prepare_features)
-from enose.cli import parse_seed, run_tagged
-from enose.config import read_config
+from enose.bench import (TABLES, run_experiment, run_regression_experiment,
+                         prepare_features)
+from enose.cli import parse_seed, pipeline_config, run_tagged
 from enose.report import emit_report
 
 
 def run(args) -> int:
-    config = PipelineConfig()
-    if args.config:
-        config = config.updated(read_config(args.config))
-
+    config = pipeline_config(args)
     print(f"seed={args.seed} features={config.features} "
           f"noise={config.noise_sigma}")
     print(f"{'table':<18} {'accuracy':>9} {'rmse_ppm':>9} {'mae_ppm':>9} "

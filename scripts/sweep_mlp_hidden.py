@@ -9,21 +9,16 @@ other setting comes from the --config file (the same `key = value` file
 """
 
 import argparse
-import dataclasses
 import sys
 
-from enose.bench import PipelineConfig, get_table, prepare_features, \
-    run_regression_experiment
-from enose.cli import TABLE_CHOICES, parse_seed, run_tagged
-from enose.config import read_config
+from enose.bench import get_table, prepare_features, run_regression_experiment
+from enose.cli import TABLE_CHOICES, parse_seed, pipeline_config, run_tagged
 
 
 def run(args) -> int:
-    base = PipelineConfig()
-    if args.config:
-        base = base.updated(read_config(args.config))
-    # every width is checked before the first one trains
-    configs = [dataclasses.replace(base, mlp_hidden=int(w)) for w in args.widths.split(",")]
+    base = pipeline_config(args)
+    # every width is parsed and checked as a config file's, before the first one trains
+    configs = [base.updated({"mlp_hidden": w}) for w in args.widths.split(",")]
     table = get_table(args.table)
     prepared = prepare_features(table, base, args.seed)
 

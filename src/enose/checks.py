@@ -2,7 +2,8 @@ r"""Range, size and spelling checks shared by the settings and fitted-model
 types, and the byte and line rule of every file the program reads or
 writes: inputs are decoded as UTF-8 whatever the locale, lines end only at
 "\n", "\r\n" or "\r", and artifacts are written as ASCII lines ended by
-"\n"."""
+"\n".  `parse_int` and `parse_float` read every number of a file and of a
+command-line flag (they are the argparse types of the numeric flags)."""
 
 import math
 from pathlib import Path

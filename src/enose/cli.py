@@ -14,6 +14,10 @@ the one flag that sets one.  `train-svm`/`train-mlp` fit bench's chain (standard
 KPCA, then the model) on a features CSV with those settings, and save it
 as one model file that `classify`/`predict` apply.
 
+Numeric flags follow the file rule: `checks.parse_int` and
+`parse_float` are their argparse types, so `--label +2`, `--rate 1_0`
+or a non-ASCII digit is a usage error naming the flag, exit 2.
+
 Every failure exits nonzero with a `[stage=...]` tagged message.
 """
 
@@ -34,7 +38,7 @@ from . import preprocess as prep
 from . import report as reportmod
 from . import sensors
 from .bench import PipelineConfig, StageError
-from .checks import decode_text, read_text, split_lines, write_lines
+from .checks import decode_text, parse_float, parse_int, read_text, split_lines, write_lines
 from .mlp import MlpModel, evaluate_regression, mlp_forward, mlp_train
 from .svm import SvmModel, svm_predict, svm_train_multiclass
 
@@ -43,7 +47,7 @@ log = logging.getLogger("enose")
 TABLE_CHOICES = tuple(key.replace("_", "-") for key in bench.TABLES)
 
 
-def _pipeline_config(args) -> PipelineConfig:
+def pipeline_config(args) -> PipelineConfig:
     """Defaults <- `--config` file <- `bench --features`."""
     cfg = PipelineConfig()
     if args.config:
@@ -55,7 +59,7 @@ def _pipeline_config(args) -> PipelineConfig:
 
 def cmd_simulate(args) -> int:
     table = bench.get_table(args.table)
-    cfg = _pipeline_config(args)
+    cfg = pipeline_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     n = 0
@@ -78,7 +82,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    cfg = _pipeline_config(args)
+    cfg = pipeline_config(args)
     session = acquisition.read_session(args.infile)
     filter_config = cfg.filter_config()
     channels = prep.process_session(session.voltages(), session.t_ms, filter_config)
@@ -101,7 +105,7 @@ def _load_chain(path, command: str):
 
 
 def cmd_train_svm(args) -> int:
-    cfg = _pipeline_config(args)
+    cfg = pipeline_config(args)
     x, y, _ = features.read_features_csv(args.infile)
     front = bench.fit_front(x, cfg)
     model = svm_train_multiclass(front.scores(x), y, cfg.svm_params())
@@ -141,7 +145,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_train_mlp(args) -> int:
-    cfg = _pipeline_config(args)
+    cfg = pipeline_config(args)
     x, _, conc = features.read_features_csv(args.infile)
     front = bench.fit_front(x, cfg)
     z = front.scores(x)
@@ -179,7 +183,7 @@ def cmd_predict(args) -> int:
 def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     table = bench.get_table(args.table)
-    cfg = _pipeline_config(args)
+    cfg = pipeline_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -209,7 +213,7 @@ def cmd_bench(args) -> int:
 
 def parse_seed(text: str) -> int:
     """The `--seed` argument type: an integer >= 0."""
-    seed = int(text)
+    seed = parse_int(text)
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
     return seed
@@ -228,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True, choices=TABLE_CHOICES)
     p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--per-row", type=int, default=None,
+    p.add_argument("--per-row", type=parse_int, default=None,
                    help="sessions per mixture row (default: table split sizes)")
     p.add_argument("--config", default=None, help="flat key = value config file")
     p.set_defaults(fn=cmd_simulate)
@@ -236,11 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse a raw frame stream into a session CSV")
     p.add_argument("--in", dest="infile", required=True, help="file or - for stdin")
     p.add_argument("--out", required=True)
-    p.add_argument("--label", type=int, default=0)
-    p.add_argument("--rate", type=float, default=sensors.SAMPLE_RATE_HZ)
-    p.add_argument("--acetone", type=float, default=0.0)
-    p.add_argument("--ethanol", type=float, default=0.0)
-    p.add_argument("--methanol", type=float, default=0.0)
+    p.add_argument("--label", type=parse_int, default=0)
+    p.add_argument("--rate", type=parse_float, default=sensors.SAMPLE_RATE_HZ)
+    p.add_argument("--acetone", type=parse_float, default=0.0)
+    p.add_argument("--ethanol", type=parse_float, default=0.0)
+    p.add_argument("--methanol", type=parse_float, default=0.0)
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("preprocess", help="smooth and detrend a session CSV")

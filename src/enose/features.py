@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import (check_positive, check_sizes, parse_float, read_text, text_lines,
-                     write_lines)
+from .checks import (check_positive, check_sizes, is_integer_text, parse_float, read_text,
+                     text_lines, write_lines)
 from .sensors import BASELINE_S, EXPOSURE_S, LABELS
 
 N_FEATURES = 12
@@ -190,12 +190,6 @@ def median_gamma(sq, d: int) -> float:
     return 1.0 / (d * med)
 
 
-def default_gamma(x) -> float:
-    """1 / (d * median pairwise squared distance), guarding degenerate data."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return median_gamma(pairwise_sq_dists(x, x), x.shape[1])
-
-
 def rbf_from_sq_dists(sq: np.ndarray, gamma: float) -> np.ndarray:
     """exp(-gamma * sq), computed in place in `sq`, which it returns."""
     sq *= -gamma
@@ -290,7 +284,7 @@ def read_features_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise ValueError(f"line {lineno}: {exc}") from None
         if not all(map(math.isfinite, row)):
             raise ValueError(f"line {lineno}: non-finite value in features row")
-        if row[N_FEATURES] not in LABELS:
+        if not is_integer_text(fields[N_FEATURES]) or row[N_FEATURES] not in LABELS:
             raise ValueError(
                 f"line {lineno}: label {fields[N_FEATURES]} is not a whole number in 0..3")
         rows.append(row)

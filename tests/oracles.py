@@ -14,6 +14,8 @@ reductions, whole-table lists of sessions instead of the streamed front
 end, one Python pass per gap run, vote row or eigenvector column
 instead of array expressions over all of them, and SMO's eligibility
 masks and index arrays rebuilt in numpy on every step instead of kept.
+`default_gamma` is the one helper here that is no oracle: it is the
+fits' own gamma rule on its own, for tests that need its value.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from enose import bench
 from enose.acquisition import (MALFORMED_FRACTION_LIMIT, SESSION_HEADER, Session,
                                StreamError, frame_lines, parse_stream)
-from enose.features import N_FEATURES, extract_features
+from enose.features import N_FEATURES, extract_features, median_gamma, pairwise_sq_dists
 from enose.mlp import (LOSS_IMPROVEMENT_FLOOR, MlpConfig, MlpModel, init_layers,
                        loss_and_grads)
 from enose.preprocess import default_anchors, fit_standardizer, process_session
@@ -185,6 +187,13 @@ def orient_columns_per_column(v: np.ndarray) -> np.ndarray:
         if v[i, j] < 0:
             v[:, j] = -v[:, j]
     return v
+
+
+def default_gamma(x) -> float:
+    """The gamma that `kpca_fit` and an `svm_gamma = auto` fit take for `x`:
+    1 / (d * median pairwise squared distance), guarding degenerate data."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return median_gamma(pairwise_sq_dists(x, x), x.shape[1])
 
 
 def brute_moving_average(x, window_m: int) -> np.ndarray:

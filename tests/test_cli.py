@@ -746,6 +746,10 @@ class TestCliErrors:
         (N_FEATURES, "1e20", "label 1e20 is not a whole number in 0..3"),
         (N_FEATURES, "4", "label 4 is not a whole number in 0..3"),
         (3, "1_0", "could not convert string to float: '1_0'"),
+        # the row's label is 1, spelt as the program never writes an integer
+        (N_FEATURES, "+1", "label +1 is not a whole number in 0..3"),
+        (N_FEATURES, "1.0", "label 1.0 is not a whole number in 0..3"),
+        (N_FEATURES, "1e0", "label 1e0 is not a whole number in 0..3"),
     ])
     def test_bad_features_rows_rejected(self, tmp_path, capsys, column, value, message):
         x, y, conc = separable_features(np.random.default_rng(1))
@@ -1026,6 +1030,37 @@ class TestCliErrors:
     def test_unknown_table(self, capsys):
         with pytest.raises(SystemExit):
             main(["bench", "--table", "quaternary", "--out", "x"])
+
+    # command -> (its arguments but the flag, its integer flags, its float
+    # flags); with a well-spelt flag each command would write its output
+    NUMERIC_FLAGS = {
+        "ingest": (["--in", "frames.txt", "--out", "session.csv"], ["--label"],
+                   ["--rate", "--acetone", "--ethanol", "--methanol"]),
+        "simulate": (["--table", "ternary", "--out", "sessions"], ["--per-row", "--seed"], []),
+        "bench": (["--table", "ternary", "--out", "results"], ["--seed"], []),
+        "train-mlp": (["--in", "features.csv", "--model", "out.mlp"], ["--seed"], []),
+    }
+
+    # the spellings every file reader refuses: a "_" and non-ASCII digits, and
+    # a "+" in an integer (a float such as 1e+20 may hold one)
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value)
+        for command, (_, ints, floats) in NUMERIC_FLAGS.items()
+        for flag in ints + floats
+        for value in ["1_0", "\u0661\u0660"] + ["+2"] * (flag in ints)])
+    def test_misspelt_numeric_flag_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                    command, flag, value):
+        monkeypatch.chdir(tmp_path)
+        Path("frames.txt").write_text("0,1,2,3,4\n100,1,2,3,4\n")
+        write_features_csv("features.csv", *separable_features(np.random.default_rng(1)))
+        inputs = sorted(tmp_path.iterdir())
+        args = self.NUMERIC_FLAGS[command][0]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, flag, value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: invalid " in err and f"value: {value!r}" in err
+        assert "Traceback" not in err and sorted(tmp_path.iterdir()) == inputs
 
 
 def test_bench_reads_config_whatever_the_locale(tmp_path):

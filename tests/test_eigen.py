@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enose.features import _eigh_descending, default_gamma, orient_columns, rbf_kernel
-from oracles import charpoly_eigvalsh, jacobi_eigh, orient_columns_per_column
+from enose.features import _eigh_descending, orient_columns, rbf_kernel
+from oracles import charpoly_eigvalsh, default_gamma, jacobi_eigh, orient_columns_per_column
 
 
 def random_symmetric(n, seed):

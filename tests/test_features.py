@@ -12,8 +12,8 @@ from enose.preprocess import process_session
 from enose.sensors import (BASELINE_S, EXPOSURE_S, GasMixture, SensorSpec,
                            clean_traces, divider_voltage, simulate_session,
                            standard_protocol, steady_sensitivity)
-from oracles import (charpoly_eigvalsh, eigvec_3x3, extract_features_per_channel,
-                     jacobi_eigh)
+from oracles import (charpoly_eigvalsh, default_gamma, eigvec_3x3,
+                     extract_features_per_channel, jacobi_eigh)
 
 RATE = 10.0
 
@@ -224,7 +224,7 @@ class TestPcaAgainstJacobi:
 def dense_kpca(x, variance_threshold=0.95):
     """kpca_fit on the Jacobi oracle's full spectrum, with variance
     fractions against the sum of the eigenvalues kept."""
-    gamma = ft.default_gamma(x)
+    gamma = default_gamma(x)
     k = ft.rbf_kernel(x, x, gamma)
     row_means, total_mean = k.mean(axis=1), float(k.mean())
     kc = k - row_means[:, None] - row_means[None, :] + total_mean
@@ -300,7 +300,7 @@ class TestKpca:
     def test_centered_gram_row_sums_vanish(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(0, 1, (rng.integers(3, 15), rng.integers(1, 4)))
-        k = ft.rbf_kernel(x, x, ft.default_gamma(x))
+        k = ft.rbf_kernel(x, x, default_gamma(x))
         kc = k - k.mean(1)[:, None] - k.mean(0)[None, :] + k.mean()
         assert np.abs(kc.sum(axis=1)).max() < 1e-9
 
@@ -322,7 +322,7 @@ class TestKpca:
         with pytest.raises(ValueError):
             ft.kpca_fit(np.random.default_rng(0).normal(0, 1, (5, 2)), gamma=-1.0)
         # degenerate identical points: heuristic falls back to 1/d
-        assert ft.default_gamma(x) == pytest.approx(0.5)
+        assert default_gamma(x) == pytest.approx(0.5)
 
 
 def one_line_sq_dists(a, b):
@@ -363,12 +363,12 @@ class TestKernelBuffers:
         else:
             med = float(np.median(sq[np.triu_indices(n, k=1)]))
             expected = 1.0 / (3 * med) if med > 0.0 else 1.0 / 3
-        assert ft.default_gamma(x) == expected
+        assert default_gamma(x) == expected
         assert ft.median_gamma(ft.pairwise_sq_dists(x, x), 3) == expected
 
     def test_gamma_of_a_nan_distance_is_nan(self):
         x = np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0], [1.0, 1.0]])
-        assert math.isnan(ft.default_gamma(x))
+        assert math.isnan(default_gamma(x))
 
     def test_one_distance_matrix_per_kpca_fit(self, monkeypatch):
         calls = []

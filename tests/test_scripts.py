@@ -55,9 +55,14 @@ def test_run_all_tables_prints_one_row_per_table(tmp_path):
      "[stage=sweep_mlp_hidden] c_penalty must be > 0"),
     ("sweep_mlp_hidden.py", "mlp_epochs = 3", ("--widths", "4,0"),
      "[stage=sweep_mlp_hidden] layer sizes must be >= 1"),
+    # a width is read as a config file's mlp_hidden, by the integer rule
+    ("sweep_mlp_hidden.py", "mlp_epochs = 3", ("--widths", "1_6"),
+     "[stage=sweep_mlp_hidden] config key 'mlp_hidden': "
+     "invalid literal for int() with base 10: '1_6'"),
     ("run_all_tables.py", "svm_c = -1", (),
      "[stage=run_all_tables] c_penalty must be > 0"),
-], ids=["sweep_mlp_hidden", "sweep_mlp_hidden-widths", "run_all_tables"])
+], ids=["sweep_mlp_hidden", "sweep_mlp_hidden-widths", "sweep_mlp_hidden-widths-spelling",
+        "run_all_tables"])
 def test_bad_setting_ends_in_a_stage_error(tmp_path, name, config, args, message):
     conf = tmp_path / "run.conf"
     conf.write_text(config + "\n")
@@ -66,15 +71,22 @@ def test_bad_setting_ends_in_a_stage_error(tmp_path, name, config, args, message
     assert run.stderr == f"error {message}\n" and run.stdout == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ("-m", "enose", "simulate", "--table", "ternary", "--out", "sessions"),
-    ("-m", "enose", "train-mlp", "--in", "features.csv", "--model", "out.mlp"),
-    ("-m", "enose", "bench", "--table", "ternary", "--out", "results"),
-    (str(ROOT / "scripts" / "run_all_tables.py"),),
-    (str(ROOT / "scripts" / "sweep_mlp_hidden.py"),),
-], ids=["simulate", "train-mlp", "bench", "run_all_tables", "sweep_mlp_hidden"])
-def test_negative_seed_is_a_usage_error(tmp_path, argv):
-    run = run_python(*argv, "--seed", "-1", cwd=tmp_path)
+SEED_ARGVS = {
+    "simulate": ("-m", "enose", "simulate", "--table", "ternary", "--out", "sessions"),
+    "train-mlp": ("-m", "enose", "train-mlp", "--in", "features.csv", "--model", "out.mlp"),
+    "bench": ("-m", "enose", "bench", "--table", "ternary", "--out", "results"),
+    "run_all_tables": (str(ROOT / "scripts" / "run_all_tables.py"),),
+    "sweep_mlp_hidden": (str(ROOT / "scripts" / "sweep_mlp_hidden.py"),),
+}
+
+
+# a seed is an integer >= 0, spelt as a file's integers are
+@pytest.mark.parametrize("argv, seed, message", [
+    *[(argv, "-1", "must be >= 0, got -1") for argv in SEED_ARGVS.values()],
+    *[(argv, "1_0", "invalid parse_seed value: '1_0'") for argv in SEED_ARGVS.values()],
+], ids=[*SEED_ARGVS, *(f"{name}-1_0" for name in SEED_ARGVS)])
+def test_negative_seed_is_a_usage_error(tmp_path, argv, seed, message):
+    run = run_python(*argv, "--seed", seed, cwd=tmp_path)
     assert run.returncode == 2
-    assert "error: argument --seed: must be >= 0, got -1" in run.stderr
+    assert f"error: argument --seed: {message}" in run.stderr
     assert "Traceback" not in run.stderr and not any(tmp_path.iterdir())

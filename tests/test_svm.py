@@ -9,7 +9,7 @@ from enose import features as ft
 from enose import svm
 from enose.svm import (BinarySvm, ConvergenceError, SvmModel, SvmParams,
                        svm_train_binary, svm_train_multiclass, svm_predict)
-from oracles import (SmoPerStepMasks, full_duals, kkt_max_violation,
+from oracles import (SmoPerStepMasks, default_gamma, full_duals, kkt_max_violation,
                      projected_gradient_dual, svm_predict_per_row)
 
 
@@ -194,7 +194,7 @@ class TestSmoAgainstPerStepOracle:
         n = 60
         x = rng.normal(0, 1, (n, 3))
         y = np.where(x[:, 0] - x[:, 2] + rng.normal(0, 0.7, n) > 0, 1.0, -1.0)
-        k = (ft.rbf_kernel(x, x, ft.default_gamma(x)) if kernel == "rbf" else x @ x.T)
+        k = (ft.rbf_kernel(x, x, default_gamma(x)) if kernel == "rbf" else x @ x.T)
         smo, error = self.solve_both(k, y, c)
         assert error is None and smo.n_steps > 20
 
@@ -248,7 +248,7 @@ class TestOneDistanceMatrix:
     def test_default_gamma_from_the_same_matrix(self):
         x, y = separable_dataset(4, n_per=6)
         model = svm_train_binary(x, y, SvmParams(c_penalty=10.0, kernel="rbf", gamma=None))
-        assert model.gamma == ft.default_gamma(x)
+        assert model.gamma == default_gamma(x)
 
 
 def three_clusters(seed=0, n_per=15):
