@@ -22,9 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import (ASCII_SPACE, check_positive, parse_float, parse_int, read_text,
-                     split_lines, write_lines)
-from .config import parse_config_text
+from .checks import (ASCII_SPACE, check_positive, parse_config_text, parse_float, parse_int,
+                     read_text, split_lines, write_lines)
 from .sensors import (ADC_MAX, GASES, LABELS, SAMPLE_RATE_HZ, VOLTS_PER_COUNT,
                       GasMixture)
 
@@ -231,8 +230,9 @@ def parse_stream(lines, label: int = 0, mixture: GasMixture | None = None,
                    mixture=mixture, sample_rate_hz=sample_rate_hz)
 
 
-def frame_lines(t_ms, counts) -> list[str]:
-    """Wire-format lines `t_ms,raw1,raw2,raw3,raw4` for the given arrays.
+def frame_lines(t_ms, counts) -> bytes:
+    r"""The ASCII bytes of the wire-format lines `t_ms,raw1,raw2,raw3,raw4`
+    for the given arrays, each ended by "\n".
 
     The values must be non-negative integers.  Their digits go right-aligned
     into fixed-width slots of one byte buffer, from which the unused
@@ -240,7 +240,7 @@ def frame_lines(t_ms, counts) -> list[str]:
     """
     values = np.column_stack((t_ms, counts))
     if not values.size:
-        return []
+        return b""
     if not np.issubdtype(values.dtype, np.integer) or values.min() < 0:
         raise ValueError("frame values must be non-negative integers")
     values = values.astype(np.uint64)
@@ -255,7 +255,7 @@ def frame_lines(t_ms, counts) -> list[str]:
         rest, digit = np.divmod(rest, 10)
         chars[..., width - 1 - p] = digit + ord("0")
         keep[..., width - 1 - p] = values >= _PLACES[p] if p else True
-    return split_lines(chars[keep].tobytes().decode("ascii"))
+    return chars[keep].tobytes()
 
 
 # The `<name>.meta` sidecar's keys, in the order `write_meta` writes them.
@@ -300,7 +300,7 @@ def read_meta(csv_path) -> dict:
 
 def write_session(session: Session, csv_path) -> None:
     """Write the session CSV plus its `<name>.meta` sidecar."""
-    write_lines(csv_path, [SESSION_HEADER, *frame_lines(session.t_ms, session.counts)])
+    write_lines(csv_path, [SESSION_HEADER], frame_lines(session.t_ms, session.counts))
     write_meta(session, csv_path)
 
 

@@ -314,10 +314,10 @@ def stratified_split(y, n_train: int, n_test: int, seed: int):
 
 def _stage(name: str, fn, *args, **kwargs):
     log.info("stage %s", name)
-    return _tagged(name, fn, *args, **kwargs)
+    return tagged(name, fn, *args, **kwargs)
 
 
-def _tagged(name: str, fn, *args, **kwargs):
+def tagged(name: str, fn, *args, **kwargs):
     """`fn(*args, **kwargs)`, with a failure raised as a StageError of `name`."""
     try:
         return fn(*args, **kwargs)
@@ -387,8 +387,8 @@ def prepare_features(table: ExperimentTable, config: PipelineConfig,
     x = np.empty((table.n_total, N_FEATURES))
     row_of = np.empty(table.n_total, dtype=np.int64)
     for start in range(0, table.n_total, FRONT_CHUNK):
-        stage = _stage if start == 0 else _tagged
-        rows, t_ms, counts = _tagged("generate", next, chunks)
+        stage = _stage if start == 0 else tagged
+        rows, t_ms, counts = tagged("generate", next, chunks)
         volts = np.concatenate(counts * VOLTS_PER_COUNT, axis=1)  # (n, 4k)
         channels = stage("preprocess", process_session, volts, t_ms, filter_config)
         x[start:start + len(rows)] = stage("extract", extract_features, channels,

@@ -3,7 +3,11 @@ types, and the byte and line rule of every file the program reads or
 writes: inputs are decoded as UTF-8 whatever the locale, lines end only at
 "\n", "\r\n" or "\r", and artifacts are written as ASCII lines ended by
 "\n".  `parse_int` and `parse_float` read every number of a file and of a
-command-line flag (they are the argparse types of the numeric flags)."""
+command-line flag (they are the argparse types of the numeric flags).
+`parse_config_text` reads the flat `key = value` lines of run configs and
+session `.meta` sidecars; `bench.PipelineConfig.updated` (whose fields are
+the config keys) and `acquisition.read_meta` know their keys and parse
+the values."""
 
 import math
 from pathlib import Path
@@ -34,8 +38,9 @@ def is_integer_text(text: str) -> bool:
 
 
 def is_float_text(text: str) -> bool:
-    """Whether `text` may spell a float: ASCII, without the "_" float() takes."""
-    return text.isascii() and "_" not in text
+    """Whether `text` may spell a float: ASCII, without the "_" float() takes
+    or the surrounding whitespace it strips."""
+    return text.isascii() and "_" not in text and text == text.strip(ASCII_SPACE)
 
 
 def text_lines(text: str):
@@ -55,6 +60,24 @@ def text_lines(text: str):
             raise ValueError(f"line {lineno}: {kind} character {c!r}")
         if line := line.strip(ASCII_SPACE):
             yield lineno, line
+
+
+def parse_config_text(text: str) -> dict[str, str]:
+    """Key -> value text of the lines `text_lines` yields; a line without
+    `=`, an empty key or a key given twice raises ValueError naming the
+    line, as text_lines does for a character it refuses."""
+    entries: dict[str, str] = {}
+    for lineno, line in text_lines(text):
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
+        key = key.rstrip(ASCII_SPACE)
+        if not key:
+            raise ValueError(f"line {lineno}: empty key")
+        if key in entries:
+            raise ValueError(f"line {lineno}: key {key!r} given twice")
+        entries[key] = value.lstrip(ASCII_SPACE)
+    return entries
 
 
 def decode_text(data: bytes) -> str:
@@ -79,9 +102,10 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
-def write_lines(path, lines) -> None:
-    r"""Write `lines` to `path` as ASCII, each ended by "\n"."""
-    Path(path).write_bytes("\n".join([*lines, ""]).encode("ascii"))
+def write_lines(path, lines, body: bytes = b"") -> None:
+    r"""Write `lines` to `path` as ASCII bytes, each ended by "\n", then the
+    bytes `body`, which are already ASCII lines in that form."""
+    Path(path).write_bytes("\n".join([*lines, ""]).encode("ascii") + body)
 
 
 def _is_text(s: str) -> bool:

@@ -15,8 +15,9 @@ KPCA, then the model) on a features CSV with those settings, and save it
 as one model file that `classify`/`predict` apply.
 
 Numeric flags follow the file rule: `checks.parse_int` and
-`parse_float` are their argparse types, so `--label +2`, `--rate 1_0`
-or a non-ASCII digit is a usage error naming the flag, exit 2.
+`parse_float` are their argparse types, so `--label +2`, `--rate 1_0`,
+`--rate ' 10 '` or a non-ASCII digit is a usage error naming the flag,
+exit 2.
 
 Every failure exits nonzero with a `[stage=...]` tagged message.
 """
@@ -33,16 +34,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acquisition, bench, config as configmod, features, modelio
+from . import acquisition, bench, features, modelio
 from . import preprocess as prep
 from . import report as reportmod
 from . import sensors
 from .bench import PipelineConfig, StageError
-from .checks import decode_text, parse_float, parse_int, read_text, split_lines, write_lines
+from .checks import (decode_text, parse_config_text, parse_float, parse_int, read_text,
+                     split_lines, write_lines)
 from .mlp import MlpModel, evaluate_regression, mlp_forward, mlp_train
 from .svm import SvmModel, svm_predict, svm_train_multiclass
-
-log = logging.getLogger("enose")
 
 TABLE_CHOICES = tuple(key.replace("_", "-") for key in bench.TABLES)
 
@@ -51,7 +51,7 @@ def pipeline_config(args) -> PipelineConfig:
     """Defaults <- `--config` file <- `bench --features`."""
     cfg = PipelineConfig()
     if args.config:
-        cfg = cfg.updated(configmod.read_config(args.config))
+        cfg = cfg.updated(parse_config_text(read_text(args.config)))
     if getattr(args, "features", None):
         cfg = dataclasses.replace(cfg, features=args.features)
     return cfg
@@ -292,23 +292,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  The `enose` logger logs to stderr for this call
+    only, at INFO with `-v`; the root logger is left as it is."""
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(name)s: %(message)s", stream=sys.stderr)
-    return run_tagged(args.command, args.fn, args)
+    logger = logging.getLogger("enose")
+    level = logger.level
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    logger.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    logger.addHandler(handler)
+    try:
+        return run_tagged(args.command, args.fn, args)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def run_tagged(stage: str, fn, *args) -> int:
     """`fn(*args)`, or exit code 2 after an `error [stage=...] message` line
     on stderr: a StageError names its own stage, any other failure `stage`."""
     try:
-        return fn(*args)
+        return bench.tagged(stage, fn, *args)
     except StageError as exc:
         print(f"error {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # noqa: BLE001 - tag CLI-level failures too
-        print(f"error [stage={stage}] {exc}", file=sys.stderr)
         return 2
 
 

@@ -78,6 +78,13 @@ def orient_columns(v: np.ndarray) -> np.ndarray:
     return np.where(top < 0, -v, v)
 
 
+def _retained(w: np.ndarray, total: float, threshold: float) -> int:
+    """How many of the descending eigenvalues `w`, from the first, carry
+    `threshold` of `total`; all of them if they never do."""
+    cum = np.cumsum(w) / total
+    return min(int(np.searchsorted(cum, threshold - 1e-12) + 1), w.size)
+
+
 # --- PCA ------------------------------------------------------------------
 
 def _check_retained_k(k: int, available: int, what: str) -> None:
@@ -114,12 +121,7 @@ def pca_fit(x, variance_threshold: float = 0.95) -> PcaModel:
     w = np.maximum(w, 0.0)
     v = orient_columns(v)
     total = float(w.sum())
-    if total <= 0.0:
-        retained = 1
-    else:
-        cum = np.cumsum(w) / total
-        retained = int(np.searchsorted(cum, variance_threshold - 1e-12) + 1)
-        retained = min(retained, w.size)
+    retained = 1 if total <= 0.0 else _retained(w, total, variance_threshold)
     return PcaModel(mean=mean, components=v.T, eigenvalues=w, retained_k=retained)
 
 
@@ -234,10 +236,7 @@ def kpca_fit(x, gamma: float | None = None,
     if w.size == 0:
         raise ValueError("centred Gram matrix has no positive eigenvalues")
 
-    cum = np.cumsum(w) / float(np.trace(kc))
-    retained = int(np.searchsorted(cum, variance_threshold - 1e-12) + 1)
-    retained = min(retained, w.size)
-
+    retained = _retained(w, float(np.trace(kc)), variance_threshold)
     w = w[:retained]
     alphas = orient_columns(v[:, order[:retained]]) / np.sqrt(w)[None, :]
     return KpcaModel(x_train=x.copy(), gamma=float(gamma), alphas=alphas,

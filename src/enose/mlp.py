@@ -83,19 +83,14 @@ class MlpModel:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow: exp is only taken of -|z|.
-
-    `minimum(z, -z)` rather than `-abs(z)` keeps the sign of a nan input,
-    so every output bit, nan included, equals that of the two-branch form
-    1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) otherwise.
-    """
+    """Logistic function without overflow: 1/(1+exp(-z)) where z >= 0 and
+    exp(z)/(1+exp(z)) elsewhere (nan included): exp never sees a positive value."""
+    out = np.empty_like(z, dtype=float)
     pos = z >= 0
-    e = np.negative(z)
-    np.minimum(z, e, out=e)
-    np.exp(e, out=e)
-    d = np.add(1.0, e)
-    np.putmask(e, pos, 1.0)   # numerator: 1 where z >= 0, else e
-    return np.divide(e, d, out=e)
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def init_layers(input_dim: int, config: MlpConfig):

@@ -27,6 +27,7 @@ import numpy as np
 from enose import bench
 from enose.acquisition import (MALFORMED_FRACTION_LIMIT, SESSION_HEADER, Session,
                                StreamError, frame_lines, parse_stream)
+from enose.checks import split_lines
 from enose.features import N_FEATURES, extract_features, median_gamma, pairwise_sq_dists
 from enose.mlp import (LOSS_IMPROVEMENT_FLOOR, MlpConfig, MlpModel, init_layers,
                        loss_and_grads)
@@ -586,16 +587,6 @@ def parse_stream_per_line(lines) -> tuple[np.ndarray, np.ndarray]:
     return t, raw.astype(np.int64)
 
 
-def masked_sigmoid(z) -> np.ndarray:
-    """Logistic function, each sign of z through its own boolean mask."""
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def mlp_train_per_call(x, targets_ppm, config: MlpConfig) -> MlpModel:
     """`mlp.mlp_train` as one `loss_and_grads` call per SGD step.
 
@@ -753,8 +744,8 @@ def prepare_features_whole_table(table, config, seed: int) -> bench.FeatureSplit
                                          config.sample_rate_hz)
             sessions.append(Session(t_ms, raw[0], label=dominant_gas_label(mix), mixture=mix,
                                     sample_rate_hz=config.sample_rate_hz))
-    sessions = [parse_stream(frame_lines(s.t_ms, s.counts), label=s.label,
-                             mixture=s.mixture, sample_rate_hz=s.sample_rate_hz)
+    sessions = [parse_stream(split_lines(frame_lines(s.t_ms, s.counts).decode("ascii")),
+                             label=s.label, mixture=s.mixture, sample_rate_hz=s.sample_rate_hz)
                 for s in sessions]
     processed = [process_session(s.voltages(), s.t_ms, config.filter_config()) for s in sessions]
     x = np.vstack([extract_features(p, s.sample_rate_hz)

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from enose import acquisition as acq
+from enose.checks import split_lines
 from enose.sensors import GasMixture
 from oracles import impute_missing_per_run, parse_stream_per_line
 
@@ -239,8 +240,8 @@ class TestCodecAgainstPerLineReference:
     @settings(max_examples=200, deadline=None)
     def test_frame_lines_match_fstrings(self, rows):
         values = np.array(rows, dtype=np.int64).reshape(-1, 5)
-        expected = [f"{t},{a},{b},{c},{d}" for t, a, b, c, d in rows]
-        assert acq.frame_lines(values[:, 0], values[:, 1:]) == expected
+        expected = "".join(f"{t},{a},{b},{c},{d}\n" for t, a, b, c, d in rows)
+        assert acq.frame_lines(values[:, 0], values[:, 1:]) == expected.encode("ascii")
 
     def test_frame_lines_reject_negative_or_float_values(self):
         with pytest.raises(ValueError, match="non-negative integers"):
@@ -333,7 +334,8 @@ class TestRoundTrip:
     def test_parse_serialize_parse_identity(self, session):
         # every valid Session survives the wire format unchanged, so a
         # simulated session needs no trip through it before preprocessing
-        again = acq.parse_stream(acq.frame_lines(session.t_ms, session.counts),
+        wire = acq.frame_lines(session.t_ms, session.counts)
+        again = acq.parse_stream(split_lines(wire.decode("ascii")),
                                  label=session.label, mixture=session.mixture,
                                  sample_rate_hz=session.sample_rate_hz)
         for name in ("t_ms", "counts"):

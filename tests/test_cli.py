@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enose import config as cfg
 from enose.acquisition import Session, read_session, write_session
 from enose.bench import PipelineConfig
+from enose.checks import parse_config_text, read_text
 from enose.cli import main
 from enose.features import N_FEATURES, write_features_csv
 from enose.sensors import GasMixture
@@ -55,7 +55,7 @@ class TestConfigFiles:
             "",
             "features = kpca  # trailing comment",
         ])
-        entries = cfg.parse_config_text(text)
+        entries = parse_config_text(text)
         assert entries == {"noise_sigma": "0.01", "window_m": "7",
                            "features": "kpca"}
         assert PipelineConfig().updated(entries) == PipelineConfig(
@@ -63,15 +63,15 @@ class TestConfigFiles:
 
     def test_bad_lines_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
-            cfg.parse_config_text("just words")
+            parse_config_text("just words")
         with pytest.raises(ValueError, match="empty key"):
-            cfg.parse_config_text("= 3")
+            parse_config_text("= 3")
         with pytest.raises(ValueError, match="unknown config key"):
             PipelineConfig().updated({"volume": "11"})
 
     def test_key_given_twice_rejected(self):
         with pytest.raises(ValueError, match="line 3: key 'svm_c' given twice"):
-            cfg.parse_config_text("svm_c = 1\n# tuned\nsvm_c = 2\n")
+            parse_config_text("svm_c = 1\n# tuned\nsvm_c = 2\n")
 
     @pytest.mark.parametrize("text, lineno", [
         ("svm_c = \u300012\xa0", 1),
@@ -89,16 +89,16 @@ class TestConfigFiles:
     def test_non_ascii_whitespace_rejected(self, text, lineno):
         # str.strip would drop it, and the setting would read as ASCII
         with pytest.raises(ValueError, match=f"line {lineno}: (non-ASCII|line-break) character"):
-            cfg.parse_config_text(text)
+            parse_config_text(text)
 
     def test_comment_may_hold_any_character(self):
         text = "svm_c = 12  # \u00e9t\u00e9\xa0\u3000\n# \u2028\nwindow_m = 7\n"
-        assert cfg.parse_config_text(text) == {"svm_c": "12", "window_m": "7"}
+        assert parse_config_text(text) == {"svm_c": "12", "window_m": "7"}
 
     def test_comment_may_hold_a_byte_that_is_not_utf8(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_bytes(b"svm_c = 12  # \xb5 tuned in latin-1\n# \xff\nwindow_m = 7\n")
-        assert cfg.read_config(conf) == {"svm_c": "12", "window_m": "7"}
+        assert parse_config_text(read_text(conf)) == {"svm_c": "12", "window_m": "7"}
 
     def test_svm_gamma_auto_or_number(self):
         tuned = PipelineConfig(svm_gamma=0.5)
@@ -157,7 +157,7 @@ class TestConfigFiles:
     def test_echo_is_a_config_file_for_the_same_config(self, config):
         assert PipelineConfig().updated(dict(config.echo())) == config
         text = "".join(f"{key} = {value}\n" for key, value in config.echo())
-        assert cfg.parse_config_text(text) == dict(config.echo())
+        assert parse_config_text(text) == dict(config.echo())
 
 
 def separable_features(rng, n_per=20):
@@ -696,6 +696,19 @@ class TestInputCorruption:
 
 
 class TestCliErrors:
+    @pytest.mark.parametrize("verbose_first", [False, True])
+    def test_verbose_logs_the_stages_of_its_own_call(self, tmp_path, capsys, verbose_first):
+        # -v is neither lost after a plain call in the same process nor kept
+        # for the next one
+        stages = ["generate", "preprocess", "extract", "split", "standardize", "reduce",
+                  "train", "score"]
+        for verbose in (verbose_first, not verbose_first):
+            out = tmp_path / f"verbose_{verbose}"
+            argv = ["-v"] * verbose + ["bench", "--table", "ternary", "--out", str(out)]
+            assert main(argv) == 0
+            err = capsys.readouterr().err
+            assert err.splitlines() == [f"enose.bench: stage {s}" for s in stages] * verbose
+
     def test_stage_tagged_failure_and_nonzero_exit(self, tmp_path, capsys):
         rc = main(["ingest", "--in", str(tmp_path / "missing.txt"),
                    "--out", str(tmp_path / "x.csv")])
@@ -746,6 +759,7 @@ class TestCliErrors:
         (N_FEATURES, "1e20", "label 1e20 is not a whole number in 0..3"),
         (N_FEATURES, "4", "label 4 is not a whole number in 0..3"),
         (3, "1_0", "could not convert string to float: '1_0'"),
+        (3, " 2.0", "could not convert string to float: ' 2.0'"),
         # the row's label is 1, spelt as the program never writes an integer
         (N_FEATURES, "+1", "label +1 is not a whole number in 0..3"),
         (N_FEATURES, "1.0", "label 1.0 is not a whole number in 0..3"),
@@ -1041,13 +1055,14 @@ class TestCliErrors:
         "train-mlp": (["--in", "features.csv", "--model", "out.mlp"], ["--seed"], []),
     }
 
-    # the spellings every file reader refuses: a "_" and non-ASCII digits, and
-    # a "+" in an integer (a float such as 1e+20 may hold one)
+    # the spellings every file reader refuses: a "_", non-ASCII digits and
+    # surrounding whitespace, and a "+" in an integer (a float such as 1e+20
+    # may hold one)
     @pytest.mark.parametrize("command, flag, value", [
         (command, flag, value)
         for command, (_, ints, floats) in NUMERIC_FLAGS.items()
         for flag in ints + floats
-        for value in ["1_0", "\u0661\u0660"] + ["+2"] * (flag in ints)])
+        for value in ["1_0", "\u0661\u0660", " 10 "] + ["+2"] * (flag in ints)])
     def test_misspelt_numeric_flag_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
                                                     command, flag, value):
         monkeypatch.chdir(tmp_path)

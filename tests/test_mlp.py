@@ -1,6 +1,7 @@
 import gc
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from enose import mlp
 from enose.preprocess import Standardizer
 
-from oracles import masked_sigmoid, mlp_train_per_call
+from oracles import mlp_train_per_call
 
 
 def identity_standardizer(d):
@@ -209,11 +210,20 @@ class TestAgainstPerCallLoop:
                             745.0, -745.0, 746.0, -746.0, 36.7, -36.7, 5e-324, -5e-324])
         rng = np.random.default_rng(0)
         z = np.concatenate([special, rng.normal(0, 1, 500), rng.normal(0, 300, 500)])
-        for batch in (z, rng.permutation(z).reshape(-1, 6), z[:, None]):
-            assert same_bits(mlp.sigmoid(batch), masked_sigmoid(batch))
-        for value in special:
-            one = np.array([[value]])
-            assert same_bits(mlp.sigmoid(one), masked_sigmoid(one))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)   # no overflow, no invalid
+            flat = mlp.sigmoid(z)
+            order = rng.permutation(z.size)
+            assert same_bits(mlp.sigmoid(z[order].reshape(-1, 6)).ravel(), flat[order])
+            assert same_bits(mlp.sigmoid(z[:, None]).ravel(), flat)
+            for value, s in zip(special, flat):
+                assert same_bits(mlp.sigmoid(np.array([[value]])), np.array([[s]]))
+        assert same_bits(flat[:4], np.array([0.5, 0.5, 1.0, 0.0]))   # +-0, +-inf
+        assert np.isnan(flat[4:6]).all()
+        assert same_bits(flat[6:10], np.array([1.0, 5e-324, 1.0, 0.0]))   # +-745, +-746
+        assert ((flat[6:] >= 0) & (flat[6:] <= 1)).all()
+        finite = np.abs(z) < 700
+        np.testing.assert_allclose(flat[finite], 1.0 / (1.0 + np.exp(-z[finite])), rtol=1e-15)
 
 
 class TestGradients:
